@@ -60,7 +60,11 @@ void BM_FullDecode(benchmark::State& state, Encoding encoding,
   auto reader = Build(encoding, type);
   for (auto _ : state) {
     ColumnVector out(type);
-    reader->DecodeAll(&out);
+    Status s = reader->DecodeAll(&out);
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      break;
+    }
     benchmark::DoNotOptimize(out.size());
   }
   state.SetLabel(EncodingName(encoding));

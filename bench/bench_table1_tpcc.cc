@@ -31,36 +31,29 @@ struct RunResult {
   uint64_t aborts = 0;
 };
 
-RunResult RunTpcc(EngineProfile profile, int warehouses, int partitions,
-                  int workers, double seconds) {
+Result<RunResult> RunTpcc(EngineProfile profile, int warehouses,
+                          int partitions, int workers, double seconds) {
   ScratchDir dir("s2-bench-tpcc");
   DatabaseOptions opts;
   opts.dir = dir.path();
   opts.num_partitions = partitions;
   opts.profile = profile;
-  auto db = Database::Open(opts);
-  if (!db.ok()) {
-    fprintf(stderr, "open failed: %s\n", db.status().ToString().c_str());
-    return {};
-  }
+  S2_ASSIGN_OR_RETURN(std::unique_ptr<Database> db, Database::Open(opts));
   tpcc::Scale scale;
   scale.warehouses = warehouses;
   scale.districts_per_warehouse = 4;
   scale.customers_per_district = 60;
   scale.items = 200;
   scale.initial_orders_per_district = 10;
-  if (!tpcc::CreateTables(db->get()).ok() ||
-      !tpcc::Load(db->get(), scale).ok()) {
-    fprintf(stderr, "load failed\n");
-    return {};
-  }
+  S2_RETURN_NOT_OK(tpcc::CreateTables(db.get()));
+  S2_RETURN_NOT_OK(tpcc::Load(db.get(), scale));
 
   tpcc::Counters counters;
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < workers; ++t) {
     threads.emplace_back([&, t] {
-      tpcc::Worker worker(db->get(), scale, 1000 + t, &counters);
+      tpcc::Worker worker(db.get(), scale, 1000 + t, &counters);
       while (!stop.load(std::memory_order_relaxed)) (void)worker.RunOne();
     });
   }
@@ -98,12 +91,20 @@ int main() {
       "Table 1: TPC-C throughput (scaled down; shape: S2DB ~= CDB at equal "
       "scale, S2DB scales with warehouses)");
 
-  auto cdb = RunTpcc(EngineProfile::kOperationalRowstore, w_small, 1, workers,
-                     seconds);
-  auto s2_small =
+  auto cdb_or = RunTpcc(EngineProfile::kOperationalRowstore, w_small, 1,
+                        workers, seconds);
+  if (!cdb_or.ok()) return bench::Fail("CDB", cdb_or.status());
+  auto s2_small_or =
       RunTpcc(EngineProfile::kUnified, w_small, 1, workers, seconds);
-  auto s2_big =
+  if (!s2_small_or.ok()) return bench::Fail("S2DB", s2_small_or.status());
+  auto s2_big_or =
       RunTpcc(EngineProfile::kUnified, w_big, 4, workers, seconds);
+  if (!s2_big_or.ok()) {
+    return bench::Fail("S2DB (scaled out)", s2_big_or.status());
+  }
+  const RunResult& cdb = *cdb_or;
+  const RunResult& s2_small = *s2_small_or;
+  const RunResult& s2_big = *s2_big_or;
 
   printf("%-28s %12s %12s %14s %10s\n", "Product", "warehouses", "tpmC",
          "txn/s (all)", "aborts");

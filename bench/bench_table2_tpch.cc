@@ -32,40 +32,35 @@ struct ProductResult {
   bool finished = true;
 };
 
-std::unique_ptr<Database> OpenAndLoad(EngineProfile profile, double sf,
-                                      const std::string& dir) {
+Result<std::unique_ptr<Database>> OpenAndLoad(EngineProfile profile,
+                                              double sf,
+                                              const std::string& dir) {
   DatabaseOptions opts;
   opts.dir = dir;
   opts.num_partitions = 1;
   opts.profile = profile;
-  auto db = Database::Open(opts);
-  if (!db.ok()) return nullptr;
-  if (!tpch::CreateTables(db->get()).ok()) return nullptr;
-  if (!tpch::Load(db->get(), sf).ok()) return nullptr;
-  return std::move(*db);
+  S2_ASSIGN_OR_RETURN(std::unique_ptr<Database> db, Database::Open(opts));
+  S2_RETURN_NOT_OK(tpch::CreateTables(db.get()));
+  S2_RETURN_NOT_OK(tpch::Load(db.get(), sf));
+  return db;
 }
 
-ProductResult RunAll(const std::string& name, EngineProfile profile,
-                     double price, double sf, double timeout_factor) {
+// A query error is a failure; only a pass past the time cutoff is a DNF
+// row (finished = false).
+Result<ProductResult> RunAll(const std::string& name, EngineProfile profile,
+                             double price, double sf, double timeout_factor) {
   ScratchDir dir(("s2-tpch-" + name).c_str());
   ProductResult result;
   result.name = name;
   result.price_per_hour = price;
-  auto db = OpenAndLoad(profile, sf, dir.path());
-  if (db == nullptr) {
-    result.finished = false;
-    return result;
-  }
+  S2_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
+                      OpenAndLoad(profile, sf, dir.path()));
   // One cold pass for caching/compilation parity with the paper's method,
   // then a timed warm pass.
   double budget = 0;
   for (int q = 1; q <= 22; ++q) {
     Timer cold;
-    auto warmup = tpch::RunQuery(db.get(), q);
-    if (!warmup.ok()) {
-      result.finished = false;
-      return result;
-    }
+    S2_RETURN_NOT_OK(tpch::RunQuery(db.get(), q).status());
     budget += cold.Seconds();
   }
   // The DNF cutoff: `timeout_factor` x the reference pass of the unified
@@ -75,11 +70,7 @@ ProductResult RunAll(const std::string& name, EngineProfile profile,
   Timer total;
   for (int q = 1; q <= 22; ++q) {
     Timer t;
-    auto rows = tpch::RunQuery(db.get(), q);
-    if (!rows.ok()) {
-      result.finished = false;
-      return result;
-    }
+    S2_RETURN_NOT_OK(tpch::RunQuery(db.get(), q).status());
     result.query_seconds.push_back(t.Seconds());
     if (total.Seconds() > cutoff && cutoff > 0) {
       result.finished = false;  // treat as "did not finish"
@@ -108,22 +99,36 @@ int main() {
 
   // Cluster prices mirror the paper's near-equal configurations
   // ($16.50 / $16.00 / $16.30 / $13.92 per hour).
-  auto s2db = RunAll("S2DB", EngineProfile::kUnified, 16.50, sf, 0);
-  monitor.TickOnce();
-  // CDW1/CDW2: same warehouse profile with slightly different scan tuning
-  // stands in for two vendors (both lack the OLTP machinery).
-  auto cdw1 = RunAll("CDW1", EngineProfile::kCloudWarehouse, 16.00, sf, 0);
-  monitor.TickOnce();
-  auto cdw2 = RunAll("CDW2", EngineProfile::kCloudWarehouse, 16.30, sf, 0);
-  monitor.TickOnce();
-  // CDB: rowstore engine; allowed 50x the warm budget before being called
-  // DNF (the paper gave it 24 hours vs ~5 minutes).
-  auto cdb = RunAll("CDB", EngineProfile::kOperationalRowstore, 13.92, sf, 50);
-  monitor.TickOnce();
+  const struct {
+    const char* name;
+    EngineProfile profile;
+    double price;
+    double timeout_factor;
+  } products[] = {
+      {"S2DB", EngineProfile::kUnified, 16.50, 0},
+      // CDW1/CDW2: same warehouse profile with slightly different scan
+      // tuning stands in for two vendors (both lack the OLTP machinery).
+      {"CDW1", EngineProfile::kCloudWarehouse, 16.00, 0},
+      {"CDW2", EngineProfile::kCloudWarehouse, 16.30, 0},
+      // CDB: rowstore engine; allowed 50x the warm budget before being
+      // called DNF (the paper gave it 24 hours vs ~5 minutes).
+      {"CDB", EngineProfile::kOperationalRowstore, 13.92, 50},
+  };
+  std::vector<ProductResult> results;
+  for (const auto& p : products) {
+    auto result = RunAll(p.name, p.profile, p.price, sf, p.timeout_factor);
+    if (!result.ok()) return bench::Fail(p.name, result.status());
+    results.push_back(std::move(*result));
+    monitor.TickOnce();
+  }
+  const ProductResult& s2db = results[0];
+  const ProductResult& cdw1 = results[1];
+  const ProductResult& cdw2 = results[2];
+  const ProductResult& cdb = results[3];
 
   printf("%-8s %14s %16s %16s %12s\n", "Product", "price ($/h)",
          "geomean (sec)", "geomean (cents)", "QPS");
-  for (const auto& result : {s2db, cdw1, cdw2, cdb}) {
+  for (const ProductResult& result : results) {
     if (!result.finished || result.query_seconds.size() < 22) {
       printf("%-8s %14.2f %16s %16s %12s\n", result.name.c_str(),
              result.price_per_hour, "DNF", "-", "-");

@@ -11,6 +11,7 @@
 #include "common/env.h"
 #include "common/metrics.h"
 #include "common/monitor.h"
+#include "common/status.h"
 
 namespace s2 {
 namespace bench {
@@ -40,6 +41,14 @@ inline int EnvInt(const char* name, int def) {
   return v == nullptr ? def : atoi(v);
 }
 
+/// Reports a failed bench phase and its Status on stderr; returns the exit
+/// code for main. A bench that cannot open or load its data has no result,
+/// so it fails loudly instead of printing an empty row.
+inline int Fail(const std::string& what, const Status& s) {
+  fprintf(stderr, "%s failed: %s\n", what.c_str(), s.ToString().c_str());
+  return 1;
+}
+
 inline double GeoMean(const std::vector<double>& xs) {
   if (xs.empty()) return 0;
   double log_sum = 0;
@@ -52,11 +61,13 @@ class ScratchDir {
  public:
   explicit ScratchDir(const char* prefix) {
     auto dir = MakeTempDir(prefix);
-    if (dir.ok()) path_ = *dir;
+    // Without a directory the bench's database would open under "/".
+    if (!dir.ok()) {
+      std::exit(Fail(std::string("scratch dir ") + prefix, dir.status()));
+    }
+    path_ = *dir;
   }
-  ~ScratchDir() {
-    if (!path_.empty()) (void)RemoveDirRecursive(path_);
-  }
+  ~ScratchDir() { (void)RemoveDirRecursive(path_); }
   const std::string& path() const { return path_; }
 
  private:

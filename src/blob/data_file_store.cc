@@ -78,6 +78,12 @@ Status DataFileStore::Write(const std::string& name,
   FileHook hook;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Reject a duplicate before the hook fires, so a losing writer's bytes
+    // never reach replicas under the winner's name.
+    auto it = files_.find(name);
+    if (it != files_.end() && it->second.data != nullptr) {
+      return Status::AlreadyExists("data file exists: " + name);
+    }
     hook = file_hook_;
   }
   // Replicate outside the lock: the hook delivers to replica stores.

@@ -65,7 +65,7 @@ Result<std::vector<std::vector<Row>>> SegmentMerger::MergeRows(
     for (size_t c = 0; c < schema_.num_columns(); ++c) {
       S2_ASSIGN_OR_RETURN(const ColumnReader* reader, input.segment->column(c));
       ColumnVector col(schema_.column(c).type);
-      reader->DecodeAll(&col);
+      S2_RETURN_NOT_OK(reader->DecodeAll(&col));
       d.columns.push_back(std::move(col));
     }
     decoded.push_back(std::move(d));

@@ -46,10 +46,11 @@ Result<SegmentMeta> SegmentMeta::DecodeFrom(Slice* input) {
   return meta;
 }
 
-std::string SegmentFileName(uint64_t lsn, uint64_t segment_id) {
+std::string SegmentFileName(const std::string& table, uint64_t lsn,
+                            uint64_t segment_id) {
   char buf[64];
-  snprintf(buf, sizeof(buf), "seg_%020" PRIu64 "_%" PRIu64, lsn, segment_id);
-  return buf;
+  snprintf(buf, sizeof(buf), "_%020" PRIu64 "_%" PRIu64, lsn, segment_id);
+  return "seg_" + table + buf;
 }
 
 std::vector<size_t> PickRunsToMerge(const std::vector<SortedRun>& runs,

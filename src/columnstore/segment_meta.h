@@ -20,8 +20,8 @@ namespace s2 {
 struct SegmentMeta {
   /// Monotonic segment id within the partition.
   uint64_t id = 0;
-  /// Data file name; by convention "seg_<lsn>_<id>" so the file logically
-  /// exists in the log stream at its creation LSN.
+  /// Data file name; by convention "seg_<table>_<lsn>_<id>" so the file
+  /// logically exists in the log stream at its creation LSN.
   std::string file_name;
   uint32_t num_rows = 0;
   /// Per-column min/max for segment elimination.
@@ -40,8 +40,12 @@ struct SegmentMeta {
   static Result<SegmentMeta> DecodeFrom(Slice* input);
 };
 
-/// Builds the data file name for a segment created at `lsn`.
-std::string SegmentFileName(uint64_t lsn, uint64_t segment_id);
+/// Builds the data file name for a segment of `table` created at `lsn`.
+/// Tables of one partition share its data-file store and flush in
+/// parallel; `lsn` is read (not reserved) at flush time and segment ids are
+/// per table, so only the table name keeps concurrent flushes apart.
+std::string SegmentFileName(const std::string& table, uint64_t lsn,
+                            uint64_t segment_id);
 
 /// Tiered LSM run bookkeeping: each sorted run is a list of segment ids
 /// whose rows are mutually sorted by the table's sort key. The flusher

@@ -1,7 +1,8 @@
 #include "encoding/encoding.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstring>
+#include <ranges>
 #include <unordered_map>
 
 #include "common/coding.h"
@@ -18,7 +19,11 @@ constexpr size_t kLzBlockSize = 16 * 1024;
 // Readers
 // ---------------------------------------------------------------------------
 
-// Shared base holding the buffer and the payload window into it.
+// Shared base holding the buffer and the payload window into it. Each
+// reader implements one batch `Decode(rows, out)` over an ascending row
+// range; DecodeAll runs it over every row and DecodeRows over the given
+// offsets, so both share one loop per encoding.
+template <typename Reader>
 class ReaderBase : public ColumnReader {
  public:
   ReaderBase(DataType type, Encoding enc, uint32_t num_rows,
@@ -29,44 +34,60 @@ class ReaderBase : public ColumnReader {
         payload_(payload),
         payload_size_(payload_size) {}
 
+  Status DecodeAll(ColumnVector* out) const final {
+    return self().Decode(std::views::iota(uint32_t{0}, num_rows_), out);
+  }
+
+  Status DecodeRows(const std::vector<uint32_t>& rows,
+                    ColumnVector* out) const final {
+    return self().Decode(rows, out);
+  }
+
  protected:
+  const Reader& self() const { return static_cast<const Reader&>(*this); }
+
   std::shared_ptr<const std::string> buf_;
   const char* payload_;
   size_t payload_size_;
 };
 
-class PlainIntReader : public ReaderBase {
+class PlainIntReader : public ReaderBase<PlainIntReader> {
  public:
   using ReaderBase::ReaderBase;
 
   Value ValueAt(uint32_t row) const override {
     if (IsNull(row)) return Value::Null();
-    int64_t v = static_cast<int64_t>(DecodeFixed64(payload_ + row * 8));
-    if (type_ == DataType::kDouble) {
-      double d;
-      memcpy(&d, &v, sizeof(d));
-      return Value(d);
-    }
-    return Value(v);
+    if (type_ == DataType::kDouble) return Value(DoubleAt(row));
+    return Value(IntAt(row));
   }
 
-  void DecodeAll(ColumnVector* out) const override {
-    out->Reserve(out->size() + num_rows_);
-    for (uint32_t i = 0; i < num_rows_; ++i) {
-      if (IsNull(i)) {
+  template <typename Rows>
+  Status Decode(const Rows& rows, ColumnVector* out) const {
+    out->Reserve(out->size() + rows.size());
+    for (uint32_t r : rows) {
+      if (IsNull(r)) {
         out->AppendNull();
       } else if (type_ == DataType::kDouble) {
-        double d;
-        memcpy(&d, payload_ + i * 8, sizeof(d));
-        out->AppendDouble(d);
+        out->AppendDouble(DoubleAt(r));
       } else {
-        out->AppendInt(static_cast<int64_t>(DecodeFixed64(payload_ + i * 8)));
+        out->AppendInt(IntAt(r));
       }
     }
+    return Status::OK();
+  }
+
+ private:
+  int64_t IntAt(uint32_t row) const {
+    return static_cast<int64_t>(DecodeFixed64(payload_ + row * size_t{8}));
+  }
+  double DoubleAt(uint32_t row) const {
+    double d;
+    memcpy(&d, payload_ + row * size_t{8}, sizeof(d));
+    return d;
   }
 };
 
-class PlainStringReader : public ReaderBase {
+class PlainStringReader : public ReaderBase<PlainStringReader> {
  public:
   PlainStringReader(DataType type, Encoding enc, uint32_t num_rows,
                     std::shared_ptr<const std::string> buf,
@@ -79,30 +100,34 @@ class PlainStringReader : public ReaderBase {
 
   Value ValueAt(uint32_t row) const override {
     if (IsNull(row)) return Value::Null();
-    uint32_t b = DecodeFixed32(offsets_ + row * 4);
-    uint32_t e = DecodeFixed32(offsets_ + (row + 1) * 4);
-    return Value(std::string(bytes_ + b, e - b));
+    return Value(StringAt(row));
   }
 
-  void DecodeAll(ColumnVector* out) const override {
-    out->Reserve(out->size() + num_rows_);
-    for (uint32_t i = 0; i < num_rows_; ++i) {
-      if (IsNull(i)) {
+  template <typename Rows>
+  Status Decode(const Rows& rows, ColumnVector* out) const {
+    out->Reserve(out->size() + rows.size());
+    for (uint32_t r : rows) {
+      if (IsNull(r)) {
         out->AppendNull();
       } else {
-        uint32_t b = DecodeFixed32(offsets_ + i * 4);
-        uint32_t e = DecodeFixed32(offsets_ + (i + 1) * 4);
-        out->AppendString(std::string(bytes_ + b, e - b));
+        out->AppendString(StringAt(r));
       }
     }
+    return Status::OK();
   }
 
  private:
+  std::string StringAt(uint32_t row) const {
+    uint32_t b = DecodeFixed32(offsets_ + row * size_t{4});
+    uint32_t e = DecodeFixed32(offsets_ + (row + size_t{1}) * 4);
+    return std::string(bytes_ + b, e - b);
+  }
+
   const char* offsets_;
   const char* bytes_;
 };
 
-class BitPackIntReader : public ReaderBase {
+class BitPackIntReader : public ReaderBase<BitPackIntReader> {
  public:
   BitPackIntReader(DataType type, Encoding enc, uint32_t num_rows,
                    std::shared_ptr<const std::string> buf, const char* payload,
@@ -111,32 +136,37 @@ class BitPackIntReader : public ReaderBase {
         min_(min),
         width_(width) {}
 
-  // The encoder computes deltas as wrapping uint64 subtraction (the full
-  // int64 range can exceed int64); decode must add them back the same way.
   Value ValueAt(uint32_t row) const override {
     if (IsNull(row)) return Value::Null();
-    return Value(static_cast<int64_t>(static_cast<uint64_t>(min_) +
-                                      BitUnpackOne(payload_, row, width_)));
+    return Value(IntAt(row));
   }
 
-  void DecodeAll(ColumnVector* out) const override {
-    out->Reserve(out->size() + num_rows_);
-    for (uint32_t i = 0; i < num_rows_; ++i) {
-      if (IsNull(i)) {
+  template <typename Rows>
+  Status Decode(const Rows& rows, ColumnVector* out) const {
+    out->Reserve(out->size() + rows.size());
+    for (uint32_t r : rows) {
+      if (IsNull(r)) {
         out->AppendNull();
       } else {
-        out->AppendInt(static_cast<int64_t>(static_cast<uint64_t>(min_) +
-                                            BitUnpackOne(payload_, i, width_)));
+        out->AppendInt(IntAt(r));
       }
     }
+    return Status::OK();
   }
 
  private:
+  // The encoder computes deltas as wrapping uint64 subtraction (the full
+  // int64 range can exceed int64); decode must add them back the same way.
+  int64_t IntAt(uint32_t row) const {
+    return static_cast<int64_t>(static_cast<uint64_t>(min_) +
+                                BitUnpackOne(payload_, row, width_));
+  }
+
   int64_t min_;
   int width_;
 };
 
-class RleIntReader : public ReaderBase {
+class RleIntReader : public ReaderBase<RleIntReader> {
  public:
   RleIntReader(DataType type, Encoding enc, uint32_t num_rows,
                std::shared_ptr<const std::string> buf, const char* payload,
@@ -148,30 +178,38 @@ class RleIntReader : public ReaderBase {
 
   Value ValueAt(uint32_t row) const override {
     if (IsNull(row)) return Value::Null();
-    auto it = std::upper_bound(run_ends_.begin(), run_ends_.end(), row);
-    return Value(run_values_[it - run_ends_.begin()]);
+    return Value(run_values_[RunOf(row, 0)]);
   }
 
-  void DecodeAll(ColumnVector* out) const override {
-    out->Reserve(out->size() + num_rows_);
-    uint32_t row = 0;
-    for (size_t r = 0; r < run_values_.size(); ++r) {
-      for (; row < run_ends_[r]; ++row) {
-        if (IsNull(row)) {
-          out->AppendNull();
-        } else {
-          out->AppendInt(run_values_[r]);
-        }
+  // Rows ascend, so the run cursor only moves forward: a dense row list
+  // steps run by run, a sparse one searches the runs ahead of the cursor.
+  template <typename Rows>
+  Status Decode(const Rows& rows, ColumnVector* out) const {
+    out->Reserve(out->size() + rows.size());
+    size_t run = 0;
+    for (uint32_t r : rows) {
+      if (run_ends_[run] <= r) run = RunOf(r, run + 1);
+      if (IsNull(r)) {
+        out->AppendNull();
+      } else {
+        out->AppendInt(run_values_[run]);
       }
     }
+    return Status::OK();
   }
 
  private:
+  // Index of the run holding `row`, searching from run `first` onwards.
+  size_t RunOf(uint32_t row, size_t first) const {
+    return std::upper_bound(run_ends_.begin() + first, run_ends_.end(), row) -
+           run_ends_.begin();
+  }
+
   std::vector<int64_t> run_values_;
   std::vector<uint32_t> run_ends_;  // exclusive cumulative end per run
 };
 
-class DictReader : public ReaderBase {
+class DictReader : public ReaderBase<DictReader> {
  public:
   DictReader(DataType type, Encoding enc, uint32_t num_rows,
              std::shared_ptr<const std::string> buf, const char* payload,
@@ -187,15 +225,25 @@ class DictReader : public ReaderBase {
     return dict_.GetValue(static_cast<size_t>(CodeAt(row)));
   }
 
-  void DecodeAll(ColumnVector* out) const override {
-    out->Reserve(out->size() + num_rows_);
-    for (uint32_t i = 0; i < num_rows_; ++i) {
-      if (IsNull(i)) {
+  template <typename Rows>
+  Status Decode(const Rows& rows, ColumnVector* out) const {
+    out->Reserve(out->size() + rows.size());
+    for (uint32_t r : rows) {
+      if (IsNull(r)) {
         out->AppendNull();
+        continue;
+      }
+      uint32_t code = CodeAt(r);
+      if (code >= dict_.size()) {
+        return Status::Corruption("dict code out of range");
+      }
+      if (type_ == DataType::kString) {
+        out->AppendString(dict_.StringAt(code));
       } else {
-        out->Append(dict_.GetValue(CodeAt(i)));
+        out->AppendInt(dict_.IntAt(code));
       }
     }
+    return Status::OK();
   }
 
   const ColumnVector* dictionary() const override { return &dict_; }
@@ -210,7 +258,7 @@ class DictReader : public ReaderBase {
   int width_;
 };
 
-class LzStringReader : public ReaderBase {
+class LzStringReader : public ReaderBase<LzStringReader> {
  public:
   LzStringReader(DataType type, Encoding enc, uint32_t num_rows,
                  std::shared_ptr<const std::string> buf, const char* payload,
@@ -226,56 +274,71 @@ class LzStringReader : public ReaderBase {
 
   Value ValueAt(uint32_t row) const override {
     if (IsNull(row)) return Value::Null();
-    uint32_t b = DecodeFixed32(offsets_ + row * size_t{4});
-    uint32_t e = DecodeFixed32(offsets_ + (row + size_t{1}) * 4);
+    Block block;
     std::string out;
-    if (!ReadBytes(b, e - b, &out).ok()) return Value::Null();
+    if (!ReadValue(row, &block, &out).ok()) return Value::Null();
     return Value(std::move(out));
   }
 
-  void DecodeAll(ColumnVector* out) const override {
-    // Decompress all blocks once, then slice.
-    std::string bytes;
-    for (size_t blk = 0; blk < block_data_.size(); ++blk) {
-      uint32_t ub = blk == 0 ? 0 : block_uncomp_end_[blk - 1];
-      Status s = LzDecompress(Slice(block_data_[blk], block_comp_size_[blk]),
-                              block_uncomp_end_[blk] - ub, &bytes);
-      assert(s.ok());
-      (void)s;
-    }
-    out->Reserve(out->size() + num_rows_);
-    for (uint32_t i = 0; i < num_rows_; ++i) {
-      if (IsNull(i)) {
+  // One call-local block buffer serves every row: ascending rows touch
+  // each block once, and a value straddling a block boundary is joined
+  // from the tail of one block and the head of the next.
+  template <typename Rows>
+  Status Decode(const Rows& rows, ColumnVector* out) const {
+    out->Reserve(out->size() + rows.size());
+    Block block;
+    for (uint32_t r : rows) {
+      if (IsNull(r)) {
         out->AppendNull();
-      } else {
-        uint32_t b = DecodeFixed32(offsets_ + i * size_t{4});
-        uint32_t e = DecodeFixed32(offsets_ + (i + size_t{1}) * 4);
-        out->AppendString(bytes.substr(b, e - b));
+        continue;
       }
+      std::string value;
+      S2_RETURN_NOT_OK(ReadValue(r, &block, &value));
+      out->AppendString(std::move(value));
     }
+    return Status::OK();
   }
 
  private:
-  // Reads `len` uncompressed bytes starting at `pos`, decompressing only
-  // the blocks that overlap the range ("seekable at block granularity").
-  Status ReadBytes(uint32_t pos, uint32_t len, std::string* out) const {
-    uint32_t end = pos + len;
-    size_t blk = std::upper_bound(block_uncomp_end_.begin(),
+  // The decompressed block a call is positioned on ("seekable at block
+  // granularity": only blocks overlapping a read are decompressed). Empty
+  // until the first Seek.
+  struct Block {
+    uint32_t begin = 0;  // uncompressed offset range [begin, end)
+    uint32_t end = 0;
+    std::string bytes;
+  };
+
+  // Positions *block on the block holding uncompressed offset `pos`,
+  // decompressing it unless it is already the current one.
+  Status Seek(uint32_t pos, Block* block) const {
+    if (pos >= block->begin && pos < block->end) return Status::OK();
+    size_t idx = std::upper_bound(block_uncomp_end_.begin(),
                                   block_uncomp_end_.end(), pos) -
                  block_uncomp_end_.begin();
-    std::string scratch;
+    if (idx == block_uncomp_end_.size()) {
+      return Status::Corruption("lz offset past the last block");
+    }
+    uint32_t begin = idx == 0 ? 0 : block_uncomp_end_[idx - 1];
+    block->begin = block->end = begin;  // empty unless the block decodes
+    block->bytes.clear();
+    S2_RETURN_NOT_OK(
+        LzDecompress(Slice(block_data_[idx], block_comp_size_[idx]),
+                     block_uncomp_end_[idx] - begin, &block->bytes));
+    block->end = block_uncomp_end_[idx];
+    return Status::OK();
+  }
+
+  Status ReadValue(uint32_t row, Block* block, std::string* out) const {
+    uint32_t pos = DecodeFixed32(offsets_ + row * size_t{4});
+    uint32_t end = DecodeFixed32(offsets_ + (row + size_t{1}) * 4);
+    if (end < pos) return Status::Corruption("lz offsets out of order");
+    out->reserve(end - pos);
     while (pos < end) {
-      uint32_t blk_begin = blk == 0 ? 0 : block_uncomp_end_[blk - 1];
-      uint32_t blk_end = block_uncomp_end_[blk];
-      scratch.clear();
-      S2_RETURN_NOT_OK(LzDecompress(
-          Slice(block_data_[blk], block_comp_size_[blk]), blk_end - blk_begin,
-          &scratch));
-      uint32_t take_begin = pos - blk_begin;
-      uint32_t take_end = std::min(end, blk_end) - blk_begin;
-      out->append(scratch.data() + take_begin, take_end - take_begin);
-      pos = blk_begin + take_end;
-      ++blk;
+      S2_RETURN_NOT_OK(Seek(pos, block));
+      uint32_t take_end = std::min(end, block->end);
+      out->append(block->bytes, pos - block->begin, take_end - pos);
+      pos = take_end;
     }
     return Status::OK();
   }
@@ -675,15 +738,6 @@ Result<std::unique_ptr<ColumnReader>> OpenColumnAt(
   reader->nulls_ = std::move(nulls);
   reader->has_nulls_ = has_nulls;
   return reader;
-}
-
-void ColumnReader::DecodeAll(ColumnVector* out) const {
-  for (uint32_t i = 0; i < num_rows_; ++i) out->Append(ValueAt(i));
-}
-
-void ColumnReader::DecodeRows(const std::vector<uint32_t>& rows,
-                              ColumnVector* out) const {
-  for (uint32_t r : rows) out->Append(ValueAt(r));
 }
 
 }  // namespace s2

@@ -27,7 +27,8 @@ enum class Encoding : uint8_t {
 const char* EncodingName(Encoding e);
 
 /// Random-access reader over one encoded column block. Implementations own
-/// (share) the underlying byte buffer. Thread-safe for concurrent reads.
+/// (share) the underlying byte buffer and keep no mutable state (decode
+/// buffers are call-local), so concurrent reads are safe.
 class ColumnReader {
  public:
   virtual ~ColumnReader() = default;
@@ -41,16 +42,23 @@ class ColumnReader {
   }
 
   /// Point read at a row offset ("seek"). O(1) for plain/bitpack/dict,
-  /// O(log runs) for RLE, O(block) for LZ.
+  /// O(log runs) for RLE. For LZ each call decompresses the block(s) the
+  /// value lies in, so batch reads go through DecodeRows instead. Returns
+  /// null for an LZ value whose block fails to decompress.
   virtual Value ValueAt(uint32_t row) const = 0;
 
-  /// Full decode, appending all rows to *out.
-  virtual void DecodeAll(ColumnVector* out) const;
+  /// Full decode, appending all rows to *out. Corruption when the column
+  /// body fails to decode (a rejected LZ block, an out-of-range dictionary
+  /// code); *out then holds a prefix of the rows.
+  virtual Status DecodeAll(ColumnVector* out) const = 0;
 
-  /// Selective decode of the given (ascending) row offsets — late
-  /// materialization after filters.
-  virtual void DecodeRows(const std::vector<uint32_t>& rows,
-                          ColumnVector* out) const;
+  /// Selective decode of the given ascending row offsets, appending typed
+  /// values to *out — late materialization after filters. One call
+  /// decompresses each LZ block it touches once (values straddling a block
+  /// boundary are joined across blocks) and walks RLE runs with a forward
+  /// cursor. Errors as DecodeAll.
+  virtual Status DecodeRows(const std::vector<uint32_t>& rows,
+                            ColumnVector* out) const = 0;
 
   /// Encoded-execution hook: for dictionary columns, returns the dictionary
   /// values; a filter can be evaluated once per dictionary entry and then

@@ -480,7 +480,7 @@ Status TableScanner::ScanSegment(WorkerState& ws, const SegmentSnapshot& snap,
         for (int c : cols_needed) {
           S2_ASSIGN_OR_RETURN(const ColumnReader* reader, segment.column(c));
           ColumnVector out(table_->schema().column(c).type);
-          reader->DecodeRows(block_rows, &out);
+          S2_RETURN_NOT_OK(reader->DecodeRows(block_rows, &out));
           decoded.emplace(c, std::move(out));
         }
         Row probe(table_->schema().num_columns());
@@ -626,7 +626,7 @@ Result<std::vector<uint32_t>> TableScanner::EvalLeaf(
     // materialization) and evaluate.
     ++ws.stats.regular_filter_uses;
     ColumnVector values(reader->type());
-    reader->DecodeRows(rows, &values);
+    S2_RETURN_NOT_OK(reader->DecodeRows(rows, &values));
     for (size_t i = 0; i < rows.size(); ++i) {
       if (leaf->EvalValue(values.GetValue(i))) out.push_back(rows[i]);
     }
@@ -657,7 +657,7 @@ Status TableScanner::EmitRows(WorkerState& ws, const SegmentSnapshot& snap,
     for (int c : projection_) {
       S2_ASSIGN_OR_RETURN(const ColumnReader* reader, snap.segment->column(c));
       ColumnVector out(table_->schema().column(c).type);
-      reader->DecodeRows(batch_rows, &out);
+      S2_RETURN_NOT_OK(reader->DecodeRows(batch_rows, &out));
       batch.columns.push_back(std::move(out));
     }
     batch.locations.reserve(batch_rows.size());

@@ -751,7 +751,7 @@ Result<std::pair<std::string, SegmentMeta>> UnifiedTable::BuildSegment(
   S2_ASSIGN_OR_RETURN(std::string file, builder.Finish());
   SegmentMeta meta;
   meta.id = segment_id;
-  meta.file_name = SegmentFileName(lsn, segment_id);
+  meta.file_name = SegmentFileName(name_, lsn, segment_id);
   meta.num_rows = static_cast<uint32_t>(rows.size());
   // Stats are parsed back from the footer when the file is opened; also
   // keep them in metadata for elimination without opening the file.

@@ -165,8 +165,15 @@ TEST(DataFileStoreTest, RemoveKeepsBlobHistory) {
 TEST(DataFileStoreTest, DuplicateWriteRejected) {
   MemBlobStore blob;
   DataFileStore store(&blob, SyncOptions());
+  std::vector<std::string> replicated;
+  store.SetFileHook(
+      [&](const std::string&, std::shared_ptr<const std::string> data) {
+        replicated.push_back(*data);
+      });
   ASSERT_TRUE(store.Write("f1", Bytes("v")).ok());
   EXPECT_TRUE(store.Write("f1", Bytes("w")).IsAlreadyExists());
+  // The rejected write never reaches replicas.
+  EXPECT_EQ(replicated, std::vector<std::string>{"v"});
 }
 
 TEST(DataFileStoreTest, WorksWithoutBlobStore) {

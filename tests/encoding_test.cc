@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "common/coding.h"
 #include "common/rng.h"
 #include "encoding/bitpack.h"
 #include "encoding/column_vector.h"
@@ -20,12 +21,28 @@ std::unique_ptr<ColumnReader> MustOpen(const ColumnVector& col, Encoding enc) {
   return std::move(*reader);
 }
 
+// DecodeRows on `rows` must agree with both the source column and the
+// point read at every listed row.
+void ExpectDecodeRowsMatches(const ColumnReader& reader,
+                             const ColumnVector& col,
+                             const std::vector<uint32_t>& rows) {
+  ColumnVector out(col.type());
+  Status s = reader.DecodeRows(rows, &out);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(out.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(out.GetValue(i), reader.ValueAt(rows[i])) << "row " << rows[i];
+    EXPECT_EQ(out.GetValue(i), col.GetValue(rows[i])) << "row " << rows[i];
+  }
+}
+
 void ExpectRoundTrip(const ColumnVector& col, Encoding enc) {
   auto reader = MustOpen(col, enc);
   ASSERT_EQ(reader->num_rows(), col.size());
   // Full decode matches.
   ColumnVector decoded(col.type());
-  reader->DecodeAll(&decoded);
+  Status s = reader->DecodeAll(&decoded);
+  ASSERT_TRUE(s.ok()) << s.ToString();
   ASSERT_EQ(decoded.size(), col.size());
   for (size_t i = 0; i < col.size(); ++i) {
     EXPECT_EQ(decoded.GetValue(i), col.GetValue(i)) << "row " << i;
@@ -39,6 +56,30 @@ void ExpectRoundTrip(const ColumnVector& col, Encoding enc) {
     EXPECT_EQ(reader->ValueAt(static_cast<uint32_t>(col.size() - 1)),
               col.GetValue(col.size() - 1));
     EXPECT_EQ(reader->ValueAt(0), col.GetValue(0));
+  }
+  // Batch decode matches seeks on all rows, a sparse ascending subset
+  // (irregular gaps, always including the last row) and the empty list.
+  std::vector<uint32_t> all(col.size());
+  for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+  std::vector<uint32_t> sparse;
+  Rng rng(col.size());
+  for (uint32_t i = 0; i < col.size(); i += 1 + rng.Uniform(9)) {
+    sparse.push_back(i);
+  }
+  if (col.size() > 0 && (sparse.empty() || sparse.back() != col.size() - 1)) {
+    sparse.push_back(static_cast<uint32_t>(col.size() - 1));
+  }
+  {
+    SCOPED_TRACE("all rows");
+    ExpectDecodeRowsMatches(*reader, col, all);
+  }
+  {
+    SCOPED_TRACE("sparse rows");
+    ExpectDecodeRowsMatches(*reader, col, sparse);
+  }
+  {
+    SCOPED_TRACE("no rows");
+    ExpectDecodeRowsMatches(*reader, col, {});
   }
 }
 
@@ -255,11 +296,74 @@ TEST(EncodingTest, DecodeRowsSelective) {
   auto reader = MustOpen(col, Encoding::kBitPack);
   std::vector<uint32_t> rows = {0, 17, 250, 499};
   ColumnVector out(DataType::kInt64);
-  reader->DecodeRows(rows, &out);
+  ASSERT_TRUE(reader->DecodeRows(rows, &out).ok());
   ASSERT_EQ(out.size(), rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(out.GetValue(i), col.GetValue(rows[i]));
   }
+}
+
+// An LZ column spanning many 16 KB blocks, with nulls and with values
+// longer than a block: most values are short, so many straddle a block
+// boundary, and each long value covers at least one whole block.
+TEST(EncodingTest, LzMultiBlockRoundTrip) {
+  constexpr size_t kBlock = 16 * 1024;
+  Rng rng(21);
+  ColumnVector col(DataType::kString);
+  size_t total_bytes = 0;
+  size_t long_values = 0;
+  for (int i = 0; i < 1500; ++i) {
+    if (rng.Bernoulli(0.1)) {
+      col.AppendNull();
+      continue;
+    }
+    std::string v = i % 300 == 7 ? rng.NextString(kBlock + 1, 3 * kBlock)
+                                 : rng.NextString(0, 120);
+    long_values += v.size() > kBlock ? 1 : 0;
+    total_bytes += v.size();
+    col.AppendString(std::move(v));
+  }
+  ASSERT_GE(total_bytes, 4 * kBlock);
+  ASSERT_GE(long_values, 3u);
+  ExpectRoundTrip(col, Encoding::kLz);
+}
+
+// Column bodies are outside input (only the segment footer is checksummed):
+// an LZ block that fails to decompress surfaces as Corruption from batch
+// decode instead of a short buffer.
+TEST(EncodingTest, TruncatedLzBlockIsCorruption) {
+  ColumnVector col(DataType::kString);
+  std::string payload;
+  for (int i = 0; i < 200; ++i) {
+    std::string v = "value-" + std::to_string(i) + "-abcdefghij";
+    payload += v;
+    col.AppendString(std::move(v));
+  }
+  auto encoded = EncodeColumn(col, Encoding::kLz);
+  ASSERT_TRUE(encoded.ok());
+  // One block: the column ends with the block directory entry
+  // (uncompressed, compressed size) followed by the compressed block.
+  std::string block;
+  LzCompress(payload, &block);
+  std::string dir;
+  PutVarint64(&dir, payload.size());
+  PutVarint64(&dir, block.size());
+  size_t dir_pos = encoded->size() - block.size() - dir.size();
+  ASSERT_EQ(encoded->substr(dir_pos), dir + block);
+  // Keep the first half of the block and record the shorter size.
+  size_t kept = block.size() / 2;
+  std::string truncated = encoded->substr(0, dir_pos);
+  PutVarint64(&truncated, payload.size());
+  PutVarint64(&truncated, kept);
+  truncated.append(block, 0, kept);
+
+  auto reader = OpenColumn(std::make_shared<const std::string>(truncated));
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ColumnVector all(DataType::kString);
+  EXPECT_TRUE((*reader)->DecodeAll(&all).IsCorruption());
+  ColumnVector some(DataType::kString);
+  EXPECT_TRUE((*reader)->DecodeRows({3, 150}, &some).IsCorruption());
+  EXPECT_EQ((*reader)->ValueAt(3), Value::Null());
 }
 
 TEST(EncodingTest, CorruptBlockRejected) {
@@ -269,6 +373,28 @@ TEST(EncodingTest, CorruptBlockRejected) {
   std::string truncated = encoded->substr(0, encoded->size() / 2);
   auto reader = OpenColumn(std::make_shared<const std::string>(truncated));
   EXPECT_FALSE(reader.ok());
+}
+
+// A dictionary code past the end of the dictionary is Corruption from
+// batch decode, not an out-of-range read.
+TEST(EncodingTest, DictCodeOutOfRangeIsCorruption) {
+  ColumnVector col(DataType::kInt64);
+  for (int64_t v : {0, 1, 2, 2}) col.AppendInt(v);
+  auto plain = EncodeColumn(col, Encoding::kPlain);
+  auto dict = EncodeColumn(col, Encoding::kDict);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(dict.ok());
+  // Both encodings share the header; the plain int payload is 8 bytes/row.
+  size_t header = plain->size() - 8 * col.size();
+  // Dictionary section: 3 entries, zigzag-coded 0, 1, 2. Drop the last
+  // entry so code 2 points past the dictionary.
+  ASSERT_EQ(dict->substr(header, 4), std::string("\x03\x00\x02\x04", 4));
+  std::string bad = dict->substr(0, header) + std::string("\x02\x00\x02", 3) +
+                    dict->substr(header + 4);
+  auto reader = OpenColumn(std::make_shared<const std::string>(bad));
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ColumnVector out(DataType::kInt64);
+  EXPECT_TRUE((*reader)->DecodeRows({0, 2}, &out).IsCorruption());
 }
 
 TEST(EncodingTest, CompressionActuallyShrinks) {
