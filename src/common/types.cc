@@ -131,12 +131,6 @@ std::string EncodeKey(const Row& values) {
   return key;
 }
 
-std::string EncodeKey(const std::vector<const Value*>& values) {
-  std::string key;
-  for (const Value* v : values) v->EncodeTo(&key);
-  return key;
-}
-
 Result<int> Schema::FindColumn(const std::string& name) const {
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i].name == name) return static_cast<int>(i);

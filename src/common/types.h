@@ -88,7 +88,6 @@ using Row = std::vector<Value>;
 /// Encodes a tuple of values into a single order-preserving-enough key for
 /// hash maps / lock tables (not for range scans).
 std::string EncodeKey(const Row& values);
-std::string EncodeKey(const std::vector<const Value*>& values);
 
 /// One column definition.
 struct ColumnDef {

@@ -94,18 +94,22 @@ Value Expr::Eval(const Row& row) const {
       return Value(int64_t{result ? 1 : 0});
     }
     case Kind::kAnd: {
+      // Three-valued: FALSE wins over NULL, NULL over TRUE.
       Value a = args[0]->Eval(row);
       if (!a.is_null() && a.as_int() == 0) return Value(int64_t{0});
       Value b = args[1]->Eval(row);
+      if (!b.is_null() && b.as_int() == 0) return Value(int64_t{0});
       if (a.is_null() || b.is_null()) return Value::Null();
-      return Value(int64_t{(a.as_int() != 0 && b.as_int() != 0) ? 1 : 0});
+      return Value(int64_t{1});
     }
     case Kind::kOr: {
+      // Three-valued: TRUE wins over NULL, NULL over FALSE.
       Value a = args[0]->Eval(row);
       if (!a.is_null() && a.as_int() != 0) return Value(int64_t{1});
       Value b = args[1]->Eval(row);
+      if (!b.is_null() && b.as_int() != 0) return Value(int64_t{1});
       if (a.is_null() || b.is_null()) return Value::Null();
-      return Value(int64_t{(a.as_int() != 0 || b.as_int() != 0) ? 1 : 0});
+      return Value(int64_t{0});
     }
     case Kind::kNot: {
       Value a = args[0]->Eval(row);
@@ -114,7 +118,7 @@ Value Expr::Eval(const Row& row) const {
     }
     case Kind::kLike: {
       Value a = args[0]->Eval(row);
-      if (a.is_null()) return Value(int64_t{0});
+      if (a.is_null()) return Value::Null();
       return Value(int64_t{LikeMatch(a.as_string(), pattern) ? 1 : 0});
     }
     case Kind::kCase: {

@@ -1,8 +1,9 @@
 #include "query/plan.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <iterator>
+
+#include "query/hash_index.h"
 
 namespace s2 {
 
@@ -95,6 +96,99 @@ Status ProjectOp::Execute(QueryContext* ctx, const BatchSink& sink) {
   });
 }
 
+// --- Hash-table helpers ---
+
+namespace {
+
+constexpr uint32_t kNone = HashIndex::kNone;
+
+// A column reference is read from the row in place; any other expression
+// is evaluated into `*scratch`.
+const Value& Resolve(const Expr& e, const Row& row, Value* scratch) {
+  if (e.kind == Expr::Kind::kColumn) return row[e.column];
+  *scratch = e.Eval(row);
+  return *scratch;
+}
+
+// Reads a tuple of key expressions from rows. The KeyRef it returns points
+// into the row or into scratch values reused from row to row, so it is
+// valid until the next Read or until the row moves.
+class KeyReader {
+ public:
+  explicit KeyReader(const std::vector<ExprPtr>& exprs)
+      : exprs_(exprs), scratch_(exprs.size()), values_(exprs.size()) {}
+
+  KeyRef Read(const Row& row) {
+    for (size_t i = 0; i < exprs_.size(); ++i) {
+      values_[i] = &Resolve(*exprs_[i], row, &scratch_[i]);
+    }
+    return values_;
+  }
+
+ private:
+  const std::vector<ExprPtr>& exprs_;
+  std::vector<Value> scratch_;
+  std::vector<const Value*> values_;
+};
+
+bool HasNull(KeyRef key) {
+  return std::any_of(key.begin(), key.end(),
+                     [](const Value* v) { return v->is_null(); });
+}
+
+// Build side of a hash join: rows in arrival order, one index entry per
+// distinct key (keys stored flat beside it, in first-arrival order), and
+// the rows of each key chained in arrival order.
+class JoinTable {
+ public:
+  explicit JoinTable(size_t key_width) : width_(key_width) {}
+
+  // Adds `row` after the rows already under `key` (which may point into
+  // `row`).
+  void Add(KeyRef key, Row&& row) {
+    uint32_t r = static_cast<uint32_t>(rows_.size());
+    auto matches = [&](uint32_t id) { return KeyEqual(key, stored_key(id)); };
+    auto [k, inserted] = index_.FindOrInsert(HashKey(key), matches);
+    if (inserted) {
+      for (const Value* v : key) keys_.push_back(*v);
+      first_.push_back(r);
+      last_.push_back(r);
+    } else {
+      next_[last_[k]] = r;
+      last_[k] = r;
+    }
+    next_.push_back(kNone);
+    rows_.push_back(std::move(row));
+  }
+
+  // First row under `key`, or kNone.
+  uint32_t Find(KeyRef key) const {
+    auto matches = [&](uint32_t id) { return KeyEqual(key, stored_key(id)); };
+    uint32_t k = index_.Find(HashKey(key), matches);
+    return k == kNone ? kNone : first_[k];
+  }
+
+  // Row after `r` under the same key, or kNone.
+  uint32_t Next(uint32_t r) const { return next_[r]; }
+  const Row& row(uint32_t r) const { return rows_[r]; }
+
+  // Distinct keys k = 0 .. num_keys() - 1, in first-arrival order.
+  size_t num_keys() const { return first_.size(); }
+  const Value* stored_key(uint32_t k) const { return &keys_[k * width_]; }
+  uint32_t first(uint32_t k) const { return first_[k]; }
+
+ private:
+  size_t width_;
+  HashIndex index_;
+  std::vector<Value> keys_;      // width_ values per key
+  std::vector<uint32_t> first_;  // per key: first row
+  std::vector<uint32_t> last_;   // per key: last row
+  std::vector<Row> rows_;
+  std::vector<uint32_t> next_;   // per row: next row of its key
+};
+
+}  // namespace
+
 // --- HashJoinOp ---
 
 HashJoinOp::HashJoinOp(PlanPtr left, PlanPtr right,
@@ -110,57 +204,53 @@ HashJoinOp::HashJoinOp(PlanPtr left, PlanPtr right,
 
 Status HashJoinOp::Execute(QueryContext* ctx, const BatchSink& sink) {
   // Build phase on the right child.
-  std::unordered_map<std::string, std::vector<Row>> table;
+  JoinTable table(right_keys_.size());
+  KeyReader build_keys(right_keys_);
   S2_RETURN_NOT_OK(right_->Execute(ctx, [&](std::vector<Row>&& batch) {
     for (Row& row : batch) {
-      Row key_values;
-      key_values.reserve(right_keys_.size());
-      bool has_null = false;
-      for (const ExprPtr& e : right_keys_) {
-        key_values.push_back(e->Eval(row));
-        if (key_values.back().is_null()) has_null = true;
-      }
-      if (has_null) continue;  // NULL keys never match
-      table[EncodeKey(key_values)].push_back(std::move(row));
+      KeyRef key = build_keys.Read(row);
+      if (HasNull(key)) continue;  // NULL keys never match
+      table.Add(key, std::move(row));
     }
     return true;
   }));
 
   // Probe phase on the left child.
+  KeyReader probe_keys(left_keys_);
   std::vector<Row> out;
   bool keep_going = true;
   Status s = left_->Execute(ctx, [&](std::vector<Row>&& batch) {
     for (Row& row : batch) {
-      Row key_values;
-      key_values.reserve(left_keys_.size());
-      bool has_null = false;
-      for (const ExprPtr& e : left_keys_) {
-        key_values.push_back(e->Eval(row));
-        if (key_values.back().is_null()) has_null = true;
-      }
-      auto it = has_null ? table.end() : table.find(EncodeKey(key_values));
-      bool matched = it != table.end();
+      KeyRef key = probe_keys.Read(row);
+      uint32_t match = HasNull(key) ? kNone : table.Find(key);
       switch (type_) {
         case JoinType::kSemi:
-          if (matched) out.push_back(std::move(row));
+          if (match != kNone) out.push_back(std::move(row));
           break;
         case JoinType::kAnti:
-          if (!matched) out.push_back(std::move(row));
+          if (match == kNone) out.push_back(std::move(row));
           break;
         case JoinType::kInner:
         case JoinType::kLeft:
-          if (matched) {
-            for (const Row& right_row : it->second) {
-              Row joined = row;
+          if (match != kNone) {
+            // Copy the probe row for every match but the last, which
+            // takes the probe row itself.
+            for (uint32_t next = table.Next(match); next != kNone;
+                 match = next, next = table.Next(next)) {
+              const Row& right_row = table.row(match);
+              Row joined;
+              joined.reserve(row.size() + right_row.size());
+              joined.insert(joined.end(), row.begin(), row.end());
               joined.insert(joined.end(), right_row.begin(), right_row.end());
               out.push_back(std::move(joined));
             }
+            const Row& last = table.row(match);
+            row.reserve(row.size() + last.size());
+            row.insert(row.end(), last.begin(), last.end());
+            out.push_back(std::move(row));
           } else if (type_ == JoinType::kLeft) {
-            Row joined = std::move(row);
-            for (size_t i = 0; i < right_width_; ++i) {
-              joined.push_back(Value::Null());
-            }
-            out.push_back(std::move(joined));
+            row.resize(row.size() + right_width_);  // NULL padding
+            out.push_back(std::move(row));
           }
           break;
       }
@@ -195,33 +285,30 @@ Status IndexJoinOp::Execute(QueryContext* ctx, const BatchSink& sink) {
   S2_ASSIGN_OR_RETURN(UnifiedTable * table, ctx->partition->GetTable(table_));
 
   // Materialize the build side, grouped by key.
-  std::unordered_map<std::string, std::vector<Row>> build_rows;
-  std::vector<std::pair<std::string, Value>> distinct_keys;
+  JoinTable build_rows(1);
+  Value scratch;
   S2_RETURN_NOT_OK(build_->Execute(ctx, [&](std::vector<Row>&& batch) {
     for (Row& row : batch) {
-      Value key = build_key_->Eval(row);
-      if (key.is_null()) continue;
-      std::string encoded;
-      key.EncodeTo(&encoded);
-      auto [it, inserted] = build_rows.try_emplace(encoded);
-      if (inserted) distinct_keys.emplace_back(encoded, key);
-      it->second.push_back(std::move(row));
+      const Value* key = &Resolve(*build_key_, row, &scratch);
+      if (key->is_null()) continue;
+      build_rows.Add(KeyRef(&key, 1), std::move(row));
     }
     return true;
   }));
-  stats_.distinct_keys = distinct_keys.size();
+  stats_.distinct_keys = build_rows.num_keys();
 
   uint64_t table_rows = table->ApproxRowCount();
   bool use_index =
-      static_cast<double>(distinct_keys.size()) <=
+      static_cast<double>(build_rows.num_keys()) <=
       max_key_fraction_ * static_cast<double>(table_rows);
   stats_.used_index = use_index;
 
   std::vector<Row> out;
   bool keep_going = true;
-  auto emit = [&](const Row& table_row,
-                  const std::vector<Row>& matches) -> bool {
-    for (const Row& build_row : matches) {
+  // Joins `table_row` with the build rows chained from `match`.
+  auto emit = [&](const Row& table_row, uint32_t match) -> bool {
+    for (; match != kNone; match = build_rows.Next(match)) {
+      const Row& build_row = build_rows.row(match);
       Row joined;
       joined.reserve(projection_.size() + build_row.size());
       for (int c : projection_) joined.push_back(table_row[c]);
@@ -238,16 +325,16 @@ Status IndexJoinOp::Execute(QueryContext* ctx, const BatchSink& sink) {
   if (use_index) {
     // Probe the secondary index once per distinct build key: the join
     // index filter, with zero false positives (unlike a bloom filter).
-    for (const auto& [encoded, key] : distinct_keys) {
+    for (uint32_t k = 0; k < build_rows.num_keys(); ++k) {
       ++stats_.index_probes;
       bool stopped = false;
       S2_RETURN_NOT_OK(table->LookupByIndex(
-          ctx->txn, ctx->read_ts, {probe_col_}, {key},
+          ctx->txn, ctx->read_ts, {probe_col_}, {*build_rows.stored_key(k)},
           [&](const Row& row, const RowLocation&) {
             if (table_filter_ != nullptr && !table_filter_->EvalRow(row)) {
               return true;
             }
-            if (!emit(row, build_rows.at(encoded))) {
+            if (!emit(row, build_rows.first(k))) {
               stopped = true;
               return false;
             }
@@ -268,11 +355,11 @@ Status IndexJoinOp::Execute(QueryContext* ctx, const BatchSink& sink) {
             for (const ColumnVector& col : batch.columns) {
               row.push_back(col.GetValue(i));
             }
-            std::string encoded;
-            row[probe_col_].EncodeTo(&encoded);
-            auto it = build_rows.find(encoded);
-            if (it == build_rows.end()) continue;
-            if (!emit(row, it->second)) return false;
+            const Value* key = &row[probe_col_];
+            if (key->is_null()) continue;
+            uint32_t match = build_rows.Find(KeyRef(&key, 1));
+            if (match == kNone) continue;
+            if (!emit(row, match)) return false;
           }
           return true;
         });
@@ -292,114 +379,143 @@ AggregateOp::AggregateOp(PlanPtr child, std::vector<ExprPtr> group_by,
 
 namespace {
 
-struct AggState {
-  Row group;
-  std::vector<double> sums;
-  std::vector<uint64_t> counts;        // per agg: non-null input count
-  std::vector<Value> mins;
-  std::vector<Value> maxs;
-  std::vector<std::unordered_set<std::string>> distincts;
-  uint64_t star_count = 0;  // rows in group
+// One aggregate's state, in flat arrays indexed by group id.
+class AggColumn {
+ public:
+  explicit AggColumn(AggKind kind) : kind_(kind) {}
+
+  void AddGroup() {
+    counts_.push_back(0);
+    if (kind_ == AggKind::kSum || kind_ == AggKind::kAvg) sums_.push_back(0);
+    if (kind_ == AggKind::kMin || kind_ == AggKind::kMax) {
+      extremes_.emplace_back();
+    }
+  }
+
+  // Folds a non-NULL input value into group `g`.
+  void Update(uint32_t g, const Value& v) {
+    switch (kind_) {
+      case AggKind::kCount:
+        ++counts_[g];
+        break;
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        ++counts_[g];
+        sums_[g] += v.AsNumeric();
+        break;
+      case AggKind::kMin:
+        if (extremes_[g].is_null() || v.Compare(extremes_[g]) < 0) {
+          extremes_[g] = v;
+        }
+        break;
+      case AggKind::kMax:
+        if (extremes_[g].is_null() || v.Compare(extremes_[g]) > 0) {
+          extremes_[g] = v;
+        }
+        break;
+      case AggKind::kCountDistinct: {
+        // One index over (group, value) pairs; counts_ holds the number
+        // of distinct values per group.
+        auto [id, inserted] = distinct_.FindOrInsert(
+            HashCombine(MixHash64(g), v.Hash()), [&](uint32_t id) {
+              return distinct_groups_[id] == g &&
+                     KeyEqual(distinct_values_[id], v);
+            });
+        if (inserted) {
+          distinct_groups_.push_back(g);
+          distinct_values_.push_back(v);
+          ++counts_[g];
+        }
+        break;
+      }
+    }
+  }
+
+  // The aggregate's result for group `g`, once per group (MIN/MAX values
+  // are moved out); `rows` is the group's row count, for COUNT(*).
+  Value Finish(uint32_t g, uint64_t rows, bool count_star) {
+    switch (kind_) {
+      case AggKind::kCount:
+        return Value(static_cast<int64_t>(count_star ? rows : counts_[g]));
+      case AggKind::kCountDistinct:
+        return Value(static_cast<int64_t>(counts_[g]));
+      case AggKind::kSum:
+        return counts_[g] == 0 ? Value::Null() : Value(sums_[g]);
+      case AggKind::kAvg:
+        return counts_[g] == 0
+                   ? Value::Null()
+                   : Value(sums_[g] / static_cast<double>(counts_[g]));
+      case AggKind::kMin:
+      case AggKind::kMax:
+        return std::move(extremes_[g]);
+    }
+    return Value::Null();
+  }
+
+ private:
+  AggKind kind_;
+  std::vector<uint64_t> counts_;  // non-NULL inputs, or distinct values
+  std::vector<double> sums_;      // SUM / AVG
+  std::vector<Value> extremes_;   // MIN / MAX
+  HashIndex distinct_;            // COUNT(DISTINCT)
+  std::vector<uint32_t> distinct_groups_;
+  std::vector<Value> distinct_values_;
 };
 
 }  // namespace
 
 Status AggregateOp::Execute(QueryContext* ctx, const BatchSink& sink) {
-  std::unordered_map<std::string, AggState> groups;
+  const size_t width = group_by_.size();
+  HashIndex groups;
+  std::vector<Value> group_keys;      // width values per group
+  std::vector<uint64_t> group_rows;   // rows per group
+  std::vector<AggColumn> columns;
+  columns.reserve(aggs_.size());
+  for (const AggSpec& spec : aggs_) columns.emplace_back(spec.kind);
+  auto add_group = [&] {
+    group_rows.push_back(0);
+    for (AggColumn& column : columns) column.AddGroup();
+  };
+  // With no GROUP BY, SQL semantics produce one row even for empty input.
+  if (width == 0) add_group();
+
+  KeyReader group_reader(group_by_);
+  std::vector<Value> scratch(aggs_.size());
   S2_RETURN_NOT_OK(child_->Execute(ctx, [&](std::vector<Row>&& batch) {
     for (const Row& row : batch) {
-      Row group_values;
-      group_values.reserve(group_by_.size());
-      for (const ExprPtr& e : group_by_) group_values.push_back(e->Eval(row));
-      std::string key = EncodeKey(group_values);
-      auto [it, inserted] = groups.try_emplace(key);
-      AggState& state = it->second;
-      if (inserted) {
-        state.group = std::move(group_values);
-        state.sums.assign(aggs_.size(), 0.0);
-        state.counts.assign(aggs_.size(), 0);
-        state.mins.assign(aggs_.size(), Value::Null());
-        state.maxs.assign(aggs_.size(), Value::Null());
-        state.distincts.resize(aggs_.size());
-      }
-      ++state.star_count;
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        const AggSpec& spec = aggs_[a];
-        if (spec.expr == nullptr) continue;  // COUNT(*)
-        Value v = spec.expr->Eval(row);
-        if (v.is_null()) continue;
-        ++state.counts[a];
-        switch (spec.kind) {
-          case AggKind::kSum:
-          case AggKind::kAvg:
-            state.sums[a] += v.AsNumeric();
-            break;
-          case AggKind::kMin:
-            if (state.mins[a].is_null() || v.Compare(state.mins[a]) < 0) {
-              state.mins[a] = v;
-            }
-            break;
-          case AggKind::kMax:
-            if (state.maxs[a].is_null() || v.Compare(state.maxs[a]) > 0) {
-              state.maxs[a] = v;
-            }
-            break;
-          case AggKind::kCountDistinct: {
-            std::string encoded;
-            v.EncodeTo(&encoded);
-            state.distincts[a].insert(std::move(encoded));
-            break;
-          }
-          case AggKind::kCount:
-            break;
+      uint32_t g = 0;
+      if (width > 0) {
+        KeyRef key = group_reader.Read(row);
+        auto [id, inserted] =
+            groups.FindOrInsert(HashKey(key), [&](uint32_t other) {
+              return KeyEqual(key, &group_keys[other * width]);
+            });
+        if (inserted) {
+          for (const Value* v : key) group_keys.push_back(*v);
+          add_group();
         }
+        g = id;
+      }
+      ++group_rows[g];
+      for (size_t a = 0; a < aggs_.size(); ++a) {
+        if (aggs_[a].expr == nullptr) continue;  // COUNT(*)
+        const Value& v = Resolve(*aggs_[a].expr, row, &scratch[a]);
+        if (!v.is_null()) columns[a].Update(g, v);
       }
     }
     return true;
   }));
 
-  // With no GROUP BY, SQL semantics produce one row even for empty input.
-  if (group_by_.empty() && groups.empty()) {
-    groups.try_emplace("");
-    AggState& state = groups.begin()->second;
-    state.sums.assign(aggs_.size(), 0.0);
-    state.counts.assign(aggs_.size(), 0);
-    state.mins.assign(aggs_.size(), Value::Null());
-    state.maxs.assign(aggs_.size(), Value::Null());
-    state.distincts.resize(aggs_.size());
-  }
-
   std::vector<Row> out;
-  for (auto& [key, state] : groups) {
-    Row row = std::move(state.group);
+  for (uint32_t g = 0; g < group_rows.size(); ++g) {
+    Row row;
+    row.reserve(width + aggs_.size());
+    auto keys = group_keys.begin() + g * width;
+    row.insert(row.end(), std::make_move_iterator(keys),
+               std::make_move_iterator(keys + width));
     for (size_t a = 0; a < aggs_.size(); ++a) {
-      const AggSpec& spec = aggs_[a];
-      switch (spec.kind) {
-        case AggKind::kCount:
-          row.push_back(Value(static_cast<int64_t>(
-              spec.expr == nullptr ? state.star_count : state.counts[a])));
-          break;
-        case AggKind::kCountDistinct:
-          row.push_back(
-              Value(static_cast<int64_t>(state.distincts[a].size())));
-          break;
-        case AggKind::kSum:
-          row.push_back(state.counts[a] == 0 ? Value::Null()
-                                             : Value(state.sums[a]));
-          break;
-        case AggKind::kAvg:
-          row.push_back(state.counts[a] == 0
-                            ? Value::Null()
-                            : Value(state.sums[a] /
-                                    static_cast<double>(state.counts[a])));
-          break;
-        case AggKind::kMin:
-          row.push_back(state.mins[a]);
-          break;
-        case AggKind::kMax:
-          row.push_back(state.maxs[a]);
-          break;
-      }
+      row.push_back(
+          columns[a].Finish(g, group_rows[g], aggs_[a].expr == nullptr));
     }
     out.push_back(std::move(row));
     if (out.size() >= kBatchRows) {
@@ -422,14 +538,39 @@ Status SortOp::Execute(QueryContext* ctx, const BatchSink& sink) {
     for (Row& row : batch) rows.push_back(std::move(row));
     return true;
   }));
-  std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
-    for (const SortKey& key : keys_) {
-      int cmp = key.expr->Eval(a).Compare(key.expr->Eval(b));
-      if (cmp != 0) return key.descending ? cmp > 0 : cmp < 0;
+  // Evaluate every sort key once per row: column references point into
+  // the row, other keys into a per-key array. Then sort row positions.
+  const size_t n = rows.size();
+  const size_t width = keys_.size();
+  std::vector<std::vector<Value>> computed(width);
+  std::vector<const Value*> key_values(n * width);
+  for (size_t k = 0; k < width; ++k) {
+    const Expr& e = *keys_[k].expr;
+    if (e.kind != Expr::Kind::kColumn) {
+      computed[k].reserve(n);
+      for (const Row& row : rows) computed[k].push_back(e.Eval(row));
+    }
+    for (size_t i = 0; i < n; ++i) {
+      key_values[i * width + k] = e.kind == Expr::Kind::kColumn
+                                      ? &rows[i][e.column]
+                                      : &computed[k][i];
+    }
+  }
+  std::vector<uint32_t> order(n);
+  for (uint32_t i = 0; i < n; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    const Value* const* ka = &key_values[a * width];
+    const Value* const* kb = &key_values[b * width];
+    for (size_t k = 0; k < width; ++k) {
+      int cmp = ka[k]->Compare(*kb[k]);
+      if (cmp != 0) return keys_[k].descending ? cmp > 0 : cmp < 0;
     }
     return false;
   });
-  sink(std::move(rows));
+  std::vector<Row> sorted;
+  sorted.reserve(n);
+  for (uint32_t i : order) sorted.push_back(std::move(rows[i]));
+  sink(std::move(sorted));
   return Status::OK();
 }
 

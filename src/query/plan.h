@@ -91,6 +91,12 @@ enum class JoinType { kInner, kLeft, kSemi, kAnti };
 /// Hash join: builds on the right child, streams the left. Output schema:
 /// left columns ++ right columns (inner/left; right padded with NULLs for
 /// unmatched left rows) or left columns only (semi/anti).
+///
+/// Keys match when every column has the same type and the same bits (see
+/// KeyEqual in query/hash_index.h): int 1 does not match double 1.0, and a
+/// NULL key matches nothing. Output follows the left rows in arrival
+/// order; the matches of one left row follow the right rows' arrival
+/// order.
 class HashJoinOp : public PlanNode {
  public:
   /// `right_width` is the arity of right-child rows (needed to pad NULLs
@@ -151,7 +157,11 @@ struct AggSpec {
 };
 
 /// Hash aggregation. Output: group expressions then aggregate results, in
-/// declaration order.
+/// declaration order. Groups are keyed like HashJoinOp's keys (same type
+/// and same bits; all NULL keys form one group) and come out in the order
+/// of each group's first input row, so a caller that needs another order
+/// must sort. With no GROUP BY there is exactly one output row, even for
+/// empty input.
 class AggregateOp : public PlanNode {
  public:
   AggregateOp(PlanPtr child, std::vector<ExprPtr> group_by,
@@ -169,7 +179,8 @@ struct SortKey {
   bool descending = false;
 };
 
-/// Full sort (materializes the child).
+/// Full, stable sort (materializes the child). Each key is evaluated once
+/// per row; rows with equal keys keep their input order.
 class SortOp : public PlanNode {
  public:
   SortOp(PlanPtr child, std::vector<SortKey> keys);
