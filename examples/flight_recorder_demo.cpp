@@ -1,14 +1,17 @@
 // Continuous monitoring and the flight recorder:
 //   * a database runs with the monitor sampling every metric into ring
 //     time-series and evaluating watchdog rules,
-//   * queries run under tracing and the slow-query profiler,
+//   * every query is profiled and retained as a slow query
+//     (slow_query_ns = 1),
 //   * one call dumps the whole debugging bundle — metrics, metric history,
-//     watchdog states, event journal, Chrome trace, system tables.
+//     watchdog states, event journal, system tables, slow-query profiles
+//     and their Chrome trace.
 //
 //   ./build/examples/flight_recorder_demo [bundle-dir]
 //
-// Load <bundle-dir>/trace.json (or engine_trace.json) in Perfetto
-// (https://ui.perfetto.dev) or chrome://tracing to see the spans.
+// Load <bundle-dir>/engine_trace.json in Perfetto (https://ui.perfetto.dev)
+// or chrome://tracing to see the profile spans, one `segment` span per
+// scanned or skipped segment.
 
 #include <cstdio>
 #include <string>
@@ -16,7 +19,6 @@
 
 #include "blob/blob_store.h"
 #include "common/env.h"
-#include "common/metrics.h"
 #include "engine/database.h"
 #include "engine/system_tables.h"
 #include "query/plan.h"
@@ -48,9 +50,6 @@ int main(int argc, char** argv) {
     fprintf(stderr, "open failed: %s\n", db.status().ToString().c_str());
     return 1;
   }
-
-  // Record executor/scan spans into the trace ring while we work.
-  TraceBuffer::Global()->set_enabled(true);
 
   TableOptions events;
   events.schema = Schema({{"id", DataType::kInt64},

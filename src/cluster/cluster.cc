@@ -36,23 +36,7 @@ Status Cluster::Start() {
     S2_RETURN_NOT_OK(site.master->Init());
     masters_[p] = site.master.get();
     master_node_[p] = site.master_node;
-
-    // Multicast data files to every attached replica (HA + workspaces).
-    site.master->files()->SetFileHook(
-        [this, p](const std::string& name,
-                  std::shared_ptr<const std::string> data) {
-          std::vector<ReplicaPartition*> receivers;
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            for (auto& replica : sites_[p].replicas) {
-              receivers.push_back(replica.get());
-            }
-            for (auto& ws : workspaces_) {
-              receivers.push_back(ws.replicas[p].get());
-            }
-          }
-          for (ReplicaPartition* r : receivers) r->OnDataFile(name, data);
-        });
+    WireFileHook(p);
 
     for (int r = 0; r < options_.ha_replicas; ++r) {
       int node = (p + 1 + r) % options_.num_nodes;
@@ -60,6 +44,26 @@ Status Cluster::Start() {
     }
   }
   return Status::OK();
+}
+
+void Cluster::WireFileHook(int p) {
+  // Multicast the master's data files to every attached replica (HA and
+  // workspaces); the receiver list is read under mu_ at each write.
+  masters_[p]->files()->SetFileHook(
+      [this, p](const std::string& name,
+                std::shared_ptr<const std::string> data) {
+        std::vector<ReplicaPartition*> receivers;
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          for (auto& replica : sites_[p].replicas) {
+            receivers.push_back(replica.get());
+          }
+          for (auto& ws : workspaces_) {
+            receivers.push_back(ws.replicas[p].get());
+          }
+        }
+        for (ReplicaPartition* r : receivers) r->OnDataFile(name, data);
+      });
 }
 
 Status Cluster::ProvisionReplica(int partition_id, int node_id) {
@@ -319,21 +323,7 @@ Result<int> Cluster::RunFailureDetector() {
       master_node_[p] = chosen_node;
     }
     // Re-wire the file hook to the new master and heal replication.
-    new_master->files()->SetFileHook(
-        [this, p](const std::string& name,
-                  std::shared_ptr<const std::string> data) {
-          std::vector<ReplicaPartition*> receivers;
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            for (auto& replica : sites_[p].replicas) {
-              receivers.push_back(replica.get());
-            }
-            for (auto& ws : workspaces_) {
-              receivers.push_back(ws.replicas[p].get());
-            }
-          }
-          for (ReplicaPartition* r : receivers) r->OnDataFile(name, data);
-        });
+    WireFileHook(p);
     for (int r = 0; r < options_.ha_replicas; ++r) {
       int node = -1;
       {

@@ -223,6 +223,9 @@ class Cluster {
   }
   Status WireReplica(int partition_id, ReplicaPartition* replica);
   Status ProvisionReplica(int partition_id, int node_id);
+  /// Points the current master's data-file hook at partition_id's HA
+  /// replicas and workspace replicas.
+  void WireFileHook(int partition_id);
 
   ClusterOptions options_;
   /// Declared before sites_ so it is destroyed after them: partition

@@ -29,11 +29,6 @@ Status FaultStatus(EnvOp op, const std::string& path) {
                          " " + path);
 }
 
-Status FrozenStatus(EnvOp op, const std::string& path) {
-  return Status::IOError(std::string("env frozen (simulated crash): ") +
-                         EnvOpName(op) + " " + path);
-}
-
 std::string ParentDir(const std::string& path) {
   auto slash = path.find_last_of('/');
   if (slash == std::string::npos) return ".";

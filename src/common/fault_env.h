@@ -143,8 +143,8 @@ class FaultInjectionEnv : public Env {
 
   /// Counts the call, records history, applies freeze, and resolves the
   /// first matching armed fault. mu_ must be held. Fault fires are
-  /// journaled into EventJournal::Global() — which means a journal file
-  /// sink must never be attached through this same env (see journal.h).
+  /// journaled into EventJournal::Global(), which never calls back into
+  /// an env.
   Action InterceptLocked(EnvOp op, const std::string& path, bool mutating);
   /// Clock read with mu_ already held (NowNs() itself takes mu_).
   uint64_t ClockNowLocked() const;

@@ -8,14 +8,15 @@
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/monitor.h"
-#include "common/trace_export.h"
 
 namespace s2 {
 
+// Newest journal events written to journal.jsonl.
+constexpr size_t kJournalTail = 1024;
+
 Status DumpFlightRecorder(const FlightRecorderOptions& opts) {
   Env* env = opts.env != nullptr ? opts.env : Env::Default();
-  const EventJournal* journal =
-      opts.journal != nullptr ? opts.journal : EventJournal::Global();
+  const EventJournal* journal = EventJournal::Global();
 
   Status first_error = env->CreateDirs(opts.dir);
   std::vector<std::string> written;
@@ -37,20 +38,13 @@ Status DumpFlightRecorder(const FlightRecorderOptions& opts) {
     write("watchdogs.json", opts.monitor->WatchdogsJson());
   }
 
-  std::vector<JournalEvent> tail = journal->Tail(opts.journal_tail);
+  std::vector<JournalEvent> tail = journal->Tail(kJournalTail);
   std::string jsonl;
   for (const JournalEvent& ev : tail) {
     jsonl += ev.ToJson();
     jsonl += '\n';
   }
   write("journal.jsonl", jsonl);
-
-  TraceBuffer* tb = TraceBuffer::Global();
-  std::vector<TraceEvent> trace_events = tb->Snapshot();
-  uint64_t trace_dropped = tb->dropped();
-  ChromeTraceBuilder builder;
-  builder.AddTraceEvents(trace_events, /*pid=*/1, "s2 trace ring");
-  write("trace.json", builder.Finish());
 
   for (const auto& [name, content] : opts.extra_files) {
     write(name, content);
@@ -71,12 +65,6 @@ Status DumpFlightRecorder(const FlightRecorderOptions& opts) {
   manifest += buf;
   manifest += ",\"journal_dropped\":";
   snprintf(buf, sizeof(buf), "%" PRIu64, journal->dropped());
-  manifest += buf;
-  manifest += ",\"trace_events\":";
-  snprintf(buf, sizeof(buf), "%zu", trace_events.size());
-  manifest += buf;
-  manifest += ",\"trace_dropped_total\":";
-  snprintf(buf, sizeof(buf), "%" PRIu64, trace_dropped);
   manifest += buf;
   manifest += ",\"captured_at_ns\":";
   snprintf(buf, sizeof(buf), "%" PRIu64, env->NowNs());

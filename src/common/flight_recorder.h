@@ -10,7 +10,6 @@
 namespace s2 {
 
 class Env;
-class EventJournal;
 class MonitorService;
 
 struct FlightRecorderOptions {
@@ -18,14 +17,10 @@ struct FlightRecorderOptions {
   /// wanting history pass distinct directories.
   std::string dir;
   /// Filesystem to write through; null = Env::Default(). Never pass an env
-  /// whose operations journal into the same journal being dumped.
+  /// whose operations journal into EventJournal::Global().
   Env* env = nullptr;
   /// When set, monitor_history.json and watchdogs.json are included.
   const MonitorService* monitor = nullptr;
-  /// Journal to dump; null = EventJournal::Global().
-  const EventJournal* journal = nullptr;
-  /// Newest journal events included in journal.jsonl.
-  size_t journal_tail = 1024;
   /// Extra (file name, content) pairs layered into the bundle by callers
   /// with more context — the engine adds system tables and slow-query
   /// profiles on top of this common core.
@@ -39,9 +34,9 @@ struct FlightRecorderOptions {
 ///   metrics.json            MetricsRegistry::DumpJson()
 ///   monitor_history.json    sampled time-series (when monitor given)
 ///   watchdogs.json          rule states (when monitor given)
-///   journal.jsonl           newest journal events, one JSON object/line
-///   trace.json              TraceBuffer as Chrome trace_event JSON
-///   manifest.json           file list + capture metadata (drop counts)
+///   journal.jsonl           newest 1024 EventJournal::Global() events,
+///                           one JSON object/line
+///   manifest.json           file list + capture metadata (journal drops)
 ///   <extra_files...>
 ///
 /// Best-effort: every file is attempted; the first write error is

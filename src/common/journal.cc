@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "common/env.h"
 #include "common/json.h"
 #include "common/metrics.h"
 
@@ -46,29 +45,13 @@ void EventJournal::Append(const std::string& category, const std::string& name,
   ev.name = name;
   ev.detail = detail;
   std::lock_guard<std::mutex> lock(mu_);
-  AppendLocked(std::move(ev));
-}
-
-void EventJournal::AppendLocked(JournalEvent ev) {
   ev.seq = next_seq_++;
   if (ring_.size() < capacity_) {
     ring_.resize(ring_.size() + 1);
   } else {
     ++dropped_;
   }
-  std::string line;
-  if (file_env_ != nullptr && file_healthy_) {
-    line = ev.ToJson();
-    line += '\n';
-  }
   ring_[ev.seq % capacity_] = std::move(ev);
-  if (!line.empty()) {
-    // The sink env must not be one whose operations journal back into us
-    // (see the class comment); with that contract this call is safe under
-    // mu_ because it never re-enters EventJournal.
-    Status st = file_env_->AppendToFile(file_path_, line, /*sync=*/false);
-    if (!st.ok()) file_healthy_ = false;
-  }
 }
 
 std::vector<JournalEvent> EventJournal::Snapshot() const {
@@ -102,23 +85,6 @@ void EventJournal::Clear() {
   ring_.clear();
   next_seq_ = 0;
   dropped_ = 0;
-}
-
-void EventJournal::AttachFile(Env* env, const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (path.empty()) {
-    file_env_ = nullptr;
-    file_path_.clear();
-    return;
-  }
-  file_env_ = env != nullptr ? env : Env::Default();
-  file_path_ = path;
-  file_healthy_ = true;
-}
-
-bool EventJournal::file_sink_healthy() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return file_healthy_;
 }
 
 }  // namespace s2

@@ -1,17 +1,12 @@
 #ifndef S2_COMMON_JOURNAL_H_
 #define S2_COMMON_JOURNAL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/result.h"
-
 namespace s2 {
-
-class Env;
 
 /// One structured journal entry. `category` groups related events
 /// ("watchdog", "storage", "cluster", "fault", "query"); `name` is the
@@ -33,17 +28,16 @@ struct JournalEvent {
 
 /// Process-wide structured event journal: a bounded ring absorbing
 /// lifecycle events (segment flush/merge, snapshot, cache eviction,
-/// replica attach, fault injections) and watchdog alerts, plus an optional
-/// JSONL file sink. Always on — appends are one mutex acquisition plus a
-/// few string copies, cheap relative to the events journaled (which are
-/// all slow-path: IO, alerts, topology changes). The ring is a suffix of
-/// the event stream; `dropped()` counts overwritten entries.
+/// replica attach, fault injections) and watchdog alerts. Always on —
+/// appends are one mutex acquisition plus a few string copies, cheap
+/// relative to the events journaled (which are all slow-path: IO, alerts,
+/// topology changes). The ring is a suffix of the event stream; `dropped()`
+/// counts overwritten entries. The flight recorder writes its tail to
+/// `journal.jsonl`.
 ///
 /// Thread-safe. Appends may run under subsystem locks (DataFileStore's
 /// mutex, FaultInjectionEnv's mutex), so Append never calls back into any
-/// subsystem — and a file sink must never write through an env whose
-/// operations journal (e.g. the same FaultInjectionEnv), or Append would
-/// deadlock/recurse. Attach the *base* env instead.
+/// subsystem.
 class EventJournal {
  public:
   static constexpr size_t kDefaultCapacity = 4096;
@@ -68,33 +62,19 @@ class EventJournal {
   /// Next sequence number to be assigned (== total appends since Clear).
   uint64_t next_seq() const;
 
-  /// Empties the ring and resets seq/dropped. The file sink, if attached,
-  /// is left attached (its contents are not touched).
+  /// Empties the ring and resets seq/dropped.
   void Clear();
 
-  /// Attaches a JSONL sink: every subsequent event is also appended to
-  /// `path` (one JSON object per line) through `env` (null =
-  /// Env::Default()). Write failures set a flag exposed by
-  /// file_sink_healthy() and stop further file writes; the ring continues.
-  /// Pass an empty path to detach.
-  void AttachFile(Env* env, const std::string& path);
-  bool file_sink_healthy() const;
-
  private:
-  void AppendLocked(JournalEvent ev);
-
   const size_t capacity_;
   mutable std::mutex mu_;
   std::vector<JournalEvent> ring_;  // ring_[seq % capacity_]
   uint64_t next_seq_ = 0;
   uint64_t dropped_ = 0;
-  Env* file_env_ = nullptr;
-  std::string file_path_;
-  bool file_healthy_ = true;
 };
 
 // Journals an event into the process-wide journal. Kept as a macro for
-// symmetry with S2_COUNTER / S2_TRACE_EVENT emit sites.
+// symmetry with the S2_COUNTER / S2_HISTOGRAM emit sites.
 #define S2_JOURNAL(category, name, detail_expr) \
   ::s2::EventJournal::Global()->Append((category), (name), (detail_expr))
 

@@ -235,75 +235,4 @@ void MetricsRegistry::ResetForTest() {
   for (auto& [name, h] : histograms_) h->Reset();
 }
 
-// --- TraceBuffer ---
-
-TraceBuffer* TraceBuffer::Global() {
-  static TraceBuffer* buffer = new TraceBuffer();
-  return buffer;
-}
-
-namespace {
-
-// Small dense per-thread id for Chrome-trace tid mapping: assigned on a
-// thread's first emit, stable for the thread's lifetime.
-uint64_t CurrentTraceTid() {
-  static std::atomic<uint64_t> next_tid{1};
-  thread_local uint64_t tid = next_tid.fetch_add(1, std::memory_order_relaxed);
-  return tid;
-}
-
-}  // namespace
-
-void TraceBuffer::Emit(const char* category, std::string detail,
-                       uint64_t start_ns, uint64_t duration_ns) {
-  uint64_t tid = CurrentTraceTid();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < capacity_) {
-    ring_.resize(ring_.size() + 1);
-  } else {
-    // Full ring: this emit overwrites the oldest event. Count the loss so
-    // a snapshot consumer knows the ring is a suffix of the event stream.
-    ++dropped_;
-    ++dropped_window_;
-    S2_COUNTER("s2_trace_dropped_total").Add();
-  }
-  TraceEvent& slot = ring_[next_seq_ % capacity_];
-  slot.category = category;
-  slot.detail = std::move(detail);
-  slot.start_ns = start_ns;
-  slot.duration_ns = duration_ns;
-  slot.seq = next_seq_++;
-  slot.tid = tid;
-}
-
-std::vector<TraceEvent> TraceBuffer::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
-  uint64_t oldest = next_seq_ >= capacity_ ? next_seq_ - capacity_ : 0;
-  for (uint64_t seq = oldest; seq < next_seq_; ++seq) {
-    out.push_back(ring_[seq % capacity_]);
-  }
-  dropped_window_ = 0;
-  return out;
-}
-
-void TraceBuffer::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  next_seq_ = 0;
-  dropped_ = 0;
-  dropped_window_ = 0;
-}
-
-uint64_t TraceBuffer::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-uint64_t TraceBuffer::dropped_since_last_snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_window_;
-}
-
 }  // namespace s2

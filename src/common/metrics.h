@@ -181,116 +181,6 @@ class ScopedTimer {
   ::s2::ScopedTimer S2_SCOPED_TIMER_CONCAT(             \
       _s2_scoped_timer_, __LINE__)(&S2_HISTOGRAM(name))
 
-// ---------------------------------------------------------------------------
-// Trace events
-// ---------------------------------------------------------------------------
-
-/// One trace event: a point event (duration_ns == 0) or a completed span.
-/// `category` is a static string literal supplied at the emit site.
-struct TraceEvent {
-  const char* category = "";
-  std::string detail;
-  uint64_t start_ns = 0;     // ScopedTimer::NowNs() clock
-  uint64_t duration_ns = 0;  // 0 for instant events
-  uint64_t seq = 0;          // global emission order
-  uint64_t tid = 0;          // small dense id of the emitting thread
-};
-
-/// Bounded ring buffer of trace events, off by default. When enabled,
-/// S2_TRACE_SPAN / S2_TRACE_EVENT sites record into it; tests snapshot the
-/// buffer to reconstruct e.g. a scan's per-segment strategy decisions.
-/// When disabled the only cost at an emit site is one relaxed atomic load
-/// (detail strings are not even built; see the macros).
-class TraceBuffer {
- public:
-  static constexpr size_t kCapacity = 8192;
-
-  /// Tests shrink `capacity` to exercise ring wrap cheaply.
-  explicit TraceBuffer(size_t capacity = kCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  static TraceBuffer* Global();
-
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  void Emit(const char* category, std::string detail, uint64_t start_ns,
-            uint64_t duration_ns);
-
-  /// Events currently in the ring, oldest first. Ends the current drop
-  /// window: dropped_since_last_snapshot() restarts from zero, so a later
-  /// capture doesn't attribute this window's losses to itself.
-  std::vector<TraceEvent> Snapshot() const;
-  void Clear();
-
-  /// Events overwritten by ring wrap since the last Clear(). Also counted
-  /// in the s2_trace_dropped_total registry counter so DumpMetrics()
-  /// exposes the loss.
-  uint64_t dropped() const;
-
-  /// Events overwritten since the last Snapshot()/Clear() — the losses
-  /// that belong to the *next* capture window.
-  uint64_t dropped_since_last_snapshot() const;
-
- private:
-  const size_t capacity_;
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;
-  std::vector<TraceEvent> ring_;  // ring_[seq % capacity_]
-  uint64_t next_seq_ = 0;
-  uint64_t dropped_ = 0;
-  // Reset by Snapshot() (hence mutable: snapshotting is logically const
-  // but ends the drop window).
-  mutable uint64_t dropped_window_ = 0;
-};
-
-/// RAII span: emits one event with the scope's duration at destruction.
-/// Construct with the detail string, or amend it mid-scope via AppendDetail
-/// (e.g. record a strategy decision made inside the span).
-class TraceSpan {
- public:
-  TraceSpan(const char* category, std::string detail)
-      : enabled_(TraceBuffer::Global()->enabled()),
-        category_(category),
-        detail_(std::move(detail)),
-        start_(enabled_ ? ScopedTimer::NowNs() : 0) {}
-  ~TraceSpan() {
-    if (enabled_) {
-      TraceBuffer::Global()->Emit(category_, std::move(detail_), start_,
-                                  ScopedTimer::NowNs() - start_);
-    }
-  }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  bool enabled() const { return enabled_; }
-  void AppendDetail(const std::string& more) {
-    if (enabled_) detail_ += more;
-  }
-
- private:
-  bool enabled_;
-  const char* category_;
-  std::string detail_;
-  uint64_t start_;
-};
-
-// Span over the enclosing scope. The detail expression is only evaluated
-// when tracing is enabled.
-#define S2_TRACE_SPAN(var, category, detail_expr)                        \
-  ::s2::TraceSpan var(                                                   \
-      category, ::s2::TraceBuffer::Global()->enabled() ? (detail_expr)   \
-                                                       : std::string())
-// Instant event (no duration).
-#define S2_TRACE_EVENT(category, detail_expr)                            \
-  do {                                                                   \
-    if (::s2::TraceBuffer::Global()->enabled()) {                        \
-      ::s2::TraceBuffer::Global()->Emit(                                 \
-          category, (detail_expr), ::s2::ScopedTimer::NowNs(), 0);       \
-    }                                                                    \
-  } while (0)
-
 }  // namespace s2
 
 #endif  // S2_COMMON_METRICS_H_

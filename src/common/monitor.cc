@@ -35,11 +35,7 @@ bool Breaches(double v, double threshold, WatchdogCmp cmp) {
 
 MonitorService::MonitorService(MonitorOptions options)
     : options_(options),
-      env_(options.env != nullptr ? options.env : Env::Default()),
-      registry_(options.registry != nullptr ? options.registry
-                                            : MetricsRegistry::Global()),
-      journal_(options.journal != nullptr ? options.journal
-                                          : EventJournal::Global()) {
+      env_(options.env != nullptr ? options.env : Env::Default()) {
   if (options_.ring_capacity == 0) options_.ring_capacity = 1;
 }
 
@@ -66,7 +62,8 @@ void MonitorService::TickOnce() {
 }
 
 void MonitorService::SampleLocked(uint64_t now_ns) {
-  for (const MetricSample& sample : registry_->SnapshotValues()) {
+  for (const MetricSample& sample :
+       MetricsRegistry::Global()->SnapshotValues()) {
     std::deque<MonitorPoint>& ring = series_[sample.name];
     ring.push_back(MonitorPoint{now_ns, sample.value});
     while (ring.size() > options_.ring_capacity) ring.pop_front();
@@ -104,7 +101,7 @@ void MonitorService::EvaluateRules(uint64_t now_ns) {
         st.firing = true;
         st.fired_since_ns = now_ns;
         ++st.fire_count;
-        journal_->Append(
+        EventJournal::Global()->Append(
             "watchdog", "rule_fired",
             "rule=" + st.name + " cmp=" + CmpName(rs.rule.cmp) +
                 " threshold=" + FormatDouble(rs.rule.threshold) +
@@ -114,7 +111,7 @@ void MonitorService::EvaluateRules(uint64_t now_ns) {
       }
     } else {
       if (st.firing) {
-        journal_->Append(
+        EventJournal::Global()->Append(
             "watchdog", "rule_cleared",
             "rule=" + st.name + " observed=" + FormatDouble(v) +
                 " duration_ns=" +

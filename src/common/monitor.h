@@ -14,9 +14,7 @@
 namespace s2 {
 
 class Env;
-class EventJournal;
 class Executor;
-class MetricsRegistry;
 
 /// One sample of one time-series.
 struct MonitorPoint {
@@ -92,10 +90,6 @@ struct MonitorOptions {
   /// A FaultInjectionEnv here (FreezeClockAt/AdvanceClock) plus manual
   /// TickOnce() calls makes every timestamp in tests deterministic.
   Env* env = nullptr;
-  /// Metric source; null = MetricsRegistry::Global().
-  MetricsRegistry* registry = nullptr;
-  /// Alert sink; null = EventJournal::Global().
-  EventJournal* journal = nullptr;
 };
 
 /// Continuous monitoring: snapshots every registry metric into bounded
@@ -163,8 +157,6 @@ class MonitorService {
 
   MonitorOptions options_;
   Env* env_;
-  MetricsRegistry* registry_;
-  EventJournal* journal_;
 
   mutable std::mutex series_mu_;
   std::map<std::string, std::deque<MonitorPoint>> series_;

@@ -1,25 +1,12 @@
 #include "common/trace_export.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <set>
 
 #include "common/json.h"
 #include "common/profile.h"
 
 namespace s2 {
-
-namespace {
-
-std::string ArgsWithDetail(const std::string& detail) {
-  std::string out = "{\"detail\":";
-  out += JsonQuote(detail);
-  out += "}";
-  return out;
-}
-
-}  // namespace
 
 void ChromeTraceBuilder::AddThreadName(int pid, uint64_t tid,
                                        const std::string& name) {
@@ -30,38 +17,6 @@ void ChromeTraceBuilder::AddThreadName(int pid, uint64_t tid,
   ev.tid = tid;
   ev.args_json = "{\"name\":" + JsonQuote(name) + "}";
   events_.push_back(std::move(ev));
-}
-
-void ChromeTraceBuilder::AddTraceEvents(const std::vector<TraceEvent>& events,
-                                        int pid,
-                                        const std::string& process_name) {
-  Event meta;
-  meta.name = "process_name";
-  meta.ph = 'M';
-  meta.pid = pid;
-  meta.args_json = "{\"name\":" + JsonQuote(process_name) + "}";
-  events_.push_back(std::move(meta));
-
-  std::set<uint64_t> tids;
-  for (const TraceEvent& te : events) {
-    Event ev;
-    ev.name = te.category;
-    ev.cat = te.category;
-    ev.ph = te.duration_ns == 0 ? 'i' : 'X';
-    ev.ts_ns = te.start_ns;
-    ev.dur_ns = te.duration_ns;
-    ev.pid = pid;
-    ev.tid = te.tid;
-    char buf[32];
-    snprintf(buf, sizeof(buf), "%" PRIu64, te.seq);
-    ev.args_json = "{\"seq\":" + std::string(buf) +
-                   ",\"detail\":" + JsonQuote(te.detail) + "}";
-    tids.insert(te.tid);
-    events_.push_back(std::move(ev));
-  }
-  for (uint64_t tid : tids) {
-    AddThreadName(pid, tid, "emitter-" + std::to_string(tid));
-  }
 }
 
 void ChromeTraceBuilder::AddProfileTree(const ProfileNode& root, int pid,

@@ -5,40 +5,27 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
-
 namespace s2 {
 
 struct ProfileNode;
 
 /// Builds a Chrome `trace_event` JSON document (the format Perfetto and
-/// chrome://tracing load) from TraceBuffer events and ProfileCollector
-/// trees. Each Add* call contributes one "process" (pid) to the trace;
-/// within a process, lanes (tid) separate concurrent work:
-///
-///   - TraceBuffer events keep the dense per-thread id recorded at emit
-///     time, so spans emitted by different pool threads land on different
-///     rows.
-///   - A profile tree maps the root span to tid 0 and each top-level child
-///     (the scatter-gather fan-out: one span per partition/table) to its
-///     own tid, so parallel branches render side by side instead of
-///     stacked on one row.
+/// chrome://tracing load) from ProfileCollector trees. Each AddProfileTree
+/// call contributes one "process" (pid) to the trace; within a process, the
+/// root span sits on tid 0 and each top-level child (the scatter-gather
+/// fan-out: one span per partition/table) gets its own tid, so parallel
+/// branches render side by side instead of stacked on one row.
 ///
 /// Spans become "X" (complete) events with microsecond timestamps
-/// normalized to the earliest event in the document; instant events become
-/// "i"; process/thread names are attached via "M" metadata events.
+/// normalized to the earliest event in the document; still-open spans
+/// become "i" (instant); process/thread names are attached via "M"
+/// metadata events.
 class ChromeTraceBuilder {
  public:
-  /// Adds TraceBuffer events as one process.
-  void AddTraceEvents(const std::vector<TraceEvent>& events, int pid,
-                      const std::string& process_name);
-
   /// Adds one profile tree as one process (top-level children fan out to
   /// their own tids).
   void AddProfileTree(const ProfileNode& root, int pid,
                       const std::string& process_name);
-
-  bool empty() const { return events_.empty(); }
 
   /// The complete JSON document:
   /// {"traceEvents":[...],"displayTimeUnit":"ms"}.

@@ -199,15 +199,8 @@ Status Database::DumpFlightRecorder(const std::string& dir) {
 
 std::string Database::ExportChromeTrace() const {
   ChromeTraceBuilder builder;
-  builder.AddTraceEvents(TraceBuffer::Global()->Snapshot(), /*pid=*/1,
-                         "trace_buffer");
-  int pid = 2;
-  std::vector<SlowQuery> slow;
-  {
-    std::lock_guard<std::mutex> lock(slow_mu_);
-    slow.assign(slow_ring_.begin(), slow_ring_.end());
-  }
-  for (const SlowQuery& q : slow) {
+  int pid = 1;
+  for (const SlowQuery& q : SlowQueries()) {
     if (!q.tree) continue;
     builder.AddProfileTree(*q.tree->root(), pid++,
                            "slow_query#" + std::to_string(q.seq));

@@ -151,13 +151,13 @@ class Database {
   MonitorService* monitor() { return monitor_.get(); }
 
   /// Dumps one flight-recorder bundle to `dir`: the common core (metrics,
-  /// monitor history, watchdog states, journal tail, Chrome trace) plus
-  /// the engine's view — system_tables.json and the slowest retained
-  /// query profiles as slow_queries.json.
+  /// monitor history, watchdog states, journal tail) plus the engine's
+  /// view — system_tables.json, the slowest retained query profiles as
+  /// slow_queries.json, and their Chrome trace as engine_trace.json.
   Status DumpFlightRecorder(const std::string& dir);
 
-  /// Chrome trace_event JSON (Perfetto-loadable) combining the process
-  /// TraceBuffer with the retained slow-query profile trees; see
+  /// Chrome trace_event JSON (Perfetto-loadable) of the retained
+  /// slow-query profile trees, one process per query; see
   /// ChromeTraceBuilder for the pid/tid layout.
   std::string ExportChromeTrace() const;
 

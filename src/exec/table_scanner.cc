@@ -338,17 +338,11 @@ Result<bool> TableScanner::IndexBaseSelection(
 Status TableScanner::ScanSegment(WorkerState& ws, const SegmentSnapshot& snap,
                                  const BatchSink& sink, bool* stop) {
   const Segment& segment = *snap.segment;
-  const ScanStats seg_before = ws.stats;  // for the per-segment trace diff
-  // The per-segment profile node and trace event share one detail string,
-  // so the tree and the trace ring report identical strategy decisions.
+  const ScanStats seg_before = ws.stats;  // for the per-segment detail diff
+  // The per-segment profile node's detail records the strategy decision;
+  // the string is only built while a profile is attached.
   ProfileSpan seg_span("segment");
-  const bool annotate = seg_span.active() || TraceBuffer::Global()->enabled();
-  auto record_decision = [&seg_span](std::string d) {
-    if (TraceBuffer::Global()->enabled()) {
-      TraceBuffer::Global()->Emit("scan.segment", d, ScopedTimer::NowNs(), 0);
-    }
-    if (seg_span.active()) seg_span.SetDetail(std::move(d));
-  };
+  const bool annotate = seg_span.active();
   std::vector<const FilterNode*> conjuncts;
   CollectTopLevelConjuncts(options_.filter, &conjuncts);
 
@@ -358,8 +352,8 @@ Status TableScanner::ScanSegment(WorkerState& ws, const SegmentSnapshot& snap,
       if (!ZoneMapPasses(conjunct, segment)) {
         ++ws.stats.segments_skipped_zone;
         if (annotate) {
-          record_decision("seg=" + std::to_string(snap.id) +
-                          " strategy=skip_zone");
+          seg_span.SetDetail("seg=" + std::to_string(snap.id) +
+                             " strategy=skip_zone");
         }
         return Status::OK();
       }
@@ -375,8 +369,8 @@ Status TableScanner::ScanSegment(WorkerState& ws, const SegmentSnapshot& snap,
   if (used_index && rows.empty()) {
     ++ws.stats.segments_skipped_index;
     if (annotate) {
-      record_decision("seg=" + std::to_string(snap.id) +
-                      " strategy=skip_index");
+      seg_span.SetDetail("seg=" + std::to_string(snap.id) +
+                         " strategy=skip_index");
     }
     return Status::OK();
   }
@@ -509,10 +503,10 @@ Status TableScanner::ScanSegment(WorkerState& ws, const SegmentSnapshot& snap,
   }
 
   // One decision record per scanned segment reconstructs the strategy
-  // choices (filter flavors used, reorder sorts) segment by segment, both
-  // in the trace ring and on the segment's profile node.
+  // choices (filter flavors used, reorder sorts) segment by segment on the
+  // segment's profile node.
   if (annotate) {
-    record_decision(
+    seg_span.SetDetail(
         "seg=" + std::to_string(snap.id) + " rows_out=" +
         std::to_string(rows.size()) + " index=" + (used_index ? "1" : "0") +
         " encoded=" +

@@ -192,6 +192,35 @@ TEST_F(ClusterTest, WorkspaceDoesNotGateCommits) {
                   .ok());
 }
 
+TEST_F(ClusterTest, PromotedMasterMulticastsDataFilesToWorkspace) {
+  // Three nodes so the promoted master (node 1) can re-provision its HA
+  // replica on node 2 and keep acking commits after node 0 dies.
+  Start(/*partitions=*/1, /*nodes=*/3, /*replicas=*/1);
+  InsertAccounts(10);
+  ASSERT_TRUE(cluster_->UploadAllToBlob().ok());
+  auto ws = cluster_->CreateWorkspace();
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+
+  cluster_->KillNode(0);
+  auto promoted = cluster_->RunFailureDetector();
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  ASSERT_EQ(*promoted, 1);
+
+  const DataFileStats& ws_files =
+      cluster_->WorkspacePartition(*ws, 0)->files()->stats();
+  const uint64_t before = ws_files.files_written.load();
+  // A full segment's worth of rows, flushed on the promoted master: its
+  // data file reaches the workspace only through the re-wired file hook.
+  for (int64_t i = 100; i < 164; ++i) {
+    ASSERT_TRUE(cluster_
+                    ->InsertRows("accounts",
+                                 {{Value(i), Value("f"), Value(0.0)}})
+                    .ok());
+  }
+  ASSERT_TRUE(cluster_->Maintain().ok());
+  EXPECT_GT(ws_files.files_written.load(), before);
+}
+
 TEST_F(ClusterTest, PointInTimeRestoreFromBlobHistory) {
   Start(/*partitions=*/1, /*nodes=*/2, /*replicas=*/1);
   InsertAccounts(30);

@@ -116,8 +116,8 @@ class CrashRecoveryTest : public ::testing::Test {
 
   void TearDown() override {
     // On a torture failure, dump a flight-recorder bundle (metrics,
-    // journal tail, trace) for the post-mortem before the scratch state
-    // goes away. S2_FLIGHT_DIR overrides the destination; CI uploads it
+    // journal tail) for the post-mortem before the scratch state goes
+    // away. S2_FLIGHT_DIR overrides the destination; CI uploads it
     // as a workflow artifact.
     if (::testing::Test::HasFailure()) {
       const char* flight_dir = std::getenv("S2_FLIGHT_DIR");

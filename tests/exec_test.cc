@@ -6,7 +6,7 @@
 
 #include "blob/blob_store.h"
 #include "common/env.h"
-#include "common/metrics.h"
+#include "common/profile.h"
 #include "common/rng.h"
 #include "exec/filter.h"
 #include "exec/table_scanner.h"
@@ -347,14 +347,11 @@ TEST_F(ExecTest, RandomFilterTreesMatchBruteForce) {
   }
 }
 
-// The trace ring lets a test reconstruct which strategy the scanner picked
-// for each segment: skipped segments log strategy=skip_zone/skip_index,
-// scanned segments log a per-segment summary with rows_out.
-TEST_F(ExecTest, TraceReconstructsScanStrategyDecisions) {
-  TraceBuffer* trace = TraceBuffer::Global();
-  trace->Clear();
-  trace->set_enabled(true);
-
+// The scan's profile tree lets a test reconstruct which strategy the
+// scanner picked for each segment: each `segment` span of a skipped segment
+// carries strategy=skip_zone/skip_index, a scanned one a per-segment
+// summary with rows_out.
+TEST_F(ExecTest, ProfileReconstructsScanStrategyDecisions) {
   // ids are the sort key, so a tight range lets zone maps drop the
   // segments that cannot contain ids 100..150.
   auto filter = FilterBetween(0, Value(int64_t{100}), Value(int64_t{150}));
@@ -362,27 +359,30 @@ TEST_F(ExecTest, TraceReconstructsScanStrategyDecisions) {
   options.filter = filter.get();
   options.use_secondary_index = false;  // force the zone-map path
   ScanStats stats;
-  auto ids = RunScan(options, &stats);
-  trace->set_enabled(false);
+  ProfileCollector collector("scan");
+  std::multiset<int64_t> ids;
+  {
+    ProfileScope scope(&collector, collector.root());
+    ids = RunScan(options, &stats);
+  }
+  collector.FinishRoot();
 
   EXPECT_EQ(ids, Expected(filter.get()));
   EXPECT_GT(stats.segments_skipped_zone, 0u);
 
-  size_t skip_events = 0;
-  size_t summary_events = 0;
-  for (const TraceEvent& ev : trace->Snapshot()) {
-    if (std::string(ev.category) != "scan.segment") continue;
-    if (ev.detail.find("strategy=skip_zone") != std::string::npos) {
-      ++skip_events;
-    } else if (ev.detail.find("rows_out=") != std::string::npos) {
-      ++summary_events;
+  size_t skip_spans = 0;
+  size_t summary_spans = 0;
+  for (const ProfileNode* seg : collector.FindAll("segment")) {
+    if (seg->detail.find("strategy=skip_zone") != std::string::npos) {
+      ++skip_spans;
+    } else if (seg->detail.find("rows_out=") != std::string::npos) {
+      ++summary_spans;
     }
   }
-  trace->Clear();
-  EXPECT_EQ(skip_events, stats.segments_skipped_zone)
-      << "every zone-skip decision must be traceable";
-  EXPECT_GT(summary_events, 0u)
-      << "scanned segments must log a per-segment summary";
+  EXPECT_EQ(skip_spans, stats.segments_skipped_zone)
+      << "every zone-skip decision must be on a segment span";
+  EXPECT_GT(summary_spans, 0u)
+      << "scanned segments must carry a per-segment summary";
 }
 
 // The residual clause order is recomputed only when clause estimates drift

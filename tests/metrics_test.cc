@@ -15,8 +15,6 @@ class MetricsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     MetricsRegistry::Global()->ResetForTest();
-    TraceBuffer::Global()->Clear();
-    TraceBuffer::Global()->set_enabled(false);
   }
 };
 
@@ -153,61 +151,6 @@ TEST_F(MetricsTest, DumpContainsAllMetricKinds) {
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_EQ(json.find(",}"), std::string::npos) << json;
-}
-
-TEST_F(MetricsTest, TraceBufferDisabledByDefault) {
-  bool evaluated = false;
-  S2_TRACE_EVENT("test", (evaluated = true, std::string("detail")));
-  EXPECT_FALSE(evaluated);  // detail expression not evaluated when disabled
-  EXPECT_TRUE(TraceBuffer::Global()->Snapshot().empty());
-}
-
-TEST_F(MetricsTest, TraceSpanAndEvent) {
-  TraceBuffer::Global()->set_enabled(true);
-  {
-    S2_TRACE_SPAN(span, "test.span", std::string("k=1"));
-    span.AppendDetail(" extra");
-  }
-  S2_TRACE_EVENT("test.event", std::string("instant"));
-  auto events = TraceBuffer::Global()->Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_STREQ(events[0].category, "test.span");
-  EXPECT_EQ(events[0].detail, "k=1 extra");
-  EXPECT_STREQ(events[1].category, "test.event");
-  EXPECT_EQ(events[1].duration_ns, 0u);
-  // Oldest-first ordering by sequence.
-  EXPECT_LT(events[0].seq, events[1].seq);
-}
-
-TEST_F(MetricsTest, TraceRingWrapsKeepingNewest) {
-  TraceBuffer::Global()->set_enabled(true);
-  const size_t total = TraceBuffer::kCapacity + 100;
-  for (size_t i = 0; i < total; ++i) {
-    TraceBuffer::Global()->Emit("wrap", std::to_string(i), i, 0);
-  }
-  auto events = TraceBuffer::Global()->Snapshot();
-  ASSERT_EQ(events.size(), TraceBuffer::kCapacity);
-  // The oldest kept event is total - kCapacity; the newest is total - 1.
-  EXPECT_EQ(events.front().detail,
-            std::to_string(total - TraceBuffer::kCapacity));
-  EXPECT_EQ(events.back().detail, std::to_string(total - 1));
-}
-
-TEST_F(MetricsTest, TraceRingCountsDrops) {
-  TraceBuffer::Global()->set_enabled(true);
-  EXPECT_EQ(TraceBuffer::Global()->dropped(), 0u);
-  for (size_t i = 0; i < TraceBuffer::kCapacity + 37; ++i) {
-    TraceBuffer::Global()->Emit("drop", "", i, 0);
-  }
-  EXPECT_EQ(TraceBuffer::Global()->dropped(), 37u);
-  // The loss is also visible in the metrics dump.
-  EXPECT_EQ(
-      MetricsRegistry::Global()->counter("s2_trace_dropped_total")->value(),
-      37u);
-  EXPECT_NE(MetricsRegistry::Global()->Dump().find("s2_trace_dropped_total"),
-            std::string::npos);
-  TraceBuffer::Global()->Clear();
-  EXPECT_EQ(TraceBuffer::Global()->dropped(), 0u);
 }
 
 TEST_F(MetricsTest, EmptyHistogramQuantileIsZero) {

@@ -49,29 +49,6 @@ TEST(JsonEscapeTest, MetricsAndProfileDumpsStayEscaped) {
 }
 
 // ----------------------------------------------------------------
-// TraceBuffer drop-window accounting
-// ----------------------------------------------------------------
-
-TEST(TraceWindowTest, SnapshotResetsDroppedWindow) {
-  TraceBuffer buffer(2);
-  for (int i = 0; i < 5; ++i) {
-    buffer.Emit("test", "e" + std::to_string(i), 0, 0);
-  }
-  EXPECT_EQ(buffer.dropped(), 3u);
-  EXPECT_EQ(buffer.dropped_since_last_snapshot(), 3u);
-  (void)buffer.Snapshot();
-  EXPECT_EQ(buffer.dropped_since_last_snapshot(), 0u);
-  EXPECT_EQ(buffer.dropped(), 3u) << "cumulative count is not reset";
-  // The ring is still full, so each later emit overwrites one event —
-  // but the losses belong to the new window, not the snapshotted one.
-  buffer.Emit("test", "late", 0, 0);
-  buffer.Emit("test", "late2", 0, 0);
-  buffer.Emit("test", "late3", 0, 0);
-  EXPECT_EQ(buffer.dropped_since_last_snapshot(), 3u);
-  EXPECT_EQ(buffer.dropped(), 6u);
-}
-
-// ----------------------------------------------------------------
 // MonitorService sampling + watchdog rules (injected clock)
 // ----------------------------------------------------------------
 
@@ -217,34 +194,11 @@ TEST(EventJournalTest, RingKeepsNewestAndCountsDrops) {
   EXPECT_EQ(tail[1].name, "e9");
 }
 
-TEST(EventJournalTest, FileSinkWritesJsonLines) {
-  auto dir = MakeTempDir("s2-journal");
-  ASSERT_TRUE(dir.ok());
-  std::string path = *dir + "/journal.jsonl";
-
-  EventJournal journal(8);
-  journal.AttachFile(Env::Default(), path);
-  journal.Append("test", "hello", "k=v \"quoted\"", /*ts_ns=*/42);
-  journal.Append("test", "world", "", /*ts_ns=*/43);
-  EXPECT_TRUE(journal.file_sink_healthy());
-
-  auto contents = Env::Default()->ReadFileToString(path);
-  ASSERT_TRUE(contents.ok());
-  EXPECT_NE(contents->find("\"name\":\"hello\""), std::string::npos);
-  EXPECT_NE(contents->find("\\\"quoted\\\""), std::string::npos);
-  EXPECT_EQ(std::count(contents->begin(), contents->end(), '\n'), 2);
-  (void)RemoveDirRecursive(*dir);
-}
-
 // ----------------------------------------------------------------
 // Chrome trace export
 // ----------------------------------------------------------------
 
-TEST(ChromeTraceTest, BuildsTraceEventsAndProfileLanes) {
-  TraceBuffer buffer(16);
-  buffer.Emit("exec", "task-a", 1'000'000, 2'000'000);
-  buffer.Emit("exec", "task-b", 2'000'000, 500'000);
-
+TEST(ChromeTraceTest, BuildsProfileLanes) {
   ProfileCollector collector("query");
   ProfileNode* p0 = collector.StartSpan(collector.root(), "partition-0", "");
   collector.FinishSpan(p0);
@@ -253,18 +207,20 @@ TEST(ChromeTraceTest, BuildsTraceEventsAndProfileLanes) {
   collector.FinishRoot();
 
   ChromeTraceBuilder builder;
-  builder.AddTraceEvents(buffer.Snapshot(), /*pid=*/1, "trace_buffer");
-  builder.AddProfileTree(*collector.root(), /*pid=*/2, "query");
+  builder.AddProfileTree(*collector.root(), /*pid=*/1, "query");
   std::string json = builder.Finish();
 
   EXPECT_EQ(json.find("{\"traceEvents\":["), 0u);
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-  EXPECT_NE(json.find("task-a"), std::string::npos);
   EXPECT_NE(json.find("partition-0"), std::string::npos);
   EXPECT_NE(json.find("partition-1"), std::string::npos);
   // Metadata events name processes; fan-out children get their own lanes.
   EXPECT_NE(json.find("process_name"), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"partition-0\",\"cat\":\"profile\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"pid\":1,\"tid\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"pid\":1,\"tid\":2"), std::string::npos);
   // Balanced brackets as a cheap well-formedness check (no raw quotes can
   // unbalance them because every string goes through JsonEscape).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
@@ -426,12 +382,27 @@ TEST_F(MonitorIntegrationTest, FlightRecorderBundleIsComplete) {
   ASSERT_TRUE(db->DumpFlightRecorder(bundle).ok());
 
   Env* env = Env::Default();
-  for (const char* file :
-       {"metrics.prom", "metrics.json", "monitor_history.json",
-        "watchdogs.json", "journal.jsonl", "trace.json", "manifest.json",
-        "system_tables.json", "slow_queries.json", "engine_trace.json"}) {
-    EXPECT_TRUE(env->FileExists(bundle + "/" + file)) << file;
+  // The bundle holds exactly these files, and the manifest lists exactly
+  // what was written (itself last).
+  std::vector<std::string> expected = {
+      "metrics.prom",       "metrics.json",      "monitor_history.json",
+      "watchdogs.json",     "journal.jsonl",     "system_tables.json",
+      "slow_queries.json",  "engine_trace.json", "manifest.json"};
+  auto listed = env->ListDir(bundle);
+  ASSERT_TRUE(listed.ok());
+  std::vector<std::string> on_disk = *listed;
+  std::vector<std::string> expected_sorted = expected;
+  std::sort(on_disk.begin(), on_disk.end());
+  std::sort(expected_sorted.begin(), expected_sorted.end());
+  EXPECT_EQ(on_disk, expected_sorted);
+  std::string files_json = "{\"files\":[";
+  for (size_t i = 0; i < expected.size(); ++i) {
+    files_json += (i == 0 ? "" : ",") + JsonQuote(expected[i]);
   }
+  files_json += "],";
+  auto manifest = env->ReadFileToString(bundle + "/manifest.json");
+  ASSERT_TRUE(manifest.ok());
+  EXPECT_EQ(manifest->find(files_json), 0u) << *manifest;
 
   // History has >= 2 series with >= 3 points each (acceptance criterion).
   int series_with_3 = 0;

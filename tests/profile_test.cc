@@ -104,12 +104,8 @@ class ProfileTest : public ::testing::Test {
     auto dir = MakeTempDir("s2-profile");
     ASSERT_TRUE(dir.ok());
     dir_ = *dir;
-    TraceBuffer::Global()->set_enabled(false);
-    TraceBuffer::Global()->Clear();
   }
   void TearDown() override {
-    TraceBuffer::Global()->set_enabled(false);
-    TraceBuffer::Global()->Clear();
     (void)RemoveDirRecursive(dir_);
   }
 
@@ -179,10 +175,7 @@ TEST_F(ProfileTest, ProfiledAnalyticQueryReportsStrategyAndTimings) {
   // sees only steady-state gather overhead.
   ASSERT_TRUE(db->Query(plan).ok());
 
-  TraceBuffer::Global()->Clear();
-  TraceBuffer::Global()->set_enabled(true);
   auto profiled = db->Profile(plan);
-  TraceBuffer::Global()->set_enabled(false);
   ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
   EXPECT_EQ(profiled->rows.size(), 400u);
 
@@ -207,20 +200,18 @@ TEST_F(ProfileTest, ProfiledAnalyticQueryReportsStrategyAndTimings) {
   EXPECT_GT(tree.TotalCounter("rows_considered"), 0);
   EXPECT_EQ(tree.TotalCounter("rows_output"), 400);
 
-  // Every per-segment decision in the tree also appears in the trace
-  // ring, verbatim (the two report through one shared detail string).
-  std::set<std::string> traced;
-  for (const TraceEvent& e : TraceBuffer::Global()->Snapshot()) {
-    if (std::string(e.category) == "scan.segment") traced.insert(e.detail);
-  }
-  ASSERT_FALSE(traced.empty());
+  // Every per-segment span carries its strategy decision: a skip, or the
+  // scanned segment's rows_out summary.
   std::vector<const ProfileNode*> seg_nodes = tree.FindAll("segment");
   ASSERT_FALSE(seg_nodes.empty());
   size_t skips = 0;
   for (const ProfileNode* seg : seg_nodes) {
-    EXPECT_EQ(traced.count(seg->detail), 1u)
-        << "segment decision missing from trace ring: " << seg->detail;
-    if (seg->detail.find("strategy=skip") != std::string::npos) ++skips;
+    const bool skipped =
+        seg->detail.find(" strategy=skip") != std::string::npos;
+    EXPECT_TRUE(skipped ||
+                seg->detail.find(" rows_out=") != std::string::npos)
+        << "segment span without a decision: '" << seg->detail << "'";
+    if (skipped) ++skips;
   }
   EXPECT_GT(skips, 0u);
   EXPECT_LT(skips, seg_nodes.size()) << "some segments must be scanned";
