@@ -222,7 +222,9 @@ class DictReader : public ReaderBase<DictReader> {
 
   Value ValueAt(uint32_t row) const override {
     if (IsNull(row)) return Value::Null();
-    return dict_.GetValue(static_cast<size_t>(CodeAt(row)));
+    uint32_t code = CodeAt(row);
+    if (code >= dict_.size()) return Value::Null();
+    return dict_.GetValue(code);
   }
 
   template <typename Rows>

@@ -44,7 +44,8 @@ class ColumnReader {
   /// Point read at a row offset ("seek"). O(1) for plain/bitpack/dict,
   /// O(log runs) for RLE. For LZ each call decompresses the block(s) the
   /// value lies in, so batch reads go through DecodeRows instead. Returns
-  /// null for an LZ value whose block fails to decompress.
+  /// null for an LZ value whose block fails to decompress and for a
+  /// dictionary code past the end of the dictionary.
   virtual Value ValueAt(uint32_t row) const = 0;
 
   /// Full decode, appending all rows to *out. Corruption when the column
@@ -66,7 +67,8 @@ class ColumnReader {
   virtual const ColumnVector* dictionary() const { return nullptr; }
 
   /// Encoded-execution hook: dictionary code for a row (valid only when
-  /// dictionary() != nullptr).
+  /// dictionary() != nullptr). A corrupt column can hold a code past the
+  /// end of the dictionary; callers check.
   virtual uint32_t CodeAt(uint32_t /*row*/) const { return 0; }
 
  protected:

@@ -613,7 +613,11 @@ Result<std::vector<uint32_t>> TableScanner::EvalLeaf(
     }
     for (uint32_t r : rows) {
       if (reader->IsNull(r)) continue;
-      if (pass[reader->CodeAt(r)]) out.push_back(r);
+      uint32_t code = reader->CodeAt(r);
+      if (code >= pass.size()) {
+        return Status::Corruption("dict code out of range");
+      }
+      if (pass[code]) out.push_back(r);
     }
   } else {
     // Regular filter: selectively decode only the candidate rows (late

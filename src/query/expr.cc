@@ -57,7 +57,7 @@ bool LikeMatch(const std::string& text, const std::string& pattern) {
   return p == pattern.size();
 }
 
-Value Expr::Eval(const Row& row) const {
+Value Expr::Eval(std::span<const Value> row) const {
   switch (kind) {
     case Kind::kColumn:
       return row[column];

@@ -2,6 +2,7 @@
 #define S2_QUERY_EXPR_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -9,9 +10,10 @@
 
 namespace s2 {
 
-/// Scalar expression evaluated row-at-a-time over an operator's output row
-/// (scans and filters below are vectorized; expression projection above
-/// them is row-oriented).
+/// Scalar expression evaluated row-at-a-time over one row of an operator's
+/// output: a span of a RowBatch row (query/plan.h) or a whole `Row`. Scans
+/// and filters below the operators are vectorized over columns; expressions
+/// above them are row-oriented.
 class Expr {
  public:
   enum class Kind {
@@ -31,7 +33,7 @@ class Expr {
   enum class Arith { kAdd, kSub, kMul, kDiv };
   enum class Cmp { kEq, kNe, kLt, kLe, kGt, kGe };
 
-  Value Eval(const Row& row) const;
+  Value Eval(std::span<const Value> row) const;
 
   Kind kind = Kind::kConst;
   int column = 0;

@@ -8,13 +8,65 @@
 namespace s2 {
 
 namespace {
-constexpr size_t kBatchRows = 1024;
+
+// A predicate passes a row when its value is neither NULL nor 0.
+bool Passes(const Value& v) { return !v.is_null() && v.as_int() != 0; }
+
+// Drops the rows of `batch` that `predicate` does not pass, moving the
+// kept rows down in place.
+void KeepPassing(const Expr& predicate, RowBatch* batch) {
+  size_t kept = 0;
+  for (size_t i = 0; i < batch->num_rows(); ++i) {
+    if (!Passes(predicate.Eval(batch->row(i)))) continue;
+    if (kept != i) std::ranges::move(batch->row(i), batch->row(kept).begin());
+    ++kept;
+  }
+  batch->Resize(kept);
+}
+
+// Collects an operator's output rows and hands them to the sink in batches
+// of kBatchRows.
+class BatchBuilder {
+ public:
+  explicit BatchBuilder(const BatchSink& sink) : sink_(sink) {}
+
+  // Appends a row of `width` NULLs (the operator's output width) for the
+  // caller to fill; valid until the next AddRow or Flush.
+  std::span<Value> AddRow(size_t width) {
+    if (batch_.empty()) {
+      batch_ = RowBatch(width);
+      batch_.Reserve(kBatchRows);
+    }
+    return batch_.AddRow();
+  }
+
+  // Flushes once the batch holds kBatchRows rows. False when the sink
+  // stopped.
+  bool FlushIfFull() { return batch_.num_rows() < kBatchRows || Flush(); }
+
+  // Hands the rows added so far to the sink. False when the sink stopped.
+  bool Flush() {
+    if (batch_.empty()) return true;
+    bool keep_going = sink_(std::move(batch_));
+    batch_ = RowBatch();
+    return keep_going;
+  }
+
+ private:
+  const BatchSink& sink_;
+  RowBatch batch_;
+};
+
 }  // namespace
 
 Result<std::vector<Row>> RunPlan(PlanNode* plan, QueryContext* ctx) {
   std::vector<Row> out;
-  S2_RETURN_NOT_OK(plan->Execute(ctx, [&](std::vector<Row>&& batch) {
-    for (Row& row : batch) out.push_back(std::move(row));
+  S2_RETURN_NOT_OK(plan->Execute(ctx, [&](RowBatch&& batch) {
+    for (size_t i = 0; i < batch.num_rows(); ++i) {
+      std::span<Value> row = batch.row(i);
+      out.emplace_back(std::make_move_iterator(row.begin()),
+                       std::make_move_iterator(row.end()));
+    }
     return true;
   }));
   return out;
@@ -29,31 +81,46 @@ ScanOp::ScanOp(std::string table, std::vector<int> projection,
       filter_(std::move(filter)),
       post_filter_(std::move(post_filter)) {}
 
+namespace {
+
+// Writes `col` into cell `c` of every row of `out` (one row per column
+// value); NULL cells stay as AddRow/Resize left them.
+void CopyColumn(const ColumnVector& col, size_t c, RowBatch* out) {
+  auto fill = [&](auto value_at) {
+    for (size_t i = 0; i < out->num_rows(); ++i) {
+      if (!col.IsNull(i)) out->row(i)[c] = value_at(i);
+    }
+  };
+  switch (col.type()) {
+    case DataType::kInt64:
+      fill([&](size_t i) { return Value(col.IntAt(i)); });
+      break;
+    case DataType::kDouble:
+      fill([&](size_t i) { return Value(col.DoubleAt(i)); });
+      break;
+    case DataType::kString:
+      fill([&](size_t i) { return Value(col.StringAt(i)); });
+      break;
+  }
+}
+
+}  // namespace
+
 Status ScanOp::Execute(QueryContext* ctx, const BatchSink& sink) {
   S2_ASSIGN_OR_RETURN(UnifiedTable * table, ctx->partition->GetTable(table_));
   ScanOptions options = ctx->scan_options;
   options.projection = projection_;
   options.filter = filter_.get();
   TableScanner scanner(table, options);
-  bool keep_going = true;
   Status s = scanner.Scan(ctx->txn, ctx->read_ts, [&](const ScanBatch& batch) {
-    std::vector<Row> rows;
-    rows.reserve(batch.num_rows);
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      Row row;
-      row.reserve(batch.columns.size());
-      for (const ColumnVector& col : batch.columns) {
-        row.push_back(col.GetValue(i));
-      }
-      if (post_filter_ != nullptr) {
-        Value pass = post_filter_->Eval(row);
-        if (pass.is_null() || pass.as_int() == 0) continue;
-      }
-      rows.push_back(std::move(row));
+    RowBatch rows(batch.columns.size());
+    rows.Resize(batch.num_rows);
+    for (size_t c = 0; c < batch.columns.size(); ++c) {
+      CopyColumn(batch.columns[c], c, &rows);
     }
+    if (post_filter_ != nullptr) KeepPassing(*post_filter_, &rows);
     if (rows.empty()) return true;
-    keep_going = sink(std::move(rows));
-    return keep_going;
+    return sink(std::move(rows));
   });
   stats_ = scanner.stats();
   return s;
@@ -65,15 +132,10 @@ FilterOp::FilterOp(PlanPtr child, ExprPtr predicate)
     : child_(std::move(child)), predicate_(std::move(predicate)) {}
 
 Status FilterOp::Execute(QueryContext* ctx, const BatchSink& sink) {
-  return child_->Execute(ctx, [&](std::vector<Row>&& batch) {
-    std::vector<Row> out;
-    out.reserve(batch.size());
-    for (Row& row : batch) {
-      Value pass = predicate_->Eval(row);
-      if (!pass.is_null() && pass.as_int() != 0) out.push_back(std::move(row));
-    }
-    if (out.empty()) return true;
-    return sink(std::move(out));
+  return child_->Execute(ctx, [&](RowBatch&& batch) {
+    KeepPassing(*predicate_, &batch);
+    if (batch.empty()) return true;
+    return sink(std::move(batch));
   });
 }
 
@@ -83,14 +145,15 @@ ProjectOp::ProjectOp(PlanPtr child, std::vector<ExprPtr> exprs)
     : child_(std::move(child)), exprs_(std::move(exprs)) {}
 
 Status ProjectOp::Execute(QueryContext* ctx, const BatchSink& sink) {
-  return child_->Execute(ctx, [&](std::vector<Row>&& batch) {
-    std::vector<Row> out;
-    out.reserve(batch.size());
-    for (const Row& row : batch) {
-      Row projected;
-      projected.reserve(exprs_.size());
-      for (const ExprPtr& e : exprs_) projected.push_back(e->Eval(row));
-      out.push_back(std::move(projected));
+  return child_->Execute(ctx, [&](RowBatch&& batch) {
+    RowBatch out(exprs_.size());
+    out.Resize(batch.num_rows());
+    for (size_t i = 0; i < batch.num_rows(); ++i) {
+      std::span<const Value> row = batch.row(i);
+      std::span<Value> projected = out.row(i);
+      for (size_t e = 0; e < exprs_.size(); ++e) {
+        projected[e] = exprs_[e]->Eval(row);
+      }
     }
     return sink(std::move(out));
   });
@@ -104,7 +167,8 @@ constexpr uint32_t kNone = HashIndex::kNone;
 
 // A column reference is read from the row in place; any other expression
 // is evaluated into `*scratch`.
-const Value& Resolve(const Expr& e, const Row& row, Value* scratch) {
+const Value& Resolve(const Expr& e, std::span<const Value> row,
+                     Value* scratch) {
   if (e.kind == Expr::Kind::kColumn) return row[e.column];
   *scratch = e.Eval(row);
   return *scratch;
@@ -112,13 +176,13 @@ const Value& Resolve(const Expr& e, const Row& row, Value* scratch) {
 
 // Reads a tuple of key expressions from rows. The KeyRef it returns points
 // into the row or into scratch values reused from row to row, so it is
-// valid until the next Read or until the row moves.
+// valid until the next Read or until the row's values move.
 class KeyReader {
  public:
   explicit KeyReader(const std::vector<ExprPtr>& exprs)
       : exprs_(exprs), scratch_(exprs.size()), values_(exprs.size()) {}
 
-  KeyRef Read(const Row& row) {
+  KeyRef Read(std::span<const Value> row) {
     for (size_t i = 0; i < exprs_.size(); ++i) {
       values_[i] = &Resolve(*exprs_[i], row, &scratch_[i]);
     }
@@ -136,29 +200,64 @@ bool HasNull(KeyRef key) {
                      [](const Value* v) { return v->is_null(); });
 }
 
-// Build side of a hash join: rows in arrival order, one index entry per
-// distinct key (keys stored flat beside it, in first-arrival order), and
-// the rows of each key chained in arrival order.
+// Received batches, kept as they arrived so their rows never move or
+// regrow: row r (counted from 0 in arrival order) is a span into its
+// batch.
+class BatchStore {
+ public:
+  // `width` is the row width until the first batch arrives.
+  explicit BatchStore(size_t width) : width_(width) {}
+
+  // Keeps `batch`; its rows take the next ids.
+  void Add(RowBatch&& batch) {
+    width_ = batch.width();
+    for (size_t i = 0; i < batch.num_rows(); ++i) {
+      rows_.push_back(batch.row(i).data());
+    }
+    batches_.push_back(std::move(batch));  // moving keeps the row storage
+  }
+
+  size_t size() const { return rows_.size(); }
+  size_t width() const { return width_; }
+  std::span<Value> row(size_t r) const { return {rows_[r], width_}; }
+
+ private:
+  size_t width_;
+  std::vector<Value*> rows_;
+  std::vector<RowBatch> batches_;
+};
+
+// Build side of a hash join: the build rows in arrival order, one index
+// entry per distinct key (keys stored flat beside it, in first-arrival
+// order), and the rows of each key chained in arrival order. Rows whose
+// key has a NULL are kept but never match.
 class JoinTable {
  public:
-  explicit JoinTable(size_t key_width) : width_(key_width) {}
+  // `width` is the build row width when no batch arrives.
+  JoinTable(const std::vector<ExprPtr>& key_exprs, size_t width)
+      : key_width_(key_exprs.size()), reader_(key_exprs), rows_(width) {}
 
-  // Adds `row` after the rows already under `key` (which may point into
-  // `row`).
-  void Add(KeyRef key, Row&& row) {
+  // Keeps the rows of `batch`, each after the rows already under its key.
+  void Add(RowBatch&& batch) {
     uint32_t r = static_cast<uint32_t>(rows_.size());
-    auto matches = [&](uint32_t id) { return KeyEqual(key, stored_key(id)); };
-    auto [k, inserted] = index_.FindOrInsert(HashKey(key), matches);
-    if (inserted) {
-      for (const Value* v : key) keys_.push_back(*v);
-      first_.push_back(r);
-      last_.push_back(r);
-    } else {
-      next_[last_[k]] = r;
-      last_[k] = r;
+    rows_.Add(std::move(batch));
+    for (; r < rows_.size(); ++r) {
+      next_.push_back(kNone);
+      KeyRef key = reader_.Read(rows_.row(r));
+      if (HasNull(key)) continue;
+      auto matches = [&](uint32_t id) {
+        return KeyEqual(key, stored_key(id));
+      };
+      auto [k, inserted] = index_.FindOrInsert(HashKey(key), matches);
+      if (inserted) {
+        for (const Value* v : key) keys_.push_back(*v);
+        first_.push_back(r);
+        last_.push_back(r);
+      } else {
+        next_[last_[k]] = r;
+        last_[k] = r;
+      }
     }
-    next_.push_back(kNone);
-    rows_.push_back(std::move(row));
   }
 
   // First row under `key`, or kNone.
@@ -170,20 +269,22 @@ class JoinTable {
 
   // Row after `r` under the same key, or kNone.
   uint32_t Next(uint32_t r) const { return next_[r]; }
-  const Row& row(uint32_t r) const { return rows_[r]; }
+  std::span<const Value> row(uint32_t r) const { return rows_.row(r); }
+  size_t row_width() const { return rows_.width(); }
 
   // Distinct keys k = 0 .. num_keys() - 1, in first-arrival order.
   size_t num_keys() const { return first_.size(); }
-  const Value* stored_key(uint32_t k) const { return &keys_[k * width_]; }
+  const Value* stored_key(uint32_t k) const { return &keys_[k * key_width_]; }
   uint32_t first(uint32_t k) const { return first_[k]; }
 
  private:
-  size_t width_;
+  size_t key_width_;
+  KeyReader reader_;
   HashIndex index_;
-  std::vector<Value> keys_;      // width_ values per key
+  std::vector<Value> keys_;      // key_width_ values per key
   std::vector<uint32_t> first_;  // per key: first row
   std::vector<uint32_t> last_;   // per key: last row
-  std::vector<Row> rows_;
+  BatchStore rows_;
   std::vector<uint32_t> next_;   // per row: next row of its key
 };
 
@@ -204,66 +305,51 @@ HashJoinOp::HashJoinOp(PlanPtr left, PlanPtr right,
 
 Status HashJoinOp::Execute(QueryContext* ctx, const BatchSink& sink) {
   // Build phase on the right child.
-  JoinTable table(right_keys_.size());
-  KeyReader build_keys(right_keys_);
-  S2_RETURN_NOT_OK(right_->Execute(ctx, [&](std::vector<Row>&& batch) {
-    for (Row& row : batch) {
-      KeyRef key = build_keys.Read(row);
-      if (HasNull(key)) continue;  // NULL keys never match
-      table.Add(key, std::move(row));
-    }
+  JoinTable table(right_keys_, right_width_);
+  S2_RETURN_NOT_OK(right_->Execute(ctx, [&](RowBatch&& batch) {
+    table.Add(std::move(batch));
     return true;
   }));
 
   // Probe phase on the left child.
+  const bool filter_only =
+      type_ == JoinType::kSemi || type_ == JoinType::kAnti;
+  const size_t right_width = filter_only ? 0 : table.row_width();
   KeyReader probe_keys(left_keys_);
-  std::vector<Row> out;
-  bool keep_going = true;
-  Status s = left_->Execute(ctx, [&](std::vector<Row>&& batch) {
-    for (Row& row : batch) {
+  BatchBuilder out(sink);
+  S2_RETURN_NOT_OK(left_->Execute(ctx, [&](RowBatch&& batch) {
+    const size_t left_width = batch.width();
+    const size_t width = left_width + right_width;
+    for (size_t i = 0; i < batch.num_rows(); ++i) {
+      std::span<Value> row = batch.row(i);
       KeyRef key = probe_keys.Read(row);
       uint32_t match = HasNull(key) ? kNone : table.Find(key);
-      switch (type_) {
-        case JoinType::kSemi:
-          if (match != kNone) out.push_back(std::move(row));
-          break;
-        case JoinType::kAnti:
-          if (match == kNone) out.push_back(std::move(row));
-          break;
-        case JoinType::kInner:
-        case JoinType::kLeft:
-          if (match != kNone) {
-            // Copy the probe row for every match but the last, which
-            // takes the probe row itself.
-            for (uint32_t next = table.Next(match); next != kNone;
-                 match = next, next = table.Next(next)) {
-              const Row& right_row = table.row(match);
-              Row joined;
-              joined.reserve(row.size() + right_row.size());
-              joined.insert(joined.end(), row.begin(), row.end());
-              joined.insert(joined.end(), right_row.begin(), right_row.end());
-              out.push_back(std::move(joined));
-            }
-            const Row& last = table.row(match);
-            row.reserve(row.size() + last.size());
-            row.insert(row.end(), last.begin(), last.end());
-            out.push_back(std::move(row));
-          } else if (type_ == JoinType::kLeft) {
-            row.resize(row.size() + right_width_);  // NULL padding
-            out.push_back(std::move(row));
-          }
-          break;
+      if (filter_only) {
+        if ((match != kNone) == (type_ == JoinType::kSemi)) {
+          std::ranges::move(row, out.AddRow(width).begin());
+        }
+      } else if (match != kNone) {
+        // Copy the probe row for every match but the last, which takes
+        // the probe row's values.
+        for (uint32_t next = table.Next(match); next != kNone;
+             match = next, next = table.Next(next)) {
+          std::span<Value> joined = out.AddRow(width);
+          std::ranges::copy(row, joined.begin());
+          std::ranges::copy(table.row(match), joined.begin() + left_width);
+          if (!out.FlushIfFull()) return false;
+        }
+        std::span<Value> joined = out.AddRow(width);
+        std::ranges::move(row, joined.begin());
+        std::ranges::copy(table.row(match), joined.begin() + left_width);
+      } else if (type_ == JoinType::kLeft) {
+        // The right columns stay NULL.
+        std::ranges::move(row, out.AddRow(width).begin());
       }
-      if (out.size() >= kBatchRows) {
-        keep_going = sink(std::move(out));
-        out.clear();
-        if (!keep_going) return false;
-      }
+      if (!out.FlushIfFull()) return false;
     }
     return true;
-  });
-  S2_RETURN_NOT_OK(s);
-  if (keep_going && !out.empty()) sink(std::move(out));
+  }));
+  out.Flush();  // a no-op once the sink has stopped: nothing is pending
   return Status::OK();
 }
 
@@ -284,15 +370,11 @@ IndexJoinOp::IndexJoinOp(std::string table, std::vector<int> projection,
 Status IndexJoinOp::Execute(QueryContext* ctx, const BatchSink& sink) {
   S2_ASSIGN_OR_RETURN(UnifiedTable * table, ctx->partition->GetTable(table_));
 
-  // Materialize the build side, grouped by key.
-  JoinTable build_rows(1);
-  Value scratch;
-  S2_RETURN_NOT_OK(build_->Execute(ctx, [&](std::vector<Row>&& batch) {
-    for (Row& row : batch) {
-      const Value* key = &Resolve(*build_key_, row, &scratch);
-      if (key->is_null()) continue;
-      build_rows.Add(KeyRef(&key, 1), std::move(row));
-    }
+  // Keep the build side, grouped by key.
+  const std::vector<ExprPtr> build_keys = {build_key_};
+  JoinTable build_rows(build_keys, 0);
+  S2_RETURN_NOT_OK(build_->Execute(ctx, [&](RowBatch&& batch) {
+    build_rows.Add(std::move(batch));
     return true;
   }));
   stats_.distinct_keys = build_rows.num_keys();
@@ -303,23 +385,20 @@ Status IndexJoinOp::Execute(QueryContext* ctx, const BatchSink& sink) {
       max_key_fraction_ * static_cast<double>(table_rows);
   stats_.used_index = use_index;
 
-  std::vector<Row> out;
-  bool keep_going = true;
-  // Joins `table_row` with the build rows chained from `match`.
-  auto emit = [&](const Row& table_row, uint32_t match) -> bool {
+  const size_t table_width = projection_.size();
+  const size_t width = table_width + build_rows.row_width();
+  BatchBuilder out(sink);
+  // The projected table row of the current match, reused row to row.
+  Row projected(table_width);
+  // Joins `projected` with the build rows chained from `match`.
+  auto emit = [&](uint32_t match) -> bool {
     for (; match != kNone; match = build_rows.Next(match)) {
-      const Row& build_row = build_rows.row(match);
-      Row joined;
-      joined.reserve(projection_.size() + build_row.size());
-      for (int c : projection_) joined.push_back(table_row[c]);
-      joined.insert(joined.end(), build_row.begin(), build_row.end());
-      out.push_back(std::move(joined));
+      std::span<Value> joined = out.AddRow(width);
+      std::ranges::copy(projected, joined.begin());
+      std::ranges::copy(build_rows.row(match), joined.begin() + table_width);
+      if (!out.FlushIfFull()) return false;
     }
-    if (out.size() >= kBatchRows) {
-      keep_going = sink(std::move(out));
-      out.clear();
-    }
-    return keep_going;
+    return true;
   };
 
   if (use_index) {
@@ -334,7 +413,10 @@ Status IndexJoinOp::Execute(QueryContext* ctx, const BatchSink& sink) {
             if (table_filter_ != nullptr && !table_filter_->EvalRow(row)) {
               return true;
             }
-            if (!emit(row, build_rows.first(k))) {
+            for (size_t j = 0; j < table_width; ++j) {
+              projected[j] = row[projection_[j]];
+            }
+            if (!emit(build_rows.first(k))) {
               stopped = true;
               return false;
             }
@@ -343,29 +425,30 @@ Status IndexJoinOp::Execute(QueryContext* ctx, const BatchSink& sink) {
       if (stopped) return Status::OK();
     }
   } else {
-    // Fallback: full scan of the table, hash probe per row.
+    // Fallback: full scan of the table, hash probe per row on the probe
+    // column; only rows with a match are materialized.
     ScanOptions options = ctx->scan_options;
     options.filter = table_filter_.get();
     TableScanner scanner(table, options);  // full-row projection for filter
-    Status s = scanner.Scan(
+    Value key;
+    const Value* key_ref = &key;
+    S2_RETURN_NOT_OK(scanner.Scan(
         ctx->txn, ctx->read_ts, [&](const ScanBatch& batch) {
+          const ColumnVector& probe = batch.columns[probe_col_];
           for (size_t i = 0; i < batch.num_rows; ++i) {
-            Row row;
-            row.reserve(batch.columns.size());
-            for (const ColumnVector& col : batch.columns) {
-              row.push_back(col.GetValue(i));
-            }
-            const Value* key = &row[probe_col_];
-            if (key->is_null()) continue;
-            uint32_t match = build_rows.Find(KeyRef(&key, 1));
+            if (probe.IsNull(i)) continue;
+            key = probe.GetValue(i);
+            uint32_t match = build_rows.Find(KeyRef(&key_ref, 1));
             if (match == kNone) continue;
-            if (!emit(row, match)) return false;
+            for (size_t j = 0; j < table_width; ++j) {
+              projected[j] = batch.columns[projection_[j]].GetValue(i);
+            }
+            if (!emit(match)) return false;
           }
           return true;
-        });
-    S2_RETURN_NOT_OK(s);
+        }));
   }
-  if (keep_going && !out.empty()) sink(std::move(out));
+  out.Flush();
   return Status::OK();
 }
 
@@ -481,8 +564,9 @@ Status AggregateOp::Execute(QueryContext* ctx, const BatchSink& sink) {
 
   KeyReader group_reader(group_by_);
   std::vector<Value> scratch(aggs_.size());
-  S2_RETURN_NOT_OK(child_->Execute(ctx, [&](std::vector<Row>&& batch) {
-    for (const Row& row : batch) {
+  S2_RETURN_NOT_OK(child_->Execute(ctx, [&](RowBatch&& batch) {
+    for (size_t i = 0; i < batch.num_rows(); ++i) {
+      std::span<const Value> row = batch.row(i);
       uint32_t g = 0;
       if (width > 0) {
         KeyRef key = group_reader.Read(row);
@@ -506,24 +590,18 @@ Status AggregateOp::Execute(QueryContext* ctx, const BatchSink& sink) {
     return true;
   }));
 
-  std::vector<Row> out;
+  BatchBuilder out(sink);
   for (uint32_t g = 0; g < group_rows.size(); ++g) {
-    Row row;
-    row.reserve(width + aggs_.size());
+    std::span<Value> row = out.AddRow(width + aggs_.size());
     auto keys = group_keys.begin() + g * width;
-    row.insert(row.end(), std::make_move_iterator(keys),
-               std::make_move_iterator(keys + width));
+    std::move(keys, keys + width, row.begin());
     for (size_t a = 0; a < aggs_.size(); ++a) {
-      row.push_back(
-          columns[a].Finish(g, group_rows[g], aggs_[a].expr == nullptr));
+      row[width + a] =
+          columns[a].Finish(g, group_rows[g], aggs_[a].expr == nullptr);
     }
-    out.push_back(std::move(row));
-    if (out.size() >= kBatchRows) {
-      if (!sink(std::move(out))) return Status::OK();
-      out.clear();
-    }
+    if (!out.FlushIfFull()) return Status::OK();
   }
-  if (!out.empty()) sink(std::move(out));
+  out.Flush();
   return Status::OK();
 }
 
@@ -533,9 +611,9 @@ SortOp::SortOp(PlanPtr child, std::vector<SortKey> keys)
     : child_(std::move(child)), keys_(std::move(keys)) {}
 
 Status SortOp::Execute(QueryContext* ctx, const BatchSink& sink) {
-  std::vector<Row> rows;
-  S2_RETURN_NOT_OK(child_->Execute(ctx, [&](std::vector<Row>&& batch) {
-    for (Row& row : batch) rows.push_back(std::move(row));
+  BatchStore rows(0);
+  S2_RETURN_NOT_OK(child_->Execute(ctx, [&](RowBatch&& batch) {
+    rows.Add(std::move(batch));
     return true;
   }));
   // Evaluate every sort key once per row: column references point into
@@ -548,11 +626,11 @@ Status SortOp::Execute(QueryContext* ctx, const BatchSink& sink) {
     const Expr& e = *keys_[k].expr;
     if (e.kind != Expr::Kind::kColumn) {
       computed[k].reserve(n);
-      for (const Row& row : rows) computed[k].push_back(e.Eval(row));
+      for (size_t i = 0; i < n; ++i) computed[k].push_back(e.Eval(rows.row(i)));
     }
     for (size_t i = 0; i < n; ++i) {
       key_values[i * width + k] = e.kind == Expr::Kind::kColumn
-                                      ? &rows[i][e.column]
+                                      ? &rows.row(i)[e.column]
                                       : &computed[k][i];
     }
   }
@@ -567,10 +645,13 @@ Status SortOp::Execute(QueryContext* ctx, const BatchSink& sink) {
     }
     return false;
   });
-  std::vector<Row> sorted;
-  sorted.reserve(n);
-  for (uint32_t i : order) sorted.push_back(std::move(rows[i]));
-  sink(std::move(sorted));
+  // Gather the rows in sorted order, moving their values out.
+  BatchBuilder out(sink);
+  for (uint32_t i : order) {
+    std::ranges::move(rows.row(i), out.AddRow(rows.width()).begin());
+    if (!out.FlushIfFull()) return Status::OK();
+  }
+  out.Flush();
   return Status::OK();
 }
 
@@ -581,10 +662,10 @@ LimitOp::LimitOp(PlanPtr child, size_t limit)
 
 Status LimitOp::Execute(QueryContext* ctx, const BatchSink& sink) {
   size_t emitted = 0;
-  return child_->Execute(ctx, [&](std::vector<Row>&& batch) {
+  return child_->Execute(ctx, [&](RowBatch&& batch) {
     if (emitted >= limit_) return false;
-    if (emitted + batch.size() > limit_) batch.resize(limit_ - emitted);
-    emitted += batch.size();
+    if (emitted + batch.num_rows() > limit_) batch.Resize(limit_ - emitted);
+    emitted += batch.num_rows();
     bool keep_going = sink(std::move(batch));
     return keep_going && emitted < limit_;
   });
@@ -592,11 +673,21 @@ Status LimitOp::Execute(QueryContext* ctx, const BatchSink& sink) {
 
 // --- ValuesOp ---
 
-ValuesOp::ValuesOp(std::vector<Row> rows) : rows_(std::move(rows)) {}
+ValuesOp::ValuesOp(std::vector<Row> rows)
+    : rows_(rows.empty() ? 0 : rows.front().size()) {
+  rows_.Reserve(rows.size());
+  for (Row& row : rows) {
+    if (row.size() != rows_.width()) {
+      status_ = Status::InvalidArgument("ValuesOp rows differ in width");
+      return;
+    }
+    std::ranges::move(row, rows_.AddRow().begin());
+  }
+}
 
 Status ValuesOp::Execute(QueryContext* /*ctx*/, const BatchSink& sink) {
-  std::vector<Row> copy = rows_;
-  sink(std::move(copy));
+  S2_RETURN_NOT_OK(status_);
+  if (!rows_.empty()) sink(RowBatch(rows_));  // the sink may move values out
   return Status::OK();
 }
 

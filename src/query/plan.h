@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,11 +24,63 @@ struct QueryContext {
   ScanOptions scan_options;
 };
 
-/// Receives batches of output rows; returns false to stop (LIMIT).
-using BatchSink = std::function<bool(std::vector<Row>&&)>;
+/// The unit operators exchange: `num_rows()` rows of `width()` values
+/// each, row-major in one vector, so row i is the values
+/// [i * width, (i + 1) * width). A batch costs one allocation however many
+/// rows it holds. Every batch one operator emits has the same width.
+///
+/// A sink owns the batch it receives: it may keep it, or move values out
+/// of its rows. A moved-from batch keeps its row count, so it must be
+/// reassigned before it is used again. RunPlan is the only place rows
+/// become `Row`s.
+class RowBatch {
+ public:
+  explicit RowBatch(size_t width = 0) : width_(width) {}
 
-/// A push-model physical operator. Scans and filters below are vectorized
-/// (exec module); operators exchange row batches.
+  size_t width() const { return width_; }
+  size_t num_rows() const { return num_rows_; }
+  bool empty() const { return num_rows_ == 0; }
+
+  std::span<const Value> row(size_t i) const {
+    return {values_.data() + i * width_, width_};
+  }
+  std::span<Value> row(size_t i) {
+    return {values_.data() + i * width_, width_};
+  }
+
+  void Reserve(size_t rows) { values_.reserve(rows * width_); }
+
+  /// Keeps the first `rows` rows, or appends rows of NULLs up to `rows`.
+  void Resize(size_t rows) {
+    values_.resize(rows * width_);
+    num_rows_ = rows;
+  }
+
+  /// Appends a row of NULLs for the caller to fill. The span is valid
+  /// until the batch next grows.
+  std::span<Value> AddRow() {
+    Resize(num_rows_ + 1);
+    return row(num_rows_ - 1);
+  }
+
+ private:
+  size_t width_;
+  size_t num_rows_ = 0;
+  std::vector<Value> values_;
+};
+
+/// Rows per batch for operators that build their own output (joins,
+/// aggregation, sort). Scans pass on the scanner's batches, and filters,
+/// projections and limits keep their input's batches.
+inline constexpr size_t kBatchRows = 1024;
+
+/// Receives batches of output rows (never an empty one); returns false to
+/// stop (LIMIT).
+using BatchSink = std::function<bool(RowBatch&&)>;
+
+/// A push-model physical operator. Scans and filters below it are
+/// vectorized over columns (exec module); operators above the scan
+/// exchange RowBatches and evaluate expressions row by row over them.
 class PlanNode {
  public:
   virtual ~PlanNode() = default;
@@ -36,7 +89,7 @@ class PlanNode {
 
 using PlanPtr = std::unique_ptr<PlanNode>;
 
-/// Materializes a plan's full result.
+/// Materializes a plan's full result, one `Row` per batch row.
 Result<std::vector<Row>> RunPlan(PlanNode* plan, QueryContext* ctx);
 
 // ---------------------------------------------------------------------------
@@ -46,7 +99,8 @@ Result<std::vector<Row>> RunPlan(PlanNode* plan, QueryContext* ctx);
 /// Vectorized adaptive table scan (wraps exec::TableScanner). `filter` is
 /// the pushed-down condition tree; `post_filter` handles residual
 /// predicates the tree cannot express (e.g. column-vs-column comparisons),
-/// evaluated against the projected row.
+/// evaluated against the projected row. Emits one RowBatch per scanner
+/// batch, written straight from its columns.
 class ScanOp : public PlanNode {
  public:
   ScanOp(std::string table, std::vector<int> projection,
@@ -88,7 +142,8 @@ class ProjectOp : public PlanNode {
 
 enum class JoinType { kInner, kLeft, kSemi, kAnti };
 
-/// Hash join: builds on the right child, streams the left. Output schema:
+/// Hash join: builds on the right child (keeping its batches as they
+/// arrive), streams the left. Output schema:
 /// left columns ++ right columns (inner/left; right padded with NULLs for
 /// unmatched left rows) or left columns only (semi/anti).
 ///
@@ -179,8 +234,9 @@ struct SortKey {
   bool descending = false;
 };
 
-/// Full, stable sort (materializes the child). Each key is evaluated once
-/// per row; rows with equal keys keep their input order.
+/// Full, stable sort. Keeps the child's batches, evaluates each key once
+/// per row, then gathers the rows in sorted order into new batches; rows
+/// with equal keys keep their input order.
 class SortOp : public PlanNode {
  public:
   SortOp(PlanPtr child, std::vector<SortKey> keys);
@@ -202,13 +258,16 @@ class LimitOp : public PlanNode {
 };
 
 /// Re-emits a pre-materialized rowset (for scalar-subquery composition).
+/// Rows of unequal width make Execute fail with InvalidArgument: a batch
+/// has one width.
 class ValuesOp : public PlanNode {
  public:
   explicit ValuesOp(std::vector<Row> rows);
   Status Execute(QueryContext* ctx, const BatchSink& sink) override;
 
  private:
-  std::vector<Row> rows_;
+  RowBatch rows_;
+  Status status_;
 };
 
 }  // namespace s2

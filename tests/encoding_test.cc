@@ -395,6 +395,11 @@ TEST(EncodingTest, DictCodeOutOfRangeIsCorruption) {
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   ColumnVector out(DataType::kInt64);
   EXPECT_TRUE((*reader)->DecodeRows({0, 2}, &out).IsCorruption());
+  // A point read of the bad code is NULL, as for an unreadable LZ value;
+  // the good codes still read.
+  EXPECT_EQ((*reader)->ValueAt(1), Value(int64_t{1}));
+  EXPECT_TRUE((*reader)->ValueAt(2).is_null());
+  EXPECT_TRUE((*reader)->ValueAt(3).is_null());
 }
 
 TEST(EncodingTest, CompressionActuallyShrinks) {

@@ -8,6 +8,8 @@
 #include "common/env.h"
 #include "common/profile.h"
 #include "common/rng.h"
+#include "encoding/bitpack.h"
+#include "encoding/encoding.h"
 #include "exec/filter.h"
 #include "exec/table_scanner.h"
 #include "storage/partition.h"
@@ -408,6 +410,82 @@ TEST_F(ExecTest, AdaptiveReorderSortsSparingly) {
   EXPECT_EQ(RunScan(no_adapt, &stats_off), Expected(filter.get()));
   EXPECT_EQ(stats_off.reorder_sorts, 0u)
       << "no sorting when adaptive reorder is disabled";
+}
+
+// A dictionary code past the end of the dictionary fails the encoded
+// filter with Corruption, as it fails DecodeRows, instead of reading past
+// the filter's per-entry pass table.
+TEST(ExecCorruptionTest, DictCodeOutOfRangeInEncodedFilter) {
+  auto dir = MakeTempDir("s2-exec-corrupt");
+  ASSERT_TRUE(dir.ok());
+  PartitionOptions opts;
+  opts.dir = *dir;
+  opts.background_uploads = false;
+  opts.auto_maintain = false;
+  TableOptions table_opts;
+  table_opts.schema = Schema({{"id", DataType::kInt64},
+                              {"tag", DataType::kString}});
+  table_opts.sort_key = {0};
+  table_opts.segment_rows = 64;
+  // 64 rows with 3 distinct tags: a dictionary of 3 entries, 2-bit codes.
+  constexpr int64_t kRows = 64;
+  ColumnVector tags(DataType::kString);
+  {
+    auto partition = std::make_unique<Partition>(opts);
+    ASSERT_TRUE(partition->Init().ok());
+    auto table = partition->CreateTable("t", table_opts);
+    ASSERT_TRUE(table.ok());
+    for (int64_t i = 0; i < kRows; ++i) {
+      std::string tag = "tag" + std::to_string(i % 3);
+      tags.AppendString(tag);
+      auto h = partition->Begin();
+      ASSERT_TRUE(
+          (*table)->InsertRows(h.id, h.read_ts, {{Value(i), Value(tag)}}).ok());
+      ASSERT_TRUE(partition->Commit(h.id).ok());
+    }
+    ASSERT_TRUE((*table)->FlushRowstore().ok());
+    ASSERT_EQ((*table)->NumSegments(), 1u);
+  }
+
+  // Find the tag column's block in the segment file and set row 0's code
+  // to 3, one past the dictionary.
+  auto block = EncodeColumn(tags, Encoding::kDict);
+  ASSERT_TRUE(block.ok());
+  std::string files_dir = *dir + "/files";
+  auto names = ListDir(files_dir);
+  ASSERT_TRUE(names.ok());
+  int corrupted = 0;
+  for (const std::string& name : *names) {
+    std::string path = files_dir + "/" + name;
+    auto file = ReadFileToString(path);
+    ASSERT_TRUE(file.ok());
+    size_t at = file->find(*block);
+    if (at == std::string::npos) continue;
+    size_t codes = at + block->size() - BitPackedBytes(kRows, 2);
+    (*file)[codes] = static_cast<char>((*file)[codes] | 0x3);
+    ASSERT_TRUE(WriteFileAtomic(path, *file).ok());
+    ++corrupted;
+  }
+  ASSERT_EQ(corrupted, 1);
+
+  // Reopen, so the segment is read back from the corrupted file.
+  auto partition = std::make_unique<Partition>(opts);
+  ASSERT_TRUE(partition->Init().ok());
+  auto table = partition->GetTable("t");
+  ASSERT_TRUE(table.ok());
+  auto filter = FilterEq(1, Value("tag1"));
+  ScanOptions options;
+  options.projection = {0};
+  options.filter = filter.get();
+  TableScanner scanner(*table, options);
+  auto h = partition->Begin();
+  Status s = scanner.Scan(h.id, h.read_ts,
+                          [](const ScanBatch&) { return true; });
+  partition->EndRead(h.id);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(scanner.stats().encoded_filter_uses, 1u);
+  partition.reset();
+  (void)RemoveDirRecursive(*dir);
 }
 
 }  // namespace

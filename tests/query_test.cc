@@ -791,5 +791,177 @@ TEST(HashOperatorTest, SortEvaluatesKeysAndKeepsTies) {
   EXPECT_EQ(order, "eacbd");
 }
 
+// --- Batch boundaries ---
+
+// Runs `plan` and keeps every batch its sink receives, as rows.
+std::vector<std::vector<Row>> CollectBatches(PlanNode* plan,
+                                             QueryContext* ctx) {
+  std::vector<std::vector<Row>> batches;
+  Status s = plan->Execute(ctx, [&](RowBatch&& batch) {
+    EXPECT_FALSE(batch.empty()) << "sinks never receive an empty batch";
+    std::vector<Row>& rows = batches.emplace_back();
+    for (size_t i = 0; i < batch.num_rows(); ++i) {
+      std::span<const Value> row = batch.row(i);
+      rows.emplace_back(row.begin(), row.end());
+    }
+    return true;
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return batches;
+}
+
+std::vector<Row> Concat(const std::vector<std::vector<Row>>& batches) {
+  std::vector<Row> rows;
+  for (const std::vector<Row>& batch : batches) {
+    rows.insert(rows.end(), batch.begin(), batch.end());
+  }
+  return rows;
+}
+
+// Forwards its child's batches and counts them.
+class CountingOp : public PlanNode {
+ public:
+  explicit CountingOp(PlanPtr child) : child_(std::move(child)) {}
+  Status Execute(QueryContext* ctx, const BatchSink& sink) override {
+    return child_->Execute(ctx, [&](RowBatch&& batch) {
+      ++batches_;
+      return sink(std::move(batch));
+    });
+  }
+  size_t batches() const { return batches_; }
+
+ private:
+  PlanPtr child_;
+  size_t batches_ = 0;
+};
+
+TEST(BatchBoundaryTest, JoinMatchesStraddleTheBatchBoundary) {
+  // 1500 build rows under key 7: the first probe row alone produces more
+  // than one output batch.
+  std::vector<Row> right;
+  for (int64_t i = 0; i < 1500; ++i) right.push_back({Value(int64_t{7}), i});
+  std::vector<Row> left = {{Value(int64_t{7}), Value("a")},
+                           {Value(int64_t{8}), Value("x")},
+                           {Value(int64_t{7}), Value("b")}};
+  HashJoinOp join(std::make_unique<ValuesOp>(left),
+                  std::make_unique<ValuesOp>(right), {Col(0)}, {Col(0)},
+                  JoinType::kInner, 2);
+  QueryContext ctx;
+  auto batches = CollectBatches(&join, &ctx);
+  ASSERT_EQ(batches.size(), 3u);
+  EXPECT_EQ(batches[0].size(), kBatchRows);
+  EXPECT_EQ(batches[1].size(), kBatchRows);
+  EXPECT_EQ(batches[2].size(), 3000 - 2 * kBatchRows);
+  std::vector<Row> want;
+  for (const Row& l : {left[0], left[2]}) {
+    for (const Row& r : right) want.push_back({l[0], l[1], r[0], r[1]});
+  }
+  ExpectSameRows(Concat(batches), want);
+}
+
+TEST(BatchBoundaryTest, LimitEndsMidBatchAndOnABoundary) {
+  // Sorting 3000 rows emits batches of kBatchRows, kBatchRows and 952.
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 3000; ++i) rows.push_back({Value(2999 - i)});
+  auto sorted = [&] {
+    return std::make_unique<SortOp>(std::make_unique<ValuesOp>(rows),
+                                    std::vector<SortKey>{{Col(0), false}});
+  };
+  for (size_t limit : {kBatchRows + 100, 2 * kBatchRows}) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    auto counting = std::make_unique<CountingOp>(sorted());
+    CountingOp* child = counting.get();
+    LimitOp op(std::move(counting), limit);
+    QueryContext ctx;
+    auto batches = CollectBatches(&op, &ctx);
+    ASSERT_EQ(batches.size(), 2u);
+    EXPECT_EQ(batches[0].size(), kBatchRows);
+    EXPECT_EQ(batches[1].size(), limit - kBatchRows);
+    std::vector<Row> got = Concat(batches);
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i][0], Value(static_cast<int64_t>(i))) << i;
+    }
+    // The limit stops its child once it has its rows: no third batch.
+    EXPECT_EQ(child->batches(), 2u);
+  }
+}
+
+TEST_F(QueryTest, PostFilterRejectsAWholeBatchOrItsLastRow) {
+  auto ctx = Ctx();
+  auto scan = [&](ExprPtr post) {
+    return std::make_unique<ScanOp>("orders", std::vector<int>{0, 2}, nullptr,
+                                    std::move(post));
+  };
+  auto all_op = scan(nullptr);
+  std::vector<std::vector<Row>> all = CollectBatches(all_op.get(), &ctx);
+  ASSERT_GE(all.size(), 2u);
+  std::vector<Row> first = all[0];
+  ASSERT_GE(first.size(), 2u);
+  // The first batch holds a contiguous range of order ids.
+  int64_t lo = first.front()[0].as_int();
+  int64_t hi = first.back()[0].as_int();
+  ASSERT_EQ(hi - lo + 1, static_cast<int64_t>(first.size()));
+
+  // Reject every row of the first batch: it is dropped, not sent empty.
+  auto outside = Or(Lt(Col(0), Lit(Value(lo))), Gt(Col(0), Lit(Value(hi))));
+  auto none_op = scan(outside);
+  std::vector<std::vector<Row>> none = CollectBatches(none_op.get(), &ctx);
+  ASSERT_EQ(none.size(), all.size() - 1);
+  for (size_t b = 0; b < none.size(); ++b) {
+    ExpectSameRows(none[b], all[b + 1]);
+  }
+
+  // Reject only the first batch's last row.
+  auto not_last = scan(Ne(Col(0), Lit(Value(hi))));
+  std::vector<std::vector<Row>> trimmed = CollectBatches(not_last.get(), &ctx);
+  ASSERT_EQ(trimmed.size(), all.size());
+  first.pop_back();
+  ExpectSameRows(trimmed[0], first);
+  for (size_t b = 1; b < trimmed.size(); ++b) {
+    ExpectSameRows(trimmed[b], all[b]);
+  }
+  // And one row in the middle: the rows after it move down in place.
+  auto not_middle = scan(Ne(Col(0), Lit(Value(lo + 1))));
+  std::vector<Row> got = Concat(CollectBatches(not_middle.get(), &ctx));
+  std::vector<Row> want = Concat(all);
+  want.erase(want.begin() + 1);
+  ExpectSameRows(got, want);
+  partition_->EndRead(ctx.txn);
+}
+
+TEST_F(QueryTest, LeftJoinWithEmptyBuildPadsRightWidth) {
+  auto ctx = Ctx();
+  auto join = std::make_unique<HashJoinOp>(
+      std::make_unique<ScanOp>("customers", std::vector<int>{0, 1}),
+      std::make_unique<ScanOp>("orders", std::vector<int>{1, 2, 3},
+                               FilterEq(0, Value(int64_t{99999}))),
+      std::vector<ExprPtr>{Col(0)}, std::vector<ExprPtr>{Col(0)},
+      JoinType::kLeft, 3);
+  auto rows = RunPlan(join.get(), &ctx);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 10u);
+  for (const Row& row : *rows) {
+    ASSERT_EQ(row.size(), 5u);
+    EXPECT_TRUE(row[1].is_string());
+    EXPECT_TRUE(row[2].is_null() && row[3].is_null() && row[4].is_null());
+  }
+  partition_->EndRead(ctx.txn);
+}
+
+TEST(BatchBoundaryTest, SortOverZeroRows) {
+  SortOp sort(std::make_unique<ValuesOp>(std::vector<Row>{}),
+              {{Col(0), false}});
+  QueryContext ctx;
+  EXPECT_TRUE(CollectBatches(&sort, &ctx).empty());
+}
+
+TEST(BatchBoundaryTest, ValuesOfUnequalWidthAreInvalid) {
+  ValuesOp values({{Value(int64_t{1}), Value(int64_t{2})},
+                   {Value(int64_t{3})}});
+  QueryContext ctx;
+  auto rows = RunPlan(&values, &ctx);
+  EXPECT_TRUE(rows.status().IsInvalidArgument()) << rows.status().ToString();
+}
+
 }  // namespace
 }  // namespace s2
