@@ -22,17 +22,8 @@ Status Cluster::Start() {
   for (int p = 0; p < options_.num_partitions; ++p) {
     PartitionSite& site = sites_[p];
     site.master_node = p % options_.num_nodes;
-    PartitionOptions popts;
-    popts.dir = options_.dir + "/part" + std::to_string(p);
-    popts.blob = options_.blob;
-    popts.blob_prefix = PartitionPrefix(p);
-    popts.cache_bytes = options_.cache_bytes;
-    popts.auto_maintain = options_.auto_maintain;
-    popts.background_uploads = options_.background_uploads;
-    popts.sync_blob_commit = options_.sync_blob_commit;
-    popts.executor = executor_.get();
-    popts.env = options_.env;
-    site.master = std::make_unique<Partition>(popts);
+    site.master = std::make_unique<Partition>(
+        MasterOptions(p, options_.dir + "/part" + std::to_string(p)));
     S2_RETURN_NOT_OK(site.master->Init());
     masters_[p] = site.master.get();
     master_node_[p] = site.master_node;
@@ -44,6 +35,20 @@ Status Cluster::Start() {
     }
   }
   return Status::OK();
+}
+
+PartitionOptions Cluster::MasterOptions(int p, std::string dir) const {
+  PartitionOptions popts;
+  popts.dir = std::move(dir);
+  popts.blob = options_.blob;
+  popts.blob_prefix = PartitionPrefix(p);
+  popts.cache_bytes = options_.cache_bytes;
+  popts.auto_maintain = options_.auto_maintain;
+  popts.background_uploads = options_.background_uploads;
+  popts.sync_blob_commit = options_.sync_blob_commit;
+  popts.executor = executor_.get();
+  popts.env = options_.env;
+  return popts;
 }
 
 void Cluster::WireFileHook(int p) {
@@ -237,16 +242,11 @@ Result<std::vector<Row>> Cluster::ScatterQuery(
     part_span.Count("rows", static_cast<int64_t>(results[p].size()));
     return Status::OK();
   };
-  Executor* ex = executor_.get();
-  if (ex->num_threads() > 1 && n > 1) {
-    S2_RETURN_NOT_OK(ex->ParallelFor(static_cast<size_t>(n), run_one,
-                                     &cancel));
-  } else {
-    for (int p = 0; p < n; ++p) S2_RETURN_NOT_OK(run_one(p));
-  }
+  S2_RETURN_NOT_OK(
+      executor_->ParallelFor(static_cast<size_t>(n), run_one, &cancel));
 
   // Gather: concatenate in partition order so results are deterministic
-  // and identical to the serial scatter.
+  // and identical at every executor size.
   size_t total = 0;
   for (const auto& rows : results) total += rows.size();
   std::vector<Row> out;
@@ -310,7 +310,8 @@ Result<int> Cluster::RunFailureDetector() {
       return Status::Unavailable(
           "partition lost: no replica on a live node (all copies gone)");
     }
-    S2_ASSIGN_OR_RETURN(Partition * new_master, chosen->Promote());
+    S2_ASSIGN_OR_RETURN(Partition * new_master,
+                        chosen->Promote(MasterOptions(p, chosen->dir())));
     S2_JOURNAL("cluster", "replica_promoted",
                "partition=" + std::to_string(p) +
                    " node=" + std::to_string(chosen_node));
@@ -433,12 +434,7 @@ Status Cluster::Maintain(ProfileCollector* profile) {
     if (span.active()) span.SetDetail("p=" + std::to_string(p));
     return masters_[p]->Maintain();
   };
-  Executor* ex = executor_.get();
-  if (ex->num_threads() > 1 && n > 1) {
-    return ex->ParallelFor(static_cast<size_t>(n), run_one);
-  }
-  for (int p = 0; p < n; ++p) S2_RETURN_NOT_OK(run_one(static_cast<size_t>(p)));
-  return Status::OK();
+  return executor_->ParallelFor(static_cast<size_t>(n), run_one);
 }
 
 std::vector<Cluster::ReplicaState> Cluster::ReplicaStates() const {

@@ -33,9 +33,11 @@ struct ClusterOptions {
   bool background_uploads = false;
   /// Forwarded to every partition (CDW baseline).
   bool sync_blob_commit = false;
-  /// Worker threads in the cluster's shared executor, used for query
-  /// fan-out, parallel segment scans, maintenance and background uploads.
-  /// 0 = hardware concurrency; 1 = fully serial execution.
+  /// Threads in the cluster's shared executor, used for query fan-out,
+  /// parallel segment scans, per-partition maintenance and background
+  /// uploads. A parallel loop counts its calling thread as one of them, so
+  /// 1 runs every loop inline on the caller (uploads still run on the one
+  /// pool thread). 0 = hardware concurrency.
   size_t num_exec_threads = 0;
   /// Filesystem for every partition's and replica's local state. Not
   /// owned; null = Env::Default().
@@ -158,8 +160,9 @@ class Cluster {
       int partition_id, Lsn lsn, const std::string& dir);
 
   /// Flush/merge/vacuum every partition; partitions run in parallel on the
-  /// cluster executor. With a profile, each partition's maintenance task
-  /// records a child span (flush/merge spans nest under it).
+  /// cluster executor, each partition's tables one after another. With a
+  /// profile, each partition's maintenance task records a child span
+  /// (flush/merge spans nest under it).
   Status Maintain(ProfileCollector* profile = nullptr);
 
   /// Live replication state of every HA and workspace replica, for the
@@ -221,6 +224,10 @@ class Cluster {
   std::string PartitionPrefix(int id) const {
     return "part" + std::to_string(id) + "/";
   }
+  /// Options for partition_id's master rooted at `dir`: used at Start and
+  /// for a replica promoted on failover, so both see the same executor,
+  /// uploads, cache budget and maintenance settings.
+  PartitionOptions MasterOptions(int partition_id, std::string dir) const;
   Status WireReplica(int partition_id, ReplicaPartition* replica);
   Status ProvisionReplica(int partition_id, int node_id);
   /// Points the current master's data-file hook at partition_id's HA

@@ -200,7 +200,7 @@ uint64_t ReplicaPartition::txns_applied() const {
   return txns_applied_;
 }
 
-Result<Partition*> ReplicaPartition::Promote() {
+Result<Partition*> ReplicaPartition::Promote(PartitionOptions options) {
   std::lock_guard<std::mutex> lock(mu_);
   // Persist the received stream as this partition's log: the promoted
   // master recovers the full replicated prefix, then accepts new writes.
@@ -211,13 +211,7 @@ Result<Partition*> ReplicaPartition::Promote() {
                                      stream_.substr(0, complete),
                                      /*sync=*/false));
   partition_.reset();
-  PartitionOptions popts;
-  popts.dir = options_.dir;
-  popts.blob = options_.blob;
-  popts.blob_prefix = options_.blob_prefix;
-  popts.background_uploads = false;
-  popts.env = options_.env;
-  partition_ = std::make_unique<Partition>(popts);
+  partition_ = std::make_unique<Partition>(std::move(options));
   S2_RETURN_NOT_OK(partition_->Init());
   return partition_.get();
 }

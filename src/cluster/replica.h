@@ -66,11 +66,15 @@ class ReplicaPartition : public ReplicationSink {
   /// its worst (lag proxy used by the CH-benCHmark experiment).
   uint64_t txns_applied() const;
 
-  /// Converts the replica into a standalone master partition rooted at its
-  /// directory: persists the received stream as the partition log and
-  /// re-opens. Returns the promoted partition (this object keeps owning
-  /// it); the caller must stop feeding pages first.
-  Result<Partition*> Promote();
+  /// Local directory of the replica's state.
+  const std::string& dir() const { return options_.dir; }
+
+  /// Converts the replica into a standalone master partition: persists the
+  /// received stream as the partition log in dir() and re-opens it with
+  /// `options`, whose dir must be dir(). Returns the promoted partition
+  /// (this object keeps owning it); the caller must stop feeding pages
+  /// first.
+  Result<Partition*> Promote(PartitionOptions options);
 
   bool down = false;  // fault injection: drop pages & refuse acks
 

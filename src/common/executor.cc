@@ -1,7 +1,6 @@
 #include "common/executor.h"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -105,32 +104,24 @@ Status Executor::ParallelFor(size_t n,
 
   auto state = std::make_shared<LoopState>(n, &body, cancel);
 
-  // The caller participates, so at most n-1 helpers are useful. Submit
-  // failures (pool shutting down) are fine: the caller runs what the
-  // helpers would have.
-  size_t helpers = std::min(pool_.num_threads(), n - 1);
+  // The caller is one of the pool's N threads for this loop, so at most
+  // N-1 helpers are useful (none on a 1-thread executor: the loop runs
+  // inline). Submit failures (pool shutting down) are fine: the caller
+  // runs what the helpers would have.
+  size_t helpers = std::min(pool_.num_threads() - 1, n - 1);
   for (size_t h = 0; h < helpers; ++h) {
     if (!pool_.Submit([state] { HelperTask(state); })) break;
   }
 
+  // RunLoop returns only once every index is claimed or the loop stopped,
+  // so the caller itself runs whatever no started helper claimed. It then
+  // waits only for helpers already inside the loop; a helper still queued
+  // (behind this very task, when nested) starts later, finds nothing to
+  // claim and exits. No wait depends on a queued task, so nesting cannot
+  // deadlock.
   state->RunLoop();
-
-  // Wait for in-flight helpers; steal queued pool work while waiting so a
-  // nested ParallelFor (whose helpers sit behind us in the queue) cannot
-  // deadlock the pool.
   std::unique_lock<std::mutex> lock(state->mu);
-  for (;;) {
-    bool exhausted = state->next.load(std::memory_order_acquire) >= n ||
-                     state->stop.load(std::memory_order_acquire);
-    if (state->running == 0 && exhausted) break;
-    lock.unlock();
-    if (!pool_.TryRunOne()) {
-      lock.lock();
-      state->cv.wait_for(lock, std::chrono::milliseconds(1));
-    } else {
-      lock.lock();
-    }
-  }
+  state->cv.wait(lock, [&state] { return state->running == 0; });
   if (!state->first_error.ok()) return state->first_error;
   if (cancel != nullptr && cancel->cancelled()) {
     return Status::Aborted("cancelled");

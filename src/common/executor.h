@@ -32,15 +32,18 @@ class CancelToken {
 /// The process's shared execution layer: one sized thread pool behind a
 /// structured-parallelism API. Every concurrent activity in the library —
 /// scatter-gather query fan-out, intra-partition parallel segment scans,
-/// background flush/merge/vacuum, and blob uploads — runs on an Executor,
+/// per-partition maintenance, and blob uploads — runs on an Executor,
 /// so thread ownership has a single story (see DESIGN.md "Threading
 /// model").
 ///
-/// ParallelFor is deadlock-free under nesting: the calling thread both
-/// participates in the loop body and, while waiting for stragglers, steals
-/// queued pool tasks (ThreadPool::TryRunOne). A body may therefore call
-/// back into the same Executor (scatter fan-out -> per-partition scan ->
-/// per-segment morsels) without reserving threads per level.
+/// One rule for every parallel loop: ParallelFor counts the calling thread
+/// as one of the executor's N threads, so it submits at most N-1 helper
+/// tasks and a 1-thread executor runs the loop inline. Callers therefore
+/// never fork between a serial and a parallel path. ParallelFor is
+/// deadlock-free under nesting (scatter fan-out -> per-partition scan ->
+/// per-segment morsels): the caller runs every index no started helper
+/// claimed and waits only for helpers that have started, never for a task
+/// still in the queue.
 class Executor {
  public:
   /// `num_threads == 0` sizes the pool to the hardware concurrency.
@@ -66,8 +69,8 @@ class Executor {
     return result;
   }
 
-  /// Runs body(0) ... body(n-1), distributing iterations over the pool
-  /// while the calling thread participates. Returns the first error in
+  /// Runs body(0) ... body(n-1) on the calling thread and up to
+  /// num_threads()-1 pool helpers. Returns the first error in
   /// iteration order of discovery; on the first error (or when `cancel`
   /// trips) remaining un-started iterations are skipped and `cancel`, when
   /// given, is set so in-flight bodies can unwind cooperatively. Returns
@@ -78,9 +81,6 @@ class Executor {
 
   /// Blocks until no task is queued or running.
   void WaitIdle() { pool_.WaitIdle(); }
-
-  /// Runs one queued task inline if any (work-stealing; see ThreadPool).
-  bool TryRunOne() { return pool_.TryRunOne(); }
 
   /// Process-wide fallback executor, sized to the hardware, created on
   /// first use and intentionally leaked so it outlives every static user.

@@ -57,28 +57,6 @@ void ThreadPool::Shutdown() {
   }
 }
 
-bool ThreadPool::TryRunOne() {
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-    ++active_;
-  }
-  NoteDequeued();
-  {
-    TaskRunScope scope;
-    task();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --active_;
-    if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-  }
-  return true;
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

@@ -43,12 +43,6 @@ class ThreadPool {
   /// call concurrently / repeatedly; only the first call joins.
   void Shutdown();
 
-  /// Pops one queued task and runs it on the calling thread. Returns false
-  /// if the queue was empty. Lets a thread that is blocked waiting on pool
-  /// work help drain the queue instead (work-stealing wait), which is what
-  /// makes nested ParallelFor/Submit patterns deadlock-free.
-  bool TryRunOne();
-
   size_t num_threads() const { return threads_.size(); }
 
  private:

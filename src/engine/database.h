@@ -45,9 +45,10 @@ struct DatabaseOptions {
   /// Tests shrink this to force cold reads through the blob store.
   size_t cache_bytes = 256ull << 20;
   EngineProfile profile = EngineProfile::kUnified;
-  /// Worker threads for the cluster executor (query fan-out, parallel
-  /// segment scans, maintenance, uploads). 0 = hardware concurrency;
-  /// 1 = fully serial execution.
+  /// Threads in the cluster executor (query fan-out, parallel segment
+  /// scans, per-partition maintenance, uploads); see
+  /// ClusterOptions::num_exec_threads. 0 = hardware concurrency; 1 runs
+  /// every parallel loop inline on the calling thread.
   size_t num_exec_threads = 0;
   /// Filesystem for all local state. Not owned; null = Env::Default().
   /// Crash tests inject a FaultInjectionEnv.

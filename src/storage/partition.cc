@@ -150,7 +150,7 @@ Status Partition::Maintain() {
 
 Status Partition::MaintainTables(const std::vector<UnifiedTable*>& tables,
                                  bool best_effort) {
-  auto maintain_one = [this, best_effort](UnifiedTable* table) -> Status {
+  for (UnifiedTable* table : tables) {
     if (best_effort) {
       (void)table->FlushRowstore();
       (void)table->MaybeMergeRuns();
@@ -159,22 +159,7 @@ Status Partition::MaintainTables(const std::vector<UnifiedTable*>& tables,
       S2_RETURN_NOT_OK(table->MaybeMergeRuns().status());
     }
     table->Vacuum(txns_.oldest_active());
-    return Status::OK();
-  };
-  Executor* ex = options_.executor;
-  if (ex != nullptr && ex->num_threads() > 1 && tables.size() > 1) {
-    // Tables are independent (each flush/merge serializes internally on
-    // the table's own maintenance mutex; log appends serialize in the
-    // log), so their maintenance can proceed concurrently. Workers
-    // re-attach to this thread's profile span so flush/merge spans from
-    // pool threads land under the partition's maintenance node.
-    ProfileCollector::Attachment att = ProfileCollector::Current();
-    return ex->ParallelFor(tables.size(), [&](size_t i) {
-      ProfileScope profile_scope(att.collector, att.node);
-      return maintain_one(tables[i]);
-    });
   }
-  for (UnifiedTable* table : tables) S2_RETURN_NOT_OK(maintain_one(table));
   return Status::OK();
 }
 

@@ -41,9 +41,9 @@ struct PartitionOptions {
   /// to the blobstore harming write latency"); the CDW baseline uses it.
   bool sync_blob_commit = false;
   size_t log_page_size = 64 * 1024;
-  /// Shared executor for background uploads and parallel maintenance. Not
-  /// owned; must outlive the partition. Null = Executor::Default() for
-  /// uploads and serial maintenance.
+  /// Shared executor for background uploads. Not owned; must outlive the
+  /// partition. Null = Executor::Default(). The partition's own
+  /// maintenance never runs on it (see MaintainTables).
   Executor* executor = nullptr;
   /// Filesystem for the log, snapshots, and local data files. Not owned;
   /// null = Env::Default(). Crash tests inject a FaultInjectionEnv.
@@ -114,9 +114,12 @@ class Partition {
 
  private:
   Status Recover();
-  /// Flush/merge/vacuum the given tables; runs them as parallel executor
-  /// tasks when an executor with >1 thread is configured. `best_effort`
-  /// ignores flush/merge errors (the post-commit auto-maintain path).
+  /// Flush/merge/vacuum the given tables one after another on the calling
+  /// thread. The tables share this partition's TxnManager, so a table
+  /// flushed beside a sibling's flush transaction could not purge its
+  /// flushed rows (the sibling holds back the oldest snapshot); the
+  /// partition is the unit of parallelism. `best_effort` ignores
+  /// flush/merge errors (the post-commit auto-maintain path).
   Status MaintainTables(const std::vector<UnifiedTable*>& tables,
                         bool best_effort);
   Status ApplyCommittedTxn(

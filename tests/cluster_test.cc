@@ -221,6 +221,49 @@ TEST_F(ClusterTest, PromotedMasterMulticastsDataFilesToWorkspace) {
   EXPECT_GT(ws_files.files_written.load(), before);
 }
 
+TEST_F(ClusterTest, PromotedMasterKeepsTheClusterPartitionOptions) {
+  // A promoted master runs with the same options as the masters Start
+  // built: here, background uploads on the cluster executor and automatic
+  // flushes. Three nodes so it can re-provision its HA replica.
+  ClusterOptions opts;
+  opts.dir = dir_;
+  opts.num_partitions = 1;
+  opts.num_nodes = 3;
+  opts.ha_replicas = 1;
+  opts.blob = &blob_;
+  opts.auto_maintain = true;
+  opts.background_uploads = true;
+  opts.num_exec_threads = 2;
+  cluster_ = std::make_unique<Cluster>(opts);
+  ASSERT_TRUE(cluster_->Start().ok());
+  ASSERT_TRUE(cluster_->CreateTable("accounts", AccountsTable(), {0}).ok());
+  InsertAccounts(10);  // below the flush threshold: no data file yet
+
+  cluster_->KillNode(0);
+  auto promoted = cluster_->RunFailureDetector();
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  ASSERT_EQ(*promoted, 1);
+  cluster_->executor()->WaitIdle();
+  auto before = blob_.List("part0/files/");
+  ASSERT_TRUE(before.ok());
+
+  // Enough rows for the promoted master to flush on its own; its data
+  // file reaches the blob store only through a background upload.
+  for (int64_t i = 100; i < 200; ++i) {
+    ASSERT_TRUE(cluster_
+                    ->InsertRows("accounts",
+                                 {{Value(i), Value("f"), Value(0.0)}})
+                    .ok());
+  }
+  Partition* master = cluster_->partition(0);
+  ASSERT_GT(master->files()->stats().files_written.load(), 0u);
+  cluster_->executor()->WaitIdle();
+  auto after = blob_.List("part0/files/");
+  ASSERT_TRUE(after.ok());
+  EXPECT_GT(after->size(), before->size());
+  EXPECT_GT(master->files()->stats().files_uploaded.load(), 0u);
+}
+
 TEST_F(ClusterTest, PointInTimeRestoreFromBlobHistory) {
   Start(/*partitions=*/1, /*nodes=*/2, /*replicas=*/1);
   InsertAccounts(30);

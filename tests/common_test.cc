@@ -3,6 +3,7 @@
 #include <atomic>
 #include <map>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/bitvector.h"
@@ -11,6 +12,7 @@
 #include "common/executor.h"
 #include "common/fault_env.h"
 #include "common/hash.h"
+#include "common/metrics.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/slice.h"
@@ -235,27 +237,6 @@ TEST(ThreadPoolTest, WaitIdleCoversTasksThatEnqueueMoreTasks) {
   EXPECT_EQ(count.load(), 21);
 }
 
-TEST(ThreadPoolTest, TryRunOneStealsQueuedWork) {
-  ThreadPool pool(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  // Occupy the single worker so further tasks stay queued.
-  ASSERT_TRUE(pool.Submit([&started, &release] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-  }));
-  // Wait until the worker owns the blocker, so TryRunOne below can only
-  // pick up the second task.
-  while (!started.load()) std::this_thread::yield();
-  std::atomic<int> ran{0};
-  ASSERT_TRUE(pool.Submit([&ran] { ran.fetch_add(1); }));
-  while (!pool.TryRunOne()) std::this_thread::yield();
-  EXPECT_EQ(ran.load(), 1);  // the caller executed the queued task
-  release.store(true);
-  pool.WaitIdle();
-  EXPECT_FALSE(pool.TryRunOne());  // empty queue: nothing to steal
-}
-
 TEST(ExecutorTest, ParallelForEmptyRange) {
   Executor exec(4);
   int calls = 0;
@@ -311,18 +292,22 @@ TEST(ExecutorTest, ParallelForPreCancelledAborts) {
 }
 
 TEST(ExecutorTest, NestedParallelForDoesNotDeadlock) {
-  // A 2-thread pool with nested loops: without caller participation and
-  // work-stealing waits, the outer iterations would occupy every worker
-  // and the inner loops' helper tasks could never run.
-  Executor exec(2);
-  std::atomic<int> total{0};
-  ASSERT_TRUE(exec.ParallelFor(8, [&](size_t) {
-    return exec.ParallelFor(8, [&](size_t) {
-      total.fetch_add(1);
-      return Status::OK();
-    });
-  }).ok());
-  EXPECT_EQ(total.load(), 64);
+  // Nested loops whose outer iterations occupy every pool thread: the
+  // inner loops' helpers sit in the queue behind them. Each caller runs
+  // the indexes no started helper claimed and never waits on a queued
+  // helper, so every size completes, including 1 (all inline).
+  for (size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    Executor exec(threads);
+    std::atomic<int> total{0};
+    ASSERT_TRUE(exec.ParallelFor(8, [&](size_t) {
+      return exec.ParallelFor(8, [&](size_t) {
+        total.fetch_add(1);
+        return Status::OK();
+      });
+    }).ok());
+    EXPECT_EQ(total.load(), 64);
+  }
 }
 
 TEST(ExecutorTest, SubmitWithResultDeliversValue) {
@@ -332,13 +317,23 @@ TEST(ExecutorTest, SubmitWithResultDeliversValue) {
 }
 
 TEST(ExecutorTest, SerialExecutorStillRunsLoops) {
+  // The caller counts as one of the executor's threads, so a 1-thread
+  // executor submits no helper task and runs every body on the caller.
   Executor exec(1);
+  Counter& tasks = S2_COUNTER("s2_exec_tasks_total");
+  const uint64_t tasks_before = tasks.value();
+  const std::thread::id caller = std::this_thread::get_id();
   std::atomic<int> count{0};
+  std::atomic<int> off_caller{0};
   ASSERT_TRUE(exec.ParallelFor(100, [&](size_t) {
     count.fetch_add(1);
+    if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
     return Status::OK();
   }).ok());
   EXPECT_EQ(count.load(), 100);
+  EXPECT_EQ(off_caller.load(), 0);
+  exec.WaitIdle();
+  EXPECT_EQ(tasks.value(), tasks_before);
 }
 
 TEST(ValueTest, CompareOrdering) {
