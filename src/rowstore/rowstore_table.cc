@@ -1,15 +1,13 @@
 #include "rowstore/rowstore_table.h"
 
-#include <chrono>
-#include <thread>
-
 #include "common/coding.h"
+#include "common/hash.h"
 
 namespace s2 {
 
-
-RowStoreTable::RowStoreTable(Schema schema, std::vector<int> pk_cols)
-    : schema_(std::move(schema)), pk_cols_(std::move(pk_cols)) {}
+RowStoreTable::RowStoreTable(Schema schema, std::vector<int> pk_cols,
+                             LockTable* locks)
+    : schema_(std::move(schema)), pk_cols_(std::move(pk_cols)), locks_(locks) {}
 
 RowStoreTable::~RowStoreTable() = default;
 
@@ -24,32 +22,6 @@ std::string RowStoreTable::PkFromRow(const Row& row) const {
   std::string key;
   for (int c : pk_cols_) row[c].EncodeTo(&key);
   return key;
-}
-
-Status RowStoreTable::LockRow(SkipList::Node* node, TxnId txn) const {
-  // Spin briefly, then sleep-wait until the timeout. Timing out into
-  // Aborted is the deadlock-avoidance policy: callers retry the
-  // transaction.
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(lock_timeout_ms_);
-  for (int spin = 0;; ++spin) {
-    uint64_t expected = 0;
-    if (node->lock_owner.compare_exchange_weak(expected, txn,
-                                               std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      const_cast<RowStoreTable*>(this)->pending_[txn].push_back(node);
-      return Status::OK();
-    }
-    if (expected == txn) return Status::OK();  // re-entrant
-    if (spin < 128) {
-      std::this_thread::yield();
-    } else {
-      if (std::chrono::steady_clock::now() >= deadline) {
-        return Status::Aborted("row lock timeout");
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
 }
 
 RowVersion* RowStoreTable::VisibleVersion(const SkipList::Node* node,
@@ -68,11 +40,24 @@ Status RowStoreTable::WriteVersion(TxnId txn, Timestamp read_ts,
                                    const std::string& pk, Row data,
                                    bool deleted, bool must_exist,
                                    bool must_not_exist, bool system,
-                                   bool at_latest) {
+                                   bool at_latest, bool fresh_pk) {
+  // The row lock first: a lock wait must not hold the table lock that
+  // Purge waits for. The table's address tells its lock ids from others'.
+  const uint64_t lock_id = Hash64(pk, reinterpret_cast<uintptr_t>(this));
+  if (system) {
+    // A move transaction never waits. Its pk is the moved-row id, so the
+    // holder is moving or has moved the row; and it runs on its user
+    // transaction's thread, so its wait would hide from the lock table a
+    // wait of that transaction, and the cycles through it.
+    if (!locks_->TryLock(txn, lock_id)) {
+      return Status::AlreadyExists("moved row locked by another transaction");
+    }
+  } else if (!fresh_pk) {
+    S2_RETURN_NOT_OK(locks_->Lock(txn, lock_id));
+  }
   std::shared_lock<std::shared_mutex> table_lock(table_lock_);
   bool created = false;
   SkipList::Node* node = primary_.GetOrInsert(pk, &created);
-  S2_RETURN_NOT_OK(LockRow(node, txn));
 
   // Holding the row lock, the newest non-aborted version is either ours or
   // committed. Find the newest non-aborted version.
@@ -116,6 +101,10 @@ Status RowStoreTable::WriteVersion(TxnId txn, Timestamp read_ts,
     return Status::NotFound("no row with given primary key");
   }
 
+  if (newest == nullptr || newest->txn_id != txn) {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    pending_[txn].push_back(node);
+  }
   auto* version = new RowVersion();
   version->txn_id = txn;
   version->deleted = deleted;
@@ -155,12 +144,14 @@ void RowStoreTable::IndexRow(const Row& row, const std::string& pk) {
   }
 }
 
-Status RowStoreTable::Insert(TxnId txn, Timestamp read_ts, const Row& row) {
+Status RowStoreTable::Insert(TxnId txn, Timestamp read_ts, const Row& row,
+                             bool fresh_pk) {
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument("row arity mismatch");
   }
   return WriteVersion(txn, read_ts, PkFromRow(row), row, /*deleted=*/false,
-                      /*must_exist=*/false, /*must_not_exist=*/true);
+                      /*must_exist=*/false, /*must_not_exist=*/true,
+                      /*system=*/false, /*at_latest=*/false, fresh_pk);
 }
 
 Status RowStoreTable::InsertMoved(TxnId txn, const Row& row) {
@@ -280,20 +271,6 @@ void RowStoreTable::Scan(TxnId txn, Timestamp read_ts,
   }
 }
 
-void RowStoreTable::ScanFrom(const Row& pk_prefix, TxnId txn,
-                             Timestamp read_ts,
-                             const std::function<bool(const Row&)>& cb) const {
-  std::shared_lock<std::shared_mutex> table_lock(table_lock_);
-  std::string start;
-  for (const Value& v : pk_prefix) v.EncodeTo(&start);
-  for (SkipList::Node* node = primary_.Seek(start); node != nullptr;
-       node = SkipList::Next(node)) {
-    RowVersion* v = VisibleVersion(node, txn, read_ts);
-    if (v == nullptr || v->deleted) continue;
-    if (!cb(v->data)) break;
-  }
-}
-
 void RowStoreTable::CommitTxn(TxnId txn, Timestamp commit_ts) {
   // Shared table lock: the version-chain walk below must not race Purge,
   // which truncates and frees chain tails under the exclusive lock.
@@ -314,35 +291,6 @@ void RowStoreTable::CommitTxn(TxnId txn, Timestamp commit_ts) {
         v->commit_ts.store(commit_ts, std::memory_order_release);
       }
     }
-    uint64_t expected = txn;
-    node->lock_owner.compare_exchange_strong(expected, 0,
-                                             std::memory_order_release);
-  }
-}
-
-void RowStoreTable::AbortTxn(TxnId txn) {
-  // Shared table lock, as in CommitTxn: keeps Purge from freeing chain
-  // tails mid-walk.
-  std::shared_lock<std::shared_mutex> table_lock(table_lock_);
-  std::vector<SkipList::Node*> nodes;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    auto it = pending_.find(txn);
-    if (it == pending_.end()) return;
-    nodes = std::move(it->second);
-    pending_.erase(it);
-  }
-  for (SkipList::Node* node : nodes) {
-    for (RowVersion* v = node->versions.load(std::memory_order_acquire);
-         v != nullptr; v = v->next) {
-      if (v->txn_id == txn &&
-          v->commit_ts.load(std::memory_order_relaxed) == kTsUncommitted) {
-        v->commit_ts.store(kTsAborted, std::memory_order_release);
-      }
-    }
-    uint64_t expected = txn;
-    node->lock_owner.compare_exchange_strong(expected, 0,
-                                             std::memory_order_release);
   }
 }
 
@@ -435,7 +383,8 @@ Status RowStoreTable::RestoreSnapshot(Slice snapshot, Timestamp commit_ts) {
       S2_ASSIGN_OR_RETURN(Value v, Value::DecodeFrom(&snapshot));
       row.push_back(std::move(v));
     }
-    S2_RETURN_NOT_OK(Insert(restore_txn, kTsMax, row));
+    // The table is empty and no other transaction runs yet.
+    S2_RETURN_NOT_OK(Insert(restore_txn, kTsMax, row, /*fresh_pk=*/true));
   }
   CommitTxn(restore_txn, commit_ts);
   return Status::OK();

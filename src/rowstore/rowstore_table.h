@@ -12,6 +12,7 @@
 #include "common/result.h"
 #include "common/types.h"
 #include "rowstore/skiplist.h"
+#include "txn/lock_table.h"
 
 namespace s2 {
 
@@ -20,9 +21,10 @@ namespace s2 {
 ///  - The primary index is a lock-free skiplist keyed by the encoded
 ///    primary-key columns; each node carries a newest-first version chain,
 ///    so readers never block on writers.
-///  - Writes use pessimistic concurrency control via per-node row locks;
-///    lock waits time out into Aborted so callers can retry (deadlock
-///    avoidance by timeout).
+///  - Writes use pessimistic concurrency control via row locks in the
+///    partition's LockTable, keyed by a hash of this table and the encoded
+///    pk. A wait that would close a lock cycle fails at once with
+///    Aborted("deadlock"); callers abort and may retry the transaction.
 ///  - Optional secondary skiplist indexes map encoded secondary key + pk to
 ///    the primary key for seeks.
 ///  - Snapshot isolation: a reader sees versions with commit_ts <= read_ts
@@ -30,15 +32,15 @@ namespace s2 {
 ///    conflicts.
 ///
 /// Commit protocol: callers stage writes under a TxnId, then CommitTxn
-/// stamps every staged version with the commit timestamp and releases row
-/// locks (AbortTxn rolls back). Durability is the log's job, not this
-/// class's.
+/// stamps every staged version with the commit timestamp (AbortTxn rolls
+/// back). The caller releases the row locks afterwards (TxnManager does).
+/// Durability is the log's job, not this class's.
 class RowStoreTable {
  public:
   /// `pk_cols` index into the schema; they form the unique primary key.
   /// Empty pk_cols means "no user key": callers must provide a hidden
-  /// unique key column themselves.
-  RowStoreTable(Schema schema, std::vector<int> pk_cols);
+  /// unique key column themselves. Row locks are taken in `locks`.
+  RowStoreTable(Schema schema, std::vector<int> pk_cols, LockTable* locks);
   ~RowStoreTable();
 
   RowStoreTable(const RowStoreTable&) = delete;
@@ -52,13 +54,16 @@ class RowStoreTable {
 
   /// Inserts a row. AlreadyExists if a live version of the key is visible
   /// at read_ts or a committed-later writer won the key (Aborted).
-  Status Insert(TxnId txn, Timestamp read_ts, const Row& row);
+  /// `fresh_pk`: no other transaction can write this primary key before
+  /// txn ends (a newly allocated row id), so no row lock is taken.
+  Status Insert(TxnId txn, Timestamp read_ts, const Row& row,
+                bool fresh_pk = false);
 
   /// Move-transaction insert (paper Section 4.2): installs a `system` copy
   /// of a segment row. Checked against the *latest* committed state:
-  /// AlreadyExists when a live copy is already present (another mover or
-  /// writer beat us), letting the caller fall through to mutating that
-  /// copy.
+  /// AlreadyExists, without waiting, when a live copy is present or the
+  /// row is locked (another mover or writer beat us), letting the caller
+  /// fall through to mutating that copy.
   Status InsertMoved(TxnId txn, const Row& row);
 
   /// Deletes/updates against the *latest* committed row state instead of a
@@ -94,15 +99,11 @@ class RowStoreTable {
   void Scan(TxnId txn, Timestamp read_ts,
             const std::function<bool(const Row&)>& cb) const;
 
-  /// Ordered scan starting at the first pk >= prefix.
-  void ScanFrom(const Row& pk_prefix, TxnId txn, Timestamp read_ts,
-                const std::function<bool(const Row&)>& cb) const;
-
-  /// Stamps all of txn's staged versions with commit_ts and releases locks.
+  /// Stamps all of txn's staged versions with commit_ts.
   void CommitTxn(TxnId txn, Timestamp commit_ts);
 
-  /// Discards txn's staged versions and releases locks.
-  void AbortTxn(TxnId txn);
+  /// Discards txn's staged versions: stamps them aborted.
+  void AbortTxn(TxnId txn) { CommitTxn(txn, kTsAborted); }
 
   /// Number of live committed rows visible at ts (approximate under
   /// concurrency; exact when quiescent).
@@ -115,9 +116,6 @@ class RowStoreTable {
   /// with commit_ts < oldest_active, and prunes version chains. Takes the
   /// table's exclusive lock (scans/writes take it shared).
   size_t Purge(Timestamp oldest_active);
-
-  /// Row-lock wait budget before a writer gives up with Aborted.
-  void set_lock_timeout_ms(int ms) { lock_timeout_ms_ = ms; }
 
   /// Serializes all rows visible at `ts` (snapshot file payload).
   std::string SerializeSnapshot(Timestamp ts) const;
@@ -133,26 +131,25 @@ class RowStoreTable {
   };
 
   std::string PkFromRow(const Row& row) const;
-  Status LockRow(SkipList::Node* node, TxnId txn) const;
   static RowVersion* VisibleVersion(const SkipList::Node* node, TxnId txn,
                                     Timestamp read_ts);
   Status WriteVersion(TxnId txn, Timestamp read_ts, const std::string& pk,
                       Row data, bool deleted, bool must_exist,
                       bool must_not_exist, bool system = false,
-                      bool at_latest = false);
+                      bool at_latest = false, bool fresh_pk = false);
   void IndexRow(const Row& row, const std::string& pk);
 
   Schema schema_;
   std::vector<int> pk_cols_;
-  int lock_timeout_ms_ = 1000;
+  LockTable* locks_;
   SkipList primary_;
   std::vector<SecondaryIndex> secondaries_;
 
   /// Readers/writers take shared; Purge takes exclusive.
   mutable std::shared_mutex table_lock_;
 
-  /// Staged writes per transaction (nodes whose newest version belongs to
-  /// the txn and whose row lock the txn holds).
+  /// Staged writes per transaction: each node whose newest version the
+  /// txn wrote, once.
   mutable std::mutex pending_mu_;
   std::unordered_map<TxnId, std::vector<SkipList::Node*>> pending_;
 };

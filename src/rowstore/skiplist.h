@@ -46,9 +46,6 @@ class SkipList {
   struct Node {
     std::string key;
     std::atomic<RowVersion*> versions{nullptr};
-    /// Row lock: owner txn id, 0 when free. The in-memory rowstore's
-    /// pessimistic write concurrency control.
-    std::atomic<uint64_t> lock_owner{0};
     int height;
     std::atomic<Node*> next[1];  // [height] pointers, allocated inline
 

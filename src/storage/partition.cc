@@ -104,12 +104,7 @@ Status Partition::Commit(TxnId txn) {
     // CDW baseline: pay the blob round-trip on the commit path.
     S2_RETURN_NOT_OK(UploadToBlob());
   }
-  Timestamp cts = txns_.PrepareCommit(txn);
-  {
-    std::lock_guard<std::mutex> lock(tables_mu_);
-    for (auto& [name, table] : tables_) table->StampCommit(txn, cts);
-  }
-  txns_.FinishCommit(txn, cts);
+  StampCommit(txn);
   S2_HISTOGRAM("s2_txn_commit_ns").Record(commit_timer.ElapsedNs());
   ProfileCollector::CountHere("commit_wait_ns",
                               static_cast<int64_t>(commit_timer.ElapsedNs()));
@@ -126,12 +121,25 @@ Status Partition::Commit(TxnId txn) {
   return Status::OK();
 }
 
+void Partition::StampCommit(TxnId txn) {
+  Timestamp cts = txns_.PrepareCommit(txn);
+  {
+    std::lock_guard<std::mutex> lock(tables_mu_);
+    for (auto& [name, table] : tables_) table->StampCommit(txn, cts);
+  }
+  txns_.FinishCommit(txn, cts);
+}
+
 void Partition::Abort(TxnId txn) {
+  log_->Abort(txn);
+  RollBack(txn);
+}
+
+void Partition::RollBack(TxnId txn) {
   {
     std::lock_guard<std::mutex> lock(tables_mu_);
     for (auto& [name, table] : tables_) table->AbortTxn(txn);
   }
-  log_->Abort(txn);
   txns_.Abort(txn);
 }
 
@@ -254,7 +262,7 @@ Status Partition::Recover() {
           case LogRecordType::kCommit: {
             auto it = pending.find(rec.txn_id);
             if (it == pending.end()) return Status::OK();
-            Status s = ApplyCommittedTxn(rec.txn_id, it->second);
+            Status s = ApplyReplicated(it->second);
             pending.erase(it);
             return s;
           }
@@ -271,49 +279,52 @@ Status Partition::Recover() {
   return Status::OK();
 }
 
-Status Partition::ApplyCommittedTxn(
-    TxnId /*logged_txn*/,
+Status Partition::ApplyReplicated(
     const std::vector<std::pair<LogRecordType, std::string>>& ops) {
   TxnManager::TxnHandle h = txns_.Begin();
-  for (const auto& [type, payload] : ops) {
-    Slice in(payload);
-    S2_ASSIGN_OR_RETURN(Slice name, GetLengthPrefixed(&in));
-    if (type == LogRecordType::kDdl) {
-      S2_ASSIGN_OR_RETURN(TableOptions opts, TableOptions::DecodeFrom(&in));
-      auto created = CreateTableInternal(name.ToString(), opts);
-      if (!created.ok() && !created.status().IsAlreadyExists()) {
-        return created.status();
+  Status s = [&]() -> Status {
+    for (const auto& [type, payload] : ops) {
+      Slice in(payload);
+      S2_ASSIGN_OR_RETURN(Slice name, GetLengthPrefixed(&in));
+      if (type == LogRecordType::kDdl) {
+        S2_ASSIGN_OR_RETURN(TableOptions opts, TableOptions::DecodeFrom(&in));
+        auto created = CreateTableInternal(name.ToString(), opts);
+        if (!created.ok() && !created.status().IsAlreadyExists()) {
+          return created.status();
+        }
+        continue;
       }
-      continue;
+      S2_ASSIGN_OR_RETURN(UnifiedTable * table, GetTable(name.ToString()));
+      switch (type) {
+        case LogRecordType::kInsertRows:
+          S2_RETURN_NOT_OK(table->ReplayInsert(h.id, in));
+          break;
+        case LogRecordType::kDeleteRows:
+          S2_RETURN_NOT_OK(table->ReplayDelete(h.id, in));
+          break;
+        case LogRecordType::kSegmentFlush:
+          S2_RETURN_NOT_OK(table->ReplaySegmentFlush(h.id, in));
+          break;
+        case LogRecordType::kMetadataUpdate:
+          S2_RETURN_NOT_OK(table->ReplayMetadataUpdate(h.id, in, 0));
+          break;
+        case LogRecordType::kSegmentMerge:
+          S2_RETURN_NOT_OK(table->ReplaySegmentMerge(h.id, in));
+          break;
+        default:
+          return Status::Corruption("unexpected log record type in replay");
+      }
     }
-    S2_ASSIGN_OR_RETURN(UnifiedTable * table, GetTable(name.ToString()));
-    switch (type) {
-      case LogRecordType::kInsertRows:
-        S2_RETURN_NOT_OK(table->ReplayInsert(h.id, in));
-        break;
-      case LogRecordType::kDeleteRows:
-        S2_RETURN_NOT_OK(table->ReplayDelete(h.id, in));
-        break;
-      case LogRecordType::kSegmentFlush:
-        S2_RETURN_NOT_OK(table->ReplaySegmentFlush(h.id, in));
-        break;
-      case LogRecordType::kMetadataUpdate:
-        S2_RETURN_NOT_OK(table->ReplayMetadataUpdate(h.id, in, 0));
-        break;
-      case LogRecordType::kSegmentMerge:
-        S2_RETURN_NOT_OK(table->ReplaySegmentMerge(h.id, in));
-        break;
-      default:
-        return Status::Corruption("unexpected log record type in replay");
-    }
+    return Status::OK();
+  }();
+  // A failed op's predecessors are rolled back: a leaked replay txn would
+  // keep its row locks and pin oldest_active.
+  if (s.ok()) {
+    StampCommit(h.id);
+  } else {
+    RollBack(h.id);
   }
-  Timestamp cts = txns_.PrepareCommit(h.id);
-  {
-    std::lock_guard<std::mutex> lock(tables_mu_);
-    for (auto& [name, table] : tables_) table->StampCommit(h.id, cts);
-  }
-  txns_.FinishCommit(h.id, cts);
-  return Status::OK();
+  return s;
 }
 
 }  // namespace s2

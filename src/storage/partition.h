@@ -90,13 +90,12 @@ class Partition {
   /// Pushes durable log chunks and pending data files to blob storage.
   Status UploadToBlob();
 
-  /// Applies one committed transaction's records from a replication stream
-  /// (replica partitions apply continuously so they can serve reads and
-  /// take over without warm-up).
+  /// Applies one committed transaction's records, from recovery's log
+  /// replay or a replication stream (replica partitions apply continuously
+  /// so they can serve reads and take over without warm-up), in one txn
+  /// that commits; a failed op rolls it back.
   Status ApplyReplicated(
-      const std::vector<std::pair<LogRecordType, std::string>>& ops) {
-    return ApplyCommittedTxn(0, ops);
-  }
+      const std::vector<std::pair<LogRecordType, std::string>>& ops);
 
   PartitionLog* log() { return log_.get(); }
   DataFileStore* files() { return files_.get(); }
@@ -122,9 +121,10 @@ class Partition {
   /// flush/merge errors (the post-commit auto-maintain path).
   Status MaintainTables(const std::vector<UnifiedTable*>& tables,
                         bool best_effort);
-  Status ApplyCommittedTxn(
-      TxnId logged_txn,
-      const std::vector<std::pair<LogRecordType, std::string>>& ops);
+  /// Stamps txn's versions in every table at a fresh commit timestamp and
+  /// ends it; RollBack discards them and ends it. Both release its locks.
+  void StampCommit(TxnId txn);
+  void RollBack(TxnId txn);
   Result<UnifiedTable*> CreateTableInternal(const std::string& name,
                                             const TableOptions& options);
 

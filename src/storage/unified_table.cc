@@ -41,8 +41,8 @@ UnifiedTable::UnifiedTable(std::string name, TableOptions options,
   cols.push_back(ColumnDef{"$rowid", DataType::kInt64});
   rowstore_schema_ = Schema(cols);
   int rowid_col = static_cast<int>(options_.schema.num_columns());
-  rowstore_ = std::make_unique<RowStoreTable>(rowstore_schema_,
-                                              std::vector<int>{rowid_col});
+  rowstore_ = std::make_unique<RowStoreTable>(
+      rowstore_schema_, std::vector<int>{rowid_col}, txns_->locks());
 
   // Column-level indexes: one per distinct indexed column (secondary
   // indexes and the unique key share per-column structures, Section 4.1.1).
@@ -153,15 +153,20 @@ Result<size_t> UnifiedTable::InsertRows(TxnId txn, Timestamp read_ts,
   const bool unique = !options_.unique_key.empty();
   if (unique) {
     // Section 4.1.2 step 1: lock the unique key values for the whole batch
-    // so concurrent inserts of the same value serialize.
-    std::vector<std::string> keys;
-    keys.reserve(rows.size());
+    // so concurrent inserts of the same value serialize; in sorted lock-id
+    // order, so two batches never wait on each other in a cycle.
+    std::vector<uint64_t> lock_ids;
+    lock_ids.reserve(rows.size());
+    std::string key;
     for (const Row& row : rows) {
-      std::string key;
+      key.clear();
       for (int c : options_.unique_key) row[c].EncodeTo(&key);
-      keys.push_back(std::move(key));
+      lock_ids.push_back(Hash64(key, reinterpret_cast<uintptr_t>(this)));
     }
-    S2_RETURN_NOT_OK(key_locks_.LockAll(txn, std::move(keys)));
+    std::sort(lock_ids.begin(), lock_ids.end());
+    for (uint64_t lock_id : lock_ids) {
+      S2_RETURN_NOT_OK(txns_->locks()->Lock(txn, lock_id));
+    }
   }
 
   size_t applied = 0;
@@ -190,7 +195,7 @@ Result<size_t> UnifiedTable::InsertRows(TxnId txn, Timestamp read_ts,
       }
     }
     Row full = WithRowId(row, NextRowId());
-    S2_RETURN_NOT_OK(rowstore_->Insert(txn, read_ts, full));
+    S2_RETURN_NOT_OK(rowstore_->Insert(txn, read_ts, full, /*fresh_pk=*/true));
     for (const Value& v : full) v.EncodeTo(&payload_rows);
     ++payload_count;
     ++applied;
@@ -259,14 +264,10 @@ Status UnifiedTable::MoveRows(uint64_t segment_id,
     std::lock_guard<std::mutex> lock(meta_mu_);
     auto it = segments_.find(segment_id);
     if (it == segments_.end() || it->second.dropped_ts != kTsMax) {
-      txns_->Abort(h.id);
-      return Status::Aborted("segment merged away; retry");
+      return AbortOwnTxn(h.id, Status::Aborted("segment merged away; retry"));
     }
     auto opened = OpenSegmentLocked(&it->second);
-    if (!opened.ok()) {
-      txns_->Abort(h.id);
-      return opened.status();
-    }
+    if (!opened.ok()) return AbortOwnTxn(h.id, opened.status());
     segment = *opened;
     latest = it->second.meta.deletes;
   }
@@ -278,8 +279,7 @@ Status UnifiedTable::MoveRows(uint64_t segment_id,
   if (to_move.empty()) {
     // Everything already moved by concurrent movers; their copies carry
     // the rows now.
-    txns_->Abort(h.id);
-    return Status::OK();
+    return AbortOwnTxn(h.id, Status::OK());
   }
 
   std::string payload_rows;
@@ -287,29 +287,17 @@ Status UnifiedTable::MoveRows(uint64_t segment_id,
   std::vector<uint32_t> actually_moved;
   for (uint32_t off : to_move) {
     auto row = segment->ReadRow(off);
-    if (!row.ok()) {
-      rowstore_->AbortTxn(h.id);
-      txns_->Abort(h.id);
-      return row.status();
-    }
+    if (!row.ok()) return AbortOwnTxn(h.id, row.status());
     Row full = WithRowId(*row, MovedRowId(segment_id, off));
     Status st = rowstore_->InsertMoved(h.id, full);
     if (st.IsAlreadyExists()) continue;  // raced with another mover
-    if (!st.ok()) {
-      rowstore_->AbortTxn(h.id);
-      txns_->Abort(h.id);
-      return st;
-    }
+    if (!st.ok()) return AbortOwnTxn(h.id, st);
     for (const Value& v : full) v.EncodeTo(&payload_rows);
     ++moved_count;
     actually_moved.push_back(off);
     stats_.rows_moved.fetch_add(1);
   }
-  if (moved_count == 0) {
-    rowstore_->AbortTxn(h.id);
-    txns_->Abort(h.id);
-    return Status::OK();
-  }
+  if (moved_count == 0) return AbortOwnTxn(h.id, Status::OK());
 
   // Install + log under the metadata lock so the logged bit vector matches
   // the installed one even with concurrent movers.
@@ -317,9 +305,8 @@ Status UnifiedTable::MoveRows(uint64_t segment_id,
     std::lock_guard<std::mutex> lock(meta_mu_);
     auto it = segments_.find(segment_id);
     if (it == segments_.end() || it->second.dropped_ts != kTsMax) {
-      rowstore_->AbortTxn(h.id);
-      txns_->Abort(h.id);
-      return Status::Aborted("segment merged during move; retry");
+      return AbortOwnTxn(h.id,
+                         Status::Aborted("segment merged during move; retry"));
     }
     SegmentEntry& entry = it->second;
     BitVector bv = entry.meta.deletes != nullptr
@@ -346,11 +333,7 @@ Status UnifiedTable::MoveRows(uint64_t segment_id,
     log_->Append(meta_rec);
 
     Status cs = log_->Commit(h.id);
-    if (!cs.ok()) {
-      rowstore_->AbortTxn(h.id);
-      txns_->Abort(h.id);
-      return cs;
-    }
+    if (!cs.ok()) return AbortOwnTxn(h.id, cs);
     Timestamp cts = txns_->PrepareCommit(h.id);
     rowstore_->CommitTxn(h.id, cts);
     entry.meta.deletes = new_deletes;
@@ -358,6 +341,12 @@ Status UnifiedTable::MoveRows(uint64_t segment_id,
     txns_->FinishCommit(h.id, cts);
   }
   return Status::OK();
+}
+
+Status UnifiedTable::AbortOwnTxn(TxnId txn, Status status) {
+  rowstore_->AbortTxn(txn);  // before its row locks go
+  txns_->Abort(txn);
+  return status;
 }
 
 Status UnifiedTable::DeleteLocated(TxnId txn, Timestamp read_ts,
@@ -850,7 +839,7 @@ Result<size_t> UnifiedTable::FlushRowstore() {
     return candidates.size() < options_.segment_rows;
   });
   if (candidates.empty()) {
-    txns_->Abort(h.id);
+    (void)AbortOwnTxn(h.id, Status::OK());
     return size_t{0};
   }
 
@@ -866,8 +855,7 @@ Result<size_t> UnifiedTable::FlushRowstore() {
     rowids.push_back(rowid);
   }
   if (rows.empty()) {
-    rowstore_->AbortTxn(h.id);
-    txns_->Abort(h.id);
+    (void)AbortOwnTxn(h.id, Status::OK());
     return size_t{0};
   }
 
@@ -891,23 +879,18 @@ Result<size_t> UnifiedTable::FlushRowstore() {
   // From here on any failure must abort the flush transaction: it holds
   // row locks (via DeleteLatest) that would otherwise leak forever, making
   // every later write to those rows time out.
-  auto abort_flush = [&](const Status& s) -> Status {
-    rowstore_->AbortTxn(h.id);
-    txns_->Abort(h.id);
-    return s;
-  };
   uint64_t segment_id = next_segment_id_.fetch_add(1);
   Lsn lsn = log_->next_lsn();
   auto built_or = BuildSegment(rows, segment_id, lsn);
-  if (!built_or.ok()) return abort_flush(built_or.status());
+  if (!built_or.ok()) return AbortOwnTxn(h.id, built_or.status());
   auto& [file_bytes, meta] = *built_or;
   auto file = std::make_shared<const std::string>(std::move(file_bytes));
   Status ws = files_->Write(meta.file_name, file);
-  if (!ws.ok()) return abort_flush(ws);
+  if (!ws.ok()) return AbortOwnTxn(h.id, ws);
   auto opened_or = Segment::Open(file);
   if (!opened_or.ok()) {
     (void)files_->Remove(meta.file_name);
-    return abort_flush(opened_or.status());
+    return AbortOwnTxn(h.id, opened_or.status());
   }
   std::shared_ptr<Segment> opened = *opened_or;
 
@@ -922,10 +905,8 @@ Result<size_t> UnifiedTable::FlushRowstore() {
 
   Status cs = log_->Commit(h.id);
   if (!cs.ok()) {
-    rowstore_->AbortTxn(h.id);
-    txns_->Abort(h.id);
     (void)files_->Remove(meta.file_name);
-    return cs;
+    return AbortOwnTxn(h.id, cs);
   }
   Timestamp cts = txns_->PrepareCommit(h.id);
   rowstore_->CommitTxn(h.id, cts);
@@ -1064,13 +1045,7 @@ Result<bool> UnifiedTable::MaybeMergeRuns() {
     for (const SegmentMeta& meta : new_metas) meta.EncodeTo(&rec.payload);
     log_->Append(rec);
     Status cs = log_->Commit(h.id);
-    if (!cs.ok()) {
-      txns_->Abort(h.id);
-      for (const SegmentMeta& meta : new_metas) {
-        (void)files_->Remove(meta.file_name);
-      }
-      return cs;
-    }
+    if (!cs.ok()) return abort_merge(cs);
     Timestamp cts = txns_->PrepareCommit(h.id);
 
     // Install: drop old, add new, rebuild run bookkeeping. New segments
@@ -1231,16 +1206,12 @@ void UnifiedTable::StampCommit(TxnId txn, Timestamp commit_ts) {
       }
     }
   }
-  key_locks_.UnlockAll(txn);
 }
 
 void UnifiedTable::AbortTxn(TxnId txn) {
   rowstore_->AbortTxn(txn);
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    staged_.erase(txn);
-  }
-  key_locks_.UnlockAll(txn);
+  std::lock_guard<std::mutex> lock(meta_mu_);
+  staged_.erase(txn);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@
 #include "common/result.h"
 #include "common/types.h"
 #include "index/global_index.h"
-#include "index/key_lock_manager.h"
 #include "log/partition_log.h"
 #include "rowstore/rowstore_table.h"
 #include "storage/table_options.h"
@@ -243,6 +242,11 @@ class UnifiedTable {
   Result<bool> FindDuplicate(TxnId txn, const Row& key_values,
                              RowLocation* loc);
 
+  /// Ends one of the table's own (move or flush) transactions without
+  /// commit: rolls back its rowstore versions, then releases its locks and
+  /// snapshot. Returns `status`.
+  Status AbortOwnTxn(TxnId txn, Status status);
+
   /// Moves segment rows into the rowstore in an autonomous transaction
   /// that commits immediately (logical table content unchanged). The
   /// caller then mutates the moved copies under their own row locks.
@@ -282,7 +286,6 @@ class UnifiedTable {
 
   Schema rowstore_schema_;  // user schema + hidden $rowid column
   std::unique_ptr<RowStoreTable> rowstore_;
-  KeyLockManager key_locks_;
 
   mutable std::mutex meta_mu_;
   std::map<uint64_t, SegmentEntry> segments_;

@@ -24,15 +24,13 @@ Timestamp TxnManager::PrepareCommit(TxnId /*txn*/) {
 
 void TxnManager::FinishCommit(TxnId txn, Timestamp commit_ts) {
   S2_COUNTER("s2_txn_commit_total").Add();
-  std::lock_guard<std::mutex> lock(mu_);
-  committing_.erase(commit_ts);
-  // Advance the watermark to just below the oldest still-stamping commit.
-  watermark_ = committing_.empty() ? clock_ : *committing_.begin() - 1;
-  auto it = txn_reads_.find(txn);
-  if (it != txn_reads_.end()) {
-    active_reads_.erase(active_reads_.find(it->second));
-    txn_reads_.erase(it);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    committing_.erase(commit_ts);
+    // Advance the watermark to just below the oldest still-stamping commit.
+    watermark_ = committing_.empty() ? clock_ : *committing_.begin() - 1;
   }
+  EndRead(txn);
 }
 
 void TxnManager::Abort(TxnId txn) {
@@ -41,6 +39,7 @@ void TxnManager::Abort(TxnId txn) {
 }
 
 void TxnManager::EndRead(TxnId txn) {
+  locks_.ReleaseAll(txn);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = txn_reads_.find(txn);
   if (it != txn_reads_.end()) {

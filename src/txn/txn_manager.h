@@ -7,6 +7,7 @@
 #include <set>
 
 #include "common/types.h"
+#include "txn/lock_table.h"
 
 namespace s2 {
 
@@ -18,6 +19,10 @@ namespace s2 {
 ///
 /// Visibility watermark: a new snapshot only sees commit timestamps whose
 /// stamping has fully finished, so a scan never observes half of a commit.
+///
+/// Owns the partition's LockTable. FinishCommit and Abort, which run after
+/// the tables stamped or rolled back the txn's versions, release its locks:
+/// a row-lock holder finds the row's newest version its own or committed.
 class TxnManager {
  public:
   struct TxnHandle {
@@ -41,7 +46,8 @@ class TxnManager {
   /// Ends a transaction without commit.
   void Abort(TxnId txn);
 
-  /// Ends a read-only transaction (releases its snapshot for GC).
+  /// Ends a read-only transaction (releases its snapshot for GC). Also
+  /// the tail of FinishCommit and Abort: releases the txn's locks.
   void EndRead(TxnId txn);
 
   /// Latest timestamp at which every commit is fully visible.
@@ -55,6 +61,9 @@ class TxnManager {
   /// below this can be purged.
   Timestamp oldest_active() const;
 
+  /// Row and unique-key locks of the partition's tables.
+  LockTable* locks() { return &locks_; }
+
  private:
   mutable std::mutex mu_;
   uint64_t next_txn_ = 1;
@@ -63,6 +72,7 @@ class TxnManager {
   std::set<Timestamp> committing_;          // allocated, not yet finished
   std::multiset<Timestamp> active_reads_;   // snapshots of live txns
   std::map<TxnId, Timestamp> txn_reads_;    // txn -> its snapshot
+  LockTable locks_;
 };
 
 }  // namespace s2

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <thread>
+
 #include "blob/blob_store.h"
 #include "common/env.h"
 #include "common/metrics.h"
@@ -237,6 +243,110 @@ TEST_F(EngineTest, ParallelFlushOfTablesInOnePartition) {
     EXPECT_EQ(rows->size(), static_cast<size_t>(kRounds * kRowsPerRound))
         << t;
   }
+}
+
+// Two transactions on one partition: each runs its first step, both meet,
+// then each runs its second step. A transaction whose step fails aborts;
+// the other commits. Returns each one's final status (the failed step's,
+// else the commit's) and, in `took`, the time from the meeting to the end
+// of both.
+using TxnStep = std::function<Status(Cluster::Txn&)>;
+std::array<Status, 2> RunCrossed(Database* db,
+                                 const std::array<TxnStep, 2>& first,
+                                 const std::array<TxnStep, 2>& second,
+                                 std::chrono::nanoseconds* took) {
+  std::array<Status, 2> results;
+  std::atomic<int> arrived{0};
+  std::chrono::steady_clock::time_point met;
+  auto run = [&](int i) {
+    Cluster::Txn txn = db->Begin();
+    Status s = first[i](txn);
+    if (arrived.fetch_add(1) == 1) met = std::chrono::steady_clock::now();
+    while (arrived.load() < 2) std::this_thread::yield();
+    if (s.ok()) s = second[i](txn);
+    if (s.ok()) {
+      s = txn.Commit();
+    } else {
+      txn.Abort();
+    }
+    results[i] = s;
+  };
+  std::thread a(run, 0);
+  std::thread b(run, 1);
+  a.join();
+  b.join();
+  *took = std::chrono::steady_clock::now() - met;
+  return results;
+}
+
+void ExpectOneDeadlockOneCommit(const std::array<Status, 2>& results,
+                                std::chrono::nanoseconds took) {
+  int deadlocks = 0, commits = 0;
+  for (const Status& s : results) {
+    if (s.ok()) ++commits;
+    if (s.IsAborted() && s.message() == "deadlock") ++deadlocks;
+  }
+  EXPECT_EQ(deadlocks, 1) << results[0].ToString() << " / "
+                          << results[1].ToString();
+  EXPECT_EQ(commits, 1);
+  EXPECT_LT(took, std::chrono::milliseconds(200));
+}
+
+Row Item(int64_t id, double price) {
+  return {Value(id), Value("n" + std::to_string(id)), Value(price)};
+}
+
+TxnStep UpdateItem(const std::string& table, int64_t id) {
+  return [table, id](Cluster::Txn& txn) {
+    auto h = txn.On(0);
+    return txn.table(0, table)->UpdateByKey(h.id, h.read_ts, {Value(id)},
+                                            Item(id, 2.0));
+  };
+}
+
+std::unique_ptr<Database> OpenOnePartition(const std::string& dir) {
+  DatabaseOptions opts;
+  opts.dir = dir;
+  opts.num_partitions = 1;
+  auto db = Database::Open(opts);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  return std::move(*db);
+}
+
+// The NewOrder-shaped lock cycle: each transaction updates a row in its own
+// table (district-like, stock-like), then requests the other's row. The
+// request that closes the cycle fails at once; no 1 s timeout is sat out.
+TEST_F(EngineTest, RowLockCycleAbortsOneAtOnce) {
+  auto db = OpenOnePartition(dir_ + "/row-cycle");
+  for (const char* t : {"district", "stock"}) {
+    ASSERT_TRUE(db->CreateTable(t, ItemsTable(), {0}).ok());
+    ASSERT_TRUE(db->Insert(t, {Item(1, 1.0)}).ok());
+  }
+  std::chrono::nanoseconds took{};
+  auto results =
+      RunCrossed(db.get(), {UpdateItem("district", 1), UpdateItem("stock", 1)},
+                 {UpdateItem("stock", 1), UpdateItem("district", 1)}, &took);
+  ExpectOneDeadlockOneCommit(results, took);
+}
+
+// A cycle across the two kinds of lock: one transaction holds a row lock,
+// the other a unique-key lock from an insert, and each requests the other's.
+// Only a lock table that holds both kinds can see it.
+TEST_F(EngineTest, RowAndUniqueKeyLockCycleAbortsOneAtOnce) {
+  auto db = OpenOnePartition(dir_ + "/key-cycle");
+  ASSERT_TRUE(db->CreateTable("items", ItemsTable(), {0}).ok());
+  ASSERT_TRUE(db->Insert("items", {Item(1, 1.0)}).ok());
+  TxnStep insert5 = [](Cluster::Txn& txn) {
+    auto h = txn.On(0);
+    return txn.table(0, "items")
+        ->InsertRows(h.id, h.read_ts, {Item(5, 5.0)})
+        .status();
+  };
+  std::chrono::nanoseconds took{};
+  auto results = RunCrossed(db.get(), {UpdateItem("items", 1), insert5},
+                            {insert5, UpdateItem("items", 1)}, &took);
+  ExpectOneDeadlockOneCommit(results, took);
+  EXPECT_EQ(CountRows(db.get()), 2u);
 }
 
 // Acceptance for the metrics layer: after a write + flush + checkpoint +

@@ -3,14 +3,11 @@
 #include "test_util.h"
 
 #include <algorithm>
-#include <atomic>
 #include <set>
-#include <thread>
 
 #include "common/rng.h"
 #include "index/global_index.h"
 #include "index/inverted_index.h"
-#include "index/key_lock_manager.h"
 #include "index/postings.h"
 
 namespace s2 {
@@ -297,70 +294,6 @@ TEST(GlobalIndexTest, MergeDropsDeadEntries) {
   index.Lookup(42, [&](const IndexEntry& e) { segs.push_back(e.segment_id); });
   std::sort(segs.begin(), segs.end());
   EXPECT_EQ(segs, (std::vector<uint64_t>{0, 4}));
-}
-
-TEST(KeyLockTest, BasicLockUnlock) {
-  KeyLockManager locks;
-  ASSERT_TRUE(locks.LockAll(1, {"a", "b"}).ok());
-  EXPECT_EQ(locks.num_locked(), 2u);
-  // Re-entrant for the same txn.
-  ASSERT_TRUE(locks.LockAll(1, {"b", "c"}).ok());
-  // Conflicting txn times out.
-  EXPECT_TRUE(locks.LockAll(2, {"b"}, /*timeout_ms=*/20).IsAborted());
-  locks.UnlockAll(1);
-  EXPECT_EQ(locks.num_locked(), 0u);
-  ASSERT_TRUE(locks.LockAll(2, {"b"}).ok());
-  locks.UnlockAll(2);
-}
-
-TEST(KeyLockTest, TimeoutRollsBackPartialAcquisition) {
-  KeyLockManager locks;
-  ASSERT_TRUE(locks.LockAll(1, {"m"}).ok());
-  // Txn 2 grabs "a" then blocks on "m" and times out: "a" must be freed.
-  EXPECT_TRUE(locks.LockAll(2, {"a", "m"}, /*timeout_ms=*/20).IsAborted());
-  ASSERT_TRUE(locks.LockAll(3, {"a"}, /*timeout_ms=*/20).ok());
-  locks.UnlockAll(1);
-  locks.UnlockAll(3);
-}
-
-TEST(KeyLockTest, ContendedHandoff) {
-  KeyLockManager locks;
-  ASSERT_TRUE(locks.LockAll(1, {"k"}).ok());
-  std::atomic<bool> acquired{false};
-  std::thread waiter([&] {
-    EXPECT_TRUE(locks.LockAll(2, {"k"}, /*timeout_ms=*/2000).ok());
-    acquired = true;
-    locks.UnlockAll(2);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(acquired.load());
-  locks.UnlockAll(1);
-  waiter.join();
-  EXPECT_TRUE(acquired.load());
-}
-
-TEST(KeyLockTest, SortedAcquisitionAvoidsDeadlock) {
-  // Two txns lock overlapping key sets in opposite order; sorted
-  // acquisition means one waits for the other rather than deadlocking.
-  KeyLockManager locks;
-  std::atomic<int> successes{0};
-  std::thread t1([&] {
-    if (locks.LockAll(1, {"x", "y"}, 2000).ok()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      locks.UnlockAll(1);
-      successes.fetch_add(1);
-    }
-  });
-  std::thread t2([&] {
-    if (locks.LockAll(2, {"y", "x"}, 2000).ok()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      locks.UnlockAll(2);
-      successes.fetch_add(1);
-    }
-  });
-  t1.join();
-  t2.join();
-  EXPECT_EQ(successes.load(), 2);
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 #include <set>
 #include <thread>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "rowstore/rowstore_table.h"
 #include "rowstore/skiplist.h"
+#include "txn/lock_table.h"
 
 namespace s2 {
 namespace {
@@ -101,18 +103,31 @@ Row MakeRow(int64_t id, std::string name, double score) {
 
 class RowStoreTest : public ::testing::Test {
  protected:
-  RowStoreTest() : table_(TestSchema(), {0}) {}
+  RowStoreTest() : table_(TestSchema(), {0}, &locks_) {}
+
+  // Ends txn in `table` and then releases its row locks, in the order
+  // TxnManager's FinishCommit / Abort keep.
+  void Commit(TxnId txn, Timestamp ts) { Commit(&table_, txn, ts); }
+  void Commit(RowStoreTable* table, TxnId txn, Timestamp ts) {
+    table->CommitTxn(txn, ts);
+    locks_.ReleaseAll(txn);
+  }
+  void Abort(TxnId txn) {
+    table_.AbortTxn(txn);
+    locks_.ReleaseAll(txn);
+  }
 
   // Helper: run an autocommit single-op transaction.
   Status Commit1(TxnId txn, Timestamp ts, Status op_result) {
     if (!op_result.ok()) {
-      table_.AbortTxn(txn);
+      Abort(txn);
       return op_result;
     }
-    table_.CommitTxn(txn, ts);
+    Commit(txn, ts);
     return Status::OK();
   }
 
+  LockTable locks_;
   RowStoreTable table_;
 };
 
@@ -121,7 +136,7 @@ TEST_F(RowStoreTest, InsertGetVisibility) {
   // Uncommitted: visible to own txn only.
   EXPECT_TRUE(table_.Get(1, 0, {Value(int64_t{7})}).ok());
   EXPECT_TRUE(table_.Get(2, 10, {Value(int64_t{7})}).status().IsNotFound());
-  table_.CommitTxn(1, 5);
+  Commit(1, 5);
   // Committed at ts 5: visible at read_ts >= 5.
   EXPECT_TRUE(table_.Get(2, 5, {Value(int64_t{7})}).ok());
   EXPECT_TRUE(table_.Get(2, 4, {Value(int64_t{7})}).status().IsNotFound());
@@ -131,7 +146,7 @@ TEST_F(RowStoreTest, InsertGetVisibility) {
 TEST_F(RowStoreTest, DuplicateInsertRejected) {
   ASSERT_TRUE(Commit1(1, 5, table_.Insert(1, 0, MakeRow(1, "a", 0))).ok());
   EXPECT_TRUE(table_.Insert(2, 5, MakeRow(1, "b", 0)).IsAlreadyExists());
-  table_.AbortTxn(2);
+  Abort(2);
 }
 
 TEST_F(RowStoreTest, DeleteAndReinsert) {
@@ -157,12 +172,12 @@ TEST_F(RowStoreTest, UpdateCreatesNewVersion) {
 TEST_F(RowStoreTest, UpdateMissingRowFails) {
   EXPECT_TRUE(
       table_.Update(1, 0, {Value(int64_t{42})}, MakeRow(42, "x", 0)).IsNotFound());
-  table_.AbortTxn(1);
+  Abort(1);
 }
 
 TEST_F(RowStoreTest, AbortRollsBack) {
   ASSERT_TRUE(table_.Insert(1, 0, MakeRow(1, "doomed", 0)).ok());
-  table_.AbortTxn(1);
+  Abort(1);
   EXPECT_TRUE(table_.Get(2, 100, {Value(int64_t{1})}).status().IsNotFound());
   // Key usable afterwards.
   ASSERT_TRUE(Commit1(3, 5, table_.Insert(3, 0, MakeRow(1, "kept", 0))).ok());
@@ -178,7 +193,7 @@ TEST_F(RowStoreTest, WriteWriteConflictAborts) {
   // ...so txn 2 (snapshot 5) must abort: first-committer-wins.
   Status s = table_.Update(2, 5, {Value(int64_t{1})}, MakeRow(1, "w2", 0));
   EXPECT_TRUE(s.IsAborted()) << s.ToString();
-  table_.AbortTxn(2);
+  Abort(2);
 }
 
 TEST_F(RowStoreTest, RowLockBlocksConcurrentWriter) {
@@ -192,14 +207,45 @@ TEST_F(RowStoreTest, RowLockBlocksConcurrentWriter) {
     // write-write conflict (snapshot 5 < txn 2's commit ts 10).
     Status s = table_.Update(3, 5, {Value(int64_t{1})}, MakeRow(1, "late", 0));
     EXPECT_TRUE(s.IsAborted());
-    table_.AbortTxn(3);
+    Abort(3);
     t3_done = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_FALSE(t3_done.load()) << "writer should still be waiting on the lock";
-  table_.CommitTxn(2, 10);
+  Commit(2, 10);
   t3.join();
   EXPECT_EQ((*table_.Get(9, 10, {Value(int64_t{1})}))[1], Value("locked"));
+}
+
+// A row-lock wait, with no unique key involved, parks the writer until the
+// holder's locks are released and is recorded in s2_lock_wait_ns.
+TEST_F(RowStoreTest, RowLockWaitIsRecorded) {
+  const uint64_t waits_before = S2_HISTOGRAM("s2_lock_wait_ns").count();
+  ASSERT_TRUE(Commit1(1, 5, table_.Insert(1, 0, MakeRow(1, "base", 0))).ok());
+  ASSERT_TRUE(
+      table_.Update(2, 5, {Value(int64_t{1})}, MakeRow(1, "held", 0)).ok());
+  std::thread t3([&] {
+    EXPECT_TRUE(table_.Delete(3, 5, {Value(int64_t{1})}).IsAborted());
+    Abort(3);
+  });
+  while (locks_.num_waiting() == 0) std::this_thread::yield();
+  Commit(2, 10);
+  t3.join();
+  EXPECT_EQ(S2_HISTOGRAM("s2_lock_wait_ns").count(), waits_before + 1);
+}
+
+// A newly allocated primary key cannot be written by another transaction
+// before this one ends, so its insert takes no row lock; a later write of
+// the row in the same transaction does.
+TEST_F(RowStoreTest, FreshKeyInsertTakesNoRowLock) {
+  ASSERT_TRUE(
+      table_.Insert(1, 0, MakeRow(1, "fresh", 0), /*fresh_pk=*/true).ok());
+  EXPECT_EQ(locks_.num_locked(), 0u);
+  ASSERT_TRUE(
+      table_.Update(1, 0, {Value(int64_t{1})}, MakeRow(1, "again", 0)).ok());
+  EXPECT_EQ(locks_.num_locked(), 1u);
+  Commit(1, 5);
+  EXPECT_EQ((*table_.Get(9, 5, {Value(int64_t{1})}))[1], Value("again"));
 }
 
 TEST_F(RowStoreTest, ScanVisibleInOrder) {
@@ -222,12 +268,12 @@ TEST_F(RowStoreTest, ScanVisibleInOrder) {
 }
 
 TEST_F(RowStoreTest, SecondaryIndexSeek) {
-  RowStoreTable table(TestSchema(), {0});
+  RowStoreTable table(TestSchema(), {0}, &locks_);
   table.AddSecondaryIndex({1});  // by name
   ASSERT_TRUE(table.Insert(1, 0, MakeRow(1, "bob", 1)).ok());
   ASSERT_TRUE(table.Insert(1, 0, MakeRow(2, "alice", 2)).ok());
   ASSERT_TRUE(table.Insert(1, 0, MakeRow(3, "bob", 3)).ok());
-  table.CommitTxn(1, 5);
+  Commit(&table, 1, 5);
 
   std::vector<int64_t> ids;
   ASSERT_TRUE(table
@@ -241,7 +287,7 @@ TEST_F(RowStoreTest, SecondaryIndexSeek) {
 
   // Update moves id=1 from bob to carol: index reflects it.
   ASSERT_TRUE(table.Update(2, 5, {Value(int64_t{1})}, MakeRow(1, "carol", 1)).ok());
-  table.CommitTxn(2, 6);
+  Commit(&table, 2, 6);
   ids.clear();
   ASSERT_TRUE(table
                   .IndexSeek(0, 9, 6, {Value("bob")},
@@ -266,11 +312,11 @@ TEST_F(RowStoreTest, PurgeRemovesDeadRowsAndOldVersions) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(table_.Insert(1, 0, MakeRow(i, "row", 0)).ok());
   }
-  table_.CommitTxn(1, 5);
+  Commit(1, 5);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(table_.Delete(2, 5, {Value(int64_t{i})}).ok());
   }
-  table_.CommitTxn(2, 6);
+  Commit(2, 6);
   EXPECT_EQ(table_.num_nodes(), 10u);
   size_t purged = table_.Purge(/*oldest_active=*/7);
   EXPECT_EQ(purged, 5u);
@@ -291,12 +337,12 @@ TEST_F(RowStoreTest, SnapshotRoundTrip) {
     ASSERT_TRUE(
         table_.Insert(1, 0, MakeRow(i, "n" + std::to_string(i), i * 0.5)).ok());
   }
-  table_.CommitTxn(1, 5);
+  Commit(1, 5);
   ASSERT_TRUE(Commit1(2, 6, table_.Delete(2, 5, {Value(int64_t{50})})).ok());
 
   std::string snapshot = table_.SerializeSnapshot(6);
 
-  RowStoreTable restored(TestSchema(), {0});
+  RowStoreTable restored(TestSchema(), {0}, &locks_);
   ASSERT_TRUE(restored.RestoreSnapshot(snapshot, 1).ok());
   EXPECT_EQ(restored.CountVisible(1), 99u);
   EXPECT_TRUE(restored.Get(9, 1, {Value(int64_t{50})}).status().IsNotFound());
@@ -314,7 +360,7 @@ TEST_F(RowStoreTest, ConcurrentDisjointWritersAllCommit) {
         TxnId txn = 1000 + t * kRows + i;
         int64_t id = t * kRows + i;
         ASSERT_TRUE(table_.Insert(txn, 0, MakeRow(id, "w", 0)).ok());
-        table_.CommitTxn(txn, next_ts.fetch_add(1));
+        Commit(txn, next_ts.fetch_add(1));
       }
     });
   }
@@ -334,10 +380,10 @@ TEST_F(RowStoreTest, ConcurrentConflictingWritersOneKeyEachValueWins) {
       TxnId txn = 77 + t;
       Status s = table_.Insert(txn, 0, MakeRow(1, "winner", t));
       if (s.ok()) {
-        table_.CommitTxn(txn, next_ts.fetch_add(1));
+        Commit(txn, next_ts.fetch_add(1));
         successes.fetch_add(1);
       } else {
-        table_.AbortTxn(txn);
+        Abort(txn);
       }
     });
   }

@@ -2,11 +2,13 @@
 
 #include "test_util.h"
 
+#include <chrono>
 #include <map>
 #include <set>
 #include <thread>
 
 #include "blob/blob_store.h"
+#include "common/coding.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "storage/partition.h"
@@ -495,6 +497,34 @@ TEST_F(StorageTest, ColdReadThroughBlobAfterEviction) {
   partition_->files()->EvictCold();
   auto rows = AllRows(*recovered);
   EXPECT_EQ(rows.size(), 64u);
+}
+
+// A replayed transaction whose second op fails rolls back the first: its
+// staged row, the row lock and its snapshot would otherwise leak, so the
+// next apply of the same row would wait out the lock timeout.
+TEST_F(StorageTest, FailedReplayRollsBackItsTxn) {
+  UnifiedTable* table = MakeTable();
+  auto insert_pk7 = [](const std::string& table_name) {
+    std::string payload;
+    PutLengthPrefixed(&payload, table_name);
+    payload.push_back(0);  // flags: user rows
+    PutVarint64(&payload, 1);
+    Row full = MakeRow(7, "seven", 7.0);
+    full.emplace_back(int64_t{7});  // $rowid
+    for (const Value& v : full) v.EncodeTo(&payload);
+    return std::make_pair(LogRecordType::kInsertRows, payload);
+  };
+  EXPECT_FALSE(
+      partition_->ApplyReplicated({insert_pk7("t"), insert_pk7("missing")})
+          .ok());
+  const Timestamp oldest_before = partition_->txns()->oldest_active();
+  auto start = std::chrono::steady_clock::now();
+  Status s = partition_->ApplyReplicated({insert_pk7("t")});
+  auto took = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_LT(took, std::chrono::milliseconds(100));
+  EXPECT_GT(partition_->txns()->oldest_active(), oldest_before);
+  EXPECT_EQ(AllRows(table).size(), 1u);
 }
 
 TEST_F(StorageTest, WriteWriteConflictOnSameKeyAborts) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <map>
+#include <thread>
 
 #include "common/env.h"
+#include "common/metrics.h"
 #include "engine/database.h"
 #include "workloads/tpcc.h"
 #include "workloads/tpch.h"
@@ -14,13 +17,15 @@ namespace {
 
 class TpccTest : public ::testing::Test {
  protected:
+  virtual int NumPartitions() const { return 2; }
+
   void SetUp() override {
     auto dir = MakeTempDir("s2-tpcc");
     ASSERT_TRUE(dir.ok());
     dir_ = *dir;
     DatabaseOptions opts;
     opts.dir = dir_;
-    opts.num_partitions = 2;
+    opts.num_partitions = NumPartitions();
     opts.num_nodes = 1;
     opts.ha_replicas = 0;
     auto db = Database::Open(opts);
@@ -58,6 +63,51 @@ class TpccTest : public ::testing::Test {
     return rows->size();
   }
 
+  void ExpectDistrictAndYtdInvariants() {
+    // Invariant: for every district, d_next_o_id - 1 == max(o_id).
+    auto districts = db_->Query([] {
+      return std::make_unique<ScanOp>("district", std::vector<int>{0, 1, 5});
+    });
+    ASSERT_TRUE(districts.ok());
+    auto orders = db_->Query([] {
+      return std::make_unique<ScanOp>("orders", std::vector<int>{0, 1, 2});
+    });
+    ASSERT_TRUE(orders.ok());
+    std::map<std::pair<int64_t, int64_t>, int64_t> max_o;
+    for (const Row& row : *orders) {
+      auto key = std::make_pair(row[0].as_int(), row[1].as_int());
+      max_o[key] = std::max(max_o[key], row[2].as_int());
+    }
+    for (const Row& row : *districts) {
+      auto key = std::make_pair(row[0].as_int(), row[1].as_int());
+      EXPECT_EQ(row[2].as_int() - 1, max_o[key])
+          << "district (" << key.first << "," << key.second << ")";
+    }
+
+    // Invariant: warehouse YTD == 300000 (initial) + sum of payments into it.
+    // Cross-check against district YTDs: sum(d_ytd) per warehouse tracks
+    // w_ytd (both start at 30000*D / 300000 and receive the same payments).
+    auto warehouses = db_->Query([] {
+      return std::make_unique<ScanOp>("warehouse", std::vector<int>{0, 3});
+    });
+    ASSERT_TRUE(warehouses.ok());
+    auto district_ytd = db_->Query([] {
+      return std::make_unique<ScanOp>("district", std::vector<int>{0, 4});
+    });
+    ASSERT_TRUE(district_ytd.ok());
+    std::map<int64_t, double> dsum;
+    for (const Row& row : *district_ytd) {
+      dsum[row[0].as_int()] += row[1].as_double();
+    }
+    for (const Row& row : *warehouses) {
+      double w_ytd = row[1].as_double();
+      double d_total = dsum[row[0].as_int()];
+      EXPECT_NEAR(w_ytd - 300000.0,
+                  d_total - 30000.0 * scale_.districts_per_warehouse, 1e-6)
+          << "warehouse " << row[0].as_int();
+    }
+  }
+
   std::string dir_;
   tpcc::Scale scale_;
   std::unique_ptr<Database> db_;
@@ -84,48 +134,7 @@ TEST_F(TpccTest, TransactionsRunAndPreserveInvariants) {
   EXPECT_GT(counters.payments.load(), 50u);
   EXPECT_LT(counters.aborts.load(), static_cast<uint64_t>(attempts) / 4);
 
-  // Invariant: for every district, d_next_o_id - 1 == max(o_id).
-  auto districts = db_->Query([] {
-    return std::make_unique<ScanOp>("district", std::vector<int>{0, 1, 5});
-  });
-  ASSERT_TRUE(districts.ok());
-  auto orders = db_->Query([] {
-    return std::make_unique<ScanOp>("orders", std::vector<int>{0, 1, 2});
-  });
-  ASSERT_TRUE(orders.ok());
-  std::map<std::pair<int64_t, int64_t>, int64_t> max_o;
-  for (const Row& row : *orders) {
-    auto key = std::make_pair(row[0].as_int(), row[1].as_int());
-    max_o[key] = std::max(max_o[key], row[2].as_int());
-  }
-  for (const Row& row : *districts) {
-    auto key = std::make_pair(row[0].as_int(), row[1].as_int());
-    EXPECT_EQ(row[2].as_int() - 1, max_o[key])
-        << "district (" << key.first << "," << key.second << ")";
-  }
-
-  // Invariant: warehouse YTD == 300000 (initial) + sum of payments into it.
-  // Cross-check against district YTDs: sum(d_ytd) per warehouse tracks
-  // w_ytd (both start at 30000*D / 300000 and receive the same payments).
-  auto warehouses = db_->Query([] {
-    return std::make_unique<ScanOp>("warehouse", std::vector<int>{0, 3});
-  });
-  ASSERT_TRUE(warehouses.ok());
-  auto district_ytd = db_->Query([] {
-    return std::make_unique<ScanOp>("district", std::vector<int>{0, 4});
-  });
-  ASSERT_TRUE(district_ytd.ok());
-  std::map<int64_t, double> dsum;
-  for (const Row& row : *district_ytd) {
-    dsum[row[0].as_int()] += row[1].as_double();
-  }
-  for (const Row& row : *warehouses) {
-    double w_ytd = row[1].as_double();
-    double d_total = dsum[row[0].as_int()];
-    EXPECT_NEAR(w_ytd - 300000.0,
-                d_total - 30000.0 * scale_.districts_per_warehouse, 1e-6)
-        << "warehouse " << row[0].as_int();
-  }
+  ExpectDistrictAndYtdInvariants();
 
   // Every order has its orderlines: spot-check counts match o_ol_cnt.
   auto order_meta = db_->Query([] {
@@ -143,6 +152,41 @@ TEST_F(TpccTest, TransactionsRunAndPreserveInvariants) {
                                row[2].as_int());
     EXPECT_EQ(line_count[key], row[3].as_int());
   }
+}
+
+class TpccOnePartitionTest : public TpccTest {
+ protected:
+  int NumPartitions() const override { return 1; }
+};
+
+// Concurrent terminals on one partition: every lock cycle (NewOrder's
+// district then stock rows in random item order, Payment, Delivery) is
+// inside one lock table, so each aborts at once as a deadlock and the
+// lock-timeout backstop never fires.
+TEST_F(TpccOnePartitionTest, ConcurrentWorkersNeverTimeOut) {
+  constexpr int kWorkers = 4;
+  constexpr int kTxnsPerWorker = 150;
+  Counter& timeouts = S2_COUNTER("s2_lock_timeouts_total");
+  const uint64_t timeouts_before = timeouts.value();
+  tpcc::Counters counters;
+  std::atomic<int> timed_out{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      tpcc::Worker worker(db_.get(), scale_, 1000 + w, &counters);
+      for (int i = 0; i < kTxnsPerWorker; ++i) {
+        Status s = worker.RunOne();
+        if (s.message().find("lock timeout") != std::string::npos) {
+          timed_out.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  EXPECT_GT(counters.new_orders.load(), 0u);
+  EXPECT_EQ(timed_out.load(), 0);
+  EXPECT_EQ(timeouts.value(), timeouts_before);
+  ExpectDistrictAndYtdInvariants();
 }
 
 class TpchTest : public ::testing::Test {
