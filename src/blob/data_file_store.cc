@@ -28,6 +28,8 @@ DataFileStore::~DataFileStore() {
   drain_cv_.wait(lock, [this] {
     return !pump_scheduled_ && uploads_inflight_ == 0;
   });
+  // The gauge sums every store in the process; take this one's share out.
+  S2_GAUGE("s2_cache_bytes").Add(-static_cast<int64_t>(cached_bytes_));
 }
 
 void DataFileStore::SetFileHook(FileHook hook) {
@@ -103,7 +105,7 @@ Status DataFileStore::Write(const std::string& name,
     }
   }
   cached_bytes_ += data->size();
-  S2_GAUGE("s2_cache_bytes").Set(static_cast<int64_t>(cached_bytes_));
+  S2_GAUGE("s2_cache_bytes").Add(static_cast<int64_t>(data->size()));
   it->second.data = std::move(data);
   it->second.uploaded = false;
   lru_.push_front(name);
@@ -233,7 +235,7 @@ Result<std::shared_ptr<const std::string>> DataFileStore::FetchAndInsert(
       SchedulePumpLocked();
     }
     cached_bytes_ += data->size();
-    S2_GAUGE("s2_cache_bytes").Set(static_cast<int64_t>(cached_bytes_));
+    S2_GAUGE("s2_cache_bytes").Add(static_cast<int64_t>(data->size()));
     lru_.push_front(name);
     entry.lru_it = lru_.begin();
     EvictColdLocked();
@@ -257,7 +259,8 @@ Status DataFileStore::Remove(const std::string& name) {
   if (it == files_.end()) return Status::NotFound("no data file " + name);
   if (it->second.data != nullptr) {
     cached_bytes_ -= it->second.data->size();
-    S2_GAUGE("s2_cache_bytes").Set(static_cast<int64_t>(cached_bytes_));
+    S2_GAUGE("s2_cache_bytes")
+        .Add(-static_cast<int64_t>(it->second.data->size()));
     lru_.erase(it->second.lru_it);
   }
   files_.erase(it);
@@ -400,7 +403,8 @@ void DataFileStore::EvictColdLocked() {
     }
     cached_bytes_ -= fit->second.data->size();
     evicted_bytes += fit->second.data->size();
-    S2_GAUGE("s2_cache_bytes").Set(static_cast<int64_t>(cached_bytes_));
+    S2_GAUGE("s2_cache_bytes")
+        .Add(-static_cast<int64_t>(fit->second.data->size()));
     S2_COUNTER("s2_cache_evictions_total").Add();
     fit->second.data = nullptr;
     if (!options_.local_dir.empty()) {

@@ -161,24 +161,10 @@ void ReplicaPartition::ApplyCompleteRecordsLocked() {
   Slice pages(unapplied.data(), complete);
   Status s = PartitionLog::ParseStream(
       pages, applied_, [&](Lsn, const LogRecord& rec) -> Status {
-        switch (rec.type) {
-          case LogRecordType::kCommit: {
-            auto it = pending_txns_.find(rec.txn_id);
-            if (it != pending_txns_.end()) {
-              Status as = partition_->ApplyReplicated(it->second);
-              pending_txns_.erase(it);
-              ++txns_applied_;
-              return as;
-            }
-            return Status::OK();
-          }
-          case LogRecordType::kAbort:
-            pending_txns_.erase(rec.txn_id);
-            return Status::OK();
-          default:
-            pending_txns_[rec.txn_id].emplace_back(rec.type, rec.payload);
-            return Status::OK();
-        }
+        S2_ASSIGN_OR_RETURN(bool applied,
+                            partition_->ReplayRecord(rec, &pending_txns_));
+        if (applied) ++txns_applied_;
+        return Status::OK();
       });
   if (s.ok()) applied_ += complete;
 }

@@ -99,8 +99,7 @@ class ReplicaPartition : public ReplicationSink {
   Lsn stream_base_ = 0;      // log position of stream_[0]
   Lsn applied_ = 0;          // absolute position fully applied
   std::map<Lsn, std::string> out_of_order_;  // pages ahead of the stream
-  std::map<TxnId, std::vector<std::pair<LogRecordType, std::string>>>
-      pending_txns_;
+  Partition::PendingTxns pending_txns_;
   uint64_t txns_applied_ = 0;
 };
 

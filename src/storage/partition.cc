@@ -254,29 +254,34 @@ Status Partition::Recover() {
     txns_.AdvanceTo(2);  // snapshot rows were committed at ts 1
   }
 
-  // Replay the log: buffer records per transaction, apply at commit.
-  std::map<TxnId, std::vector<std::pair<LogRecordType, std::string>>> pending;
+  PendingTxns pending;
   Status replay_status = log_->Replay(
       replay_from, replay_to, [&](Lsn, const LogRecord& rec) -> Status {
-        switch (rec.type) {
-          case LogRecordType::kCommit: {
-            auto it = pending.find(rec.txn_id);
-            if (it == pending.end()) return Status::OK();
-            Status s = ApplyReplicated(it->second);
-            pending.erase(it);
-            return s;
-          }
-          case LogRecordType::kAbort:
-            pending.erase(rec.txn_id);
-            return Status::OK();
-          default:
-            pending[rec.txn_id].emplace_back(rec.type, rec.payload);
-            return Status::OK();
-        }
+        return ReplayRecord(rec, &pending).status();
       });
   S2_RETURN_NOT_OK(replay_status);
   log_uploaded_ = 0;
   return Status::OK();
+}
+
+Result<bool> Partition::ReplayRecord(const LogRecord& rec,
+                                     PendingTxns* pending) {
+  switch (rec.type) {
+    case LogRecordType::kCommit: {
+      auto it = pending->find(rec.txn_id);
+      if (it == pending->end()) return false;
+      Status s = ApplyReplicated(it->second);
+      pending->erase(it);
+      S2_RETURN_NOT_OK(s);
+      return true;
+    }
+    case LogRecordType::kAbort:
+      pending->erase(rec.txn_id);
+      return false;
+    default:
+      (*pending)[rec.txn_id].emplace_back(rec.type, rec.payload);
+      return false;
+  }
 }
 
 Status Partition::ApplyReplicated(
@@ -306,7 +311,7 @@ Status Partition::ApplyReplicated(
           S2_RETURN_NOT_OK(table->ReplaySegmentFlush(h.id, in));
           break;
         case LogRecordType::kMetadataUpdate:
-          S2_RETURN_NOT_OK(table->ReplayMetadataUpdate(h.id, in, 0));
+          S2_RETURN_NOT_OK(table->ReplayMetadataUpdate(h.id, in));
           break;
         case LogRecordType::kSegmentMerge:
           S2_RETURN_NOT_OK(table->ReplaySegmentMerge(h.id, in));

@@ -97,6 +97,15 @@ class Partition {
   Status ApplyReplicated(
       const std::vector<std::pair<LogRecordType, std::string>>& ops);
 
+  /// Log records buffered per transaction until its commit record.
+  using PendingTxns =
+      std::map<TxnId, std::vector<std::pair<LogRecordType, std::string>>>;
+  /// Feeds one record of a replayed log (recovery or a replication
+  /// stream): buffers it under its transaction, applies the buffer through
+  /// ApplyReplicated at the commit record and drops it at the abort
+  /// record. Returns whether a transaction was applied.
+  Result<bool> ReplayRecord(const LogRecord& rec, PendingTxns* pending);
+
   PartitionLog* log() { return log_.get(); }
   DataFileStore* files() { return files_.get(); }
   TxnManager* txns() { return &txns_; }

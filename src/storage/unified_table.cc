@@ -1,6 +1,7 @@
 #include "storage/unified_table.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
@@ -313,7 +314,10 @@ Status UnifiedTable::MoveRows(uint64_t segment_id,
                        ? *entry.meta.deletes
                        : BitVector(entry.meta.num_rows);
     for (uint32_t off : actually_moved) bv.Set(off);
-    auto new_deletes = std::make_shared<const BitVector>(std::move(bv));
+    SegmentChange change;
+    change.kind = SegmentChange::kDeletes;
+    change.segment_id = segment_id;
+    change.deletes = std::make_shared<const BitVector>(std::move(bv));
 
     LogRecord rows_rec;
     rows_rec.txn_id = h.id;
@@ -329,15 +333,14 @@ Status UnifiedTable::MoveRows(uint64_t segment_id,
     meta_rec.type = LogRecordType::kMetadataUpdate;
     PutLengthPrefixed(&meta_rec.payload, name_);
     PutVarint64(&meta_rec.payload, segment_id);
-    new_deletes->EncodeTo(&meta_rec.payload);
+    change.deletes->EncodeTo(&meta_rec.payload);
     log_->Append(meta_rec);
 
     Status cs = log_->Commit(h.id);
     if (!cs.ok()) return AbortOwnTxn(h.id, cs);
     Timestamp cts = txns_->PrepareCommit(h.id);
     rowstore_->CommitTxn(h.id, cts);
-    entry.meta.deletes = new_deletes;
-    entry.delete_history.emplace_back(cts, new_deletes);
+    InstallDeletesLocked(change, cts);
     txns_->FinishCommit(h.id, cts);
   }
   return Status::OK();
@@ -527,34 +530,27 @@ Result<bool> UnifiedTable::LookupSegmentsByCols(
   for (size_t i = 0; i < cols.size(); ++i) {
     S2_ASSIGN_OR_RETURN(std::vector<SegmentIndexMatch> matches,
                         IndexLookupSegments(cols[i], values[i], read_ts));
+    // Column 0 proposes the candidates; every later column must match
+    // them too, so a segment it alone names is never a candidate.
     std::unordered_set<uint64_t> seen;
     for (SegmentIndexMatch& match : matches) {
       uint64_t id = match.snapshot.id;
       if (have_tuple && tuple_segments.count(id) == 0) continue;
-      seen.insert(id);
-      auto [it, inserted] = candidates.try_emplace(id);
-      if (inserted) {
-        it->second.snapshot = std::move(match.snapshot);
-        it->second.offsets.assign(cols.size(), 0);
+      if (i == 0) {
+        SegmentCandidate& cand = candidates[id];
+        cand.snapshot = std::move(match.snapshot);
+        cand.offsets.assign(cols.size(), 0);
+        cand.offsets[0] = match.postings_offset;
+        continue;
       }
+      auto it = candidates.find(id);
+      if (it == candidates.end()) continue;
       it->second.offsets[i] = match.postings_offset;
+      seen.insert(id);
     }
-    // A segment must match every column; drop the rest.
+    if (i == 0) continue;
     for (auto it = candidates.begin(); it != candidates.end();) {
-      if (i == 0 || seen.count(it->first) > 0) {
-        ++it;
-      } else {
-        it = candidates.erase(it);
-      }
-    }
-    if (i > 0) {
-      for (auto it = candidates.begin(); it != candidates.end();) {
-        if (seen.count(it->first) == 0) {
-          it = candidates.erase(it);
-        } else {
-          ++it;
-        }
-      }
+      it = seen.count(it->first) > 0 ? std::next(it) : candidates.erase(it);
     }
   }
 
@@ -785,36 +781,67 @@ Status UnifiedTable::AddSegmentToIndexes(
   return Status::OK();
 }
 
-Status UnifiedTable::RegisterSegment(SegmentMeta meta, Timestamp created_ts,
-                                     bool new_sorted_run,
-                                     const std::shared_ptr<Segment>& opened) {
+void UnifiedTable::AddSegmentLocked(SegmentMeta meta, Timestamp created_ts,
+                                    std::shared_ptr<Segment> opened) {
   uint64_t id = meta.id;
-  {
-    std::lock_guard<std::mutex> live(live_mu_);
-    live_segments_.insert(id);
-  }
-  std::lock_guard<std::mutex> lock(meta_mu_);
   SegmentEntry entry;
   entry.created_ts = created_ts;
-  entry.segment = opened;
   entry.delete_history.emplace_back(created_ts, meta.deletes);
-  uint64_t rows = meta.live_rows();
+  entry.indexed = opened != nullptr && AddSegmentToIndexes(id, opened).ok();
+  entry.segment = std::move(opened);
   entry.meta = std::move(meta);
-  if (opened != nullptr) {
-    S2_RETURN_NOT_OK(AddSegmentToIndexes(id, opened));
-    entry.indexed = true;
-  }
   segments_[id] = std::move(entry);
-  if (new_sorted_run) {
-    runs_.push_back(SortedRun{{id}, rows});
-  }
   stats_.segments_created.fetch_add(1);
   // Keep id allocation ahead of replayed/restored segments.
   uint64_t next = next_segment_id_.load();
   while (id >= next &&
          !next_segment_id_.compare_exchange_weak(next, id + 1)) {
   }
-  return Status::OK();
+}
+
+void UnifiedTable::InstallSegmentsLocked(SegmentChange change,
+                                         Timestamp commit_ts) {
+  // Old segments turn dead and new ones live in one step. The new ones must
+  // be live before their index entries go in (a GlobalIndex merge drops
+  // entries of segments that are not live, and with the old ones dead it
+  // drops theirs for good).
+  {
+    std::lock_guard<std::mutex> live(live_mu_);
+    for (uint64_t id : change.old_ids) live_segments_.erase(id);
+    for (const SegmentMeta& meta : change.metas) {
+      live_segments_.insert(meta.id);
+    }
+  }
+  std::unordered_set<uint64_t> old_set(change.old_ids.begin(),
+                                       change.old_ids.end());
+  for (uint64_t id : old_set) {
+    auto it = segments_.find(id);
+    if (it != segments_.end()) it->second.dropped_ts = commit_ts;
+  }
+  SortedRun run;
+  for (size_t i = 0; i < change.metas.size(); ++i) {
+    run.segment_ids.push_back(change.metas[i].id);
+    run.total_rows += change.metas[i].live_rows();
+    AddSegmentLocked(std::move(change.metas[i]), commit_ts,
+                     std::move(change.opened[i]));
+  }
+  auto holds_old = [&](const SortedRun& r) {
+    for (uint64_t id : r.segment_ids) {
+      if (old_set.count(id) > 0) return true;
+    }
+    return false;
+  };
+  runs_.erase(std::remove_if(runs_.begin(), runs_.end(), holds_old),
+              runs_.end());
+  if (!run.segment_ids.empty()) runs_.push_back(std::move(run));
+}
+
+void UnifiedTable::InstallDeletesLocked(const SegmentChange& change,
+                                        Timestamp commit_ts) {
+  auto it = segments_.find(change.segment_id);
+  if (it == segments_.end()) return;
+  it->second.meta.deletes = change.deletes;
+  it->second.delete_history.emplace_back(commit_ts, change.deletes);
 }
 
 Result<size_t> UnifiedTable::FlushRowstore() {
@@ -908,10 +935,15 @@ Result<size_t> UnifiedTable::FlushRowstore() {
     (void)files_->Remove(meta.file_name);
     return AbortOwnTxn(h.id, cs);
   }
+  SegmentChange change;
+  change.metas.push_back(std::move(meta));
+  change.opened.push_back(std::move(opened));
   Timestamp cts = txns_->PrepareCommit(h.id);
   rowstore_->CommitTxn(h.id, cts);
-  S2_RETURN_NOT_OK(
-      RegisterSegment(std::move(meta), cts, /*new_sorted_run=*/true, opened));
+  {
+    std::lock_guard<std::mutex> lock(meta_mu_);
+    InstallSegmentsLocked(std::move(change), cts);
+  }
   txns_->FinishCommit(h.id, cts);
   stats_.flushes.fetch_add(1);
   S2_COUNTER("s2_flush_total").Add();
@@ -936,13 +968,13 @@ Result<bool> UnifiedTable::MaybeMergeRuns() {
   ScopedTimer merge_timer(nullptr);  // records only when a merge happened
 
   // Pick the merge inputs and snapshot their delete vectors.
-  std::vector<size_t> picked;
-  std::vector<uint64_t> old_ids;
+  SegmentChange change;
   std::vector<MergeInput> inputs;
   std::vector<std::shared_ptr<const BitVector>> scanned_deletes;
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
-    picked = PickRunsToMerge(runs_, options_.max_sorted_runs);
+    std::vector<size_t> picked =
+        PickRunsToMerge(runs_, options_.max_sorted_runs);
     if (picked.empty()) return false;
     for (size_t r : picked) {
       for (uint64_t id : runs_[r].segment_ids) {
@@ -950,7 +982,7 @@ Result<bool> UnifiedTable::MaybeMergeRuns() {
         if (it == segments_.end()) continue;
         S2_ASSIGN_OR_RETURN(std::shared_ptr<Segment> segment,
                             OpenSegmentLocked(&it->second));
-        old_ids.push_back(id);
+        change.old_ids.push_back(id);
         inputs.push_back(MergeInput{segment, it->second.meta.deletes});
         scanned_deletes.push_back(it->second.meta.deletes);
       }
@@ -969,14 +1001,12 @@ Result<bool> UnifiedTable::MaybeMergeRuns() {
 
   TxnManager::TxnHandle h = txns_->Begin();
   Lsn lsn = log_->next_lsn();
-  std::vector<SegmentMeta> new_metas;
-  std::vector<std::shared_ptr<Segment>> new_opened;
   // A failure while materializing the merged segments must abort the merge
   // transaction (a leaked active txn pins vacuum/purge forever) and remove
   // the files already written.
   auto abort_merge = [&](const Status& s) -> Status {
     txns_->Abort(h.id);
-    for (const SegmentMeta& meta : new_metas) {
+    for (const SegmentMeta& meta : change.metas) {
       (void)files_->Remove(meta.file_name);
     }
     return s;
@@ -994,9 +1024,11 @@ Result<bool> UnifiedTable::MaybeMergeRuns() {
       (void)files_->Remove(meta.file_name);
       return abort_merge(opened_or.status());
     }
-    new_metas.push_back(std::move(meta));
-    new_opened.push_back(std::move(*opened_or));
+    change.metas.push_back(std::move(meta));
+    change.opened.push_back(std::move(*opened_or));
   }
+  const size_t segments_in = change.old_ids.size();
+  const size_t segments_out = change.metas.size();
 
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
@@ -1005,13 +1037,13 @@ Result<bool> UnifiedTable::MaybeMergeRuns() {
     // all segment merges between the scan timestamp and the commit
     // timestamp to the deleted bits" — seen from the merge's side).
     std::vector<BitVector> new_deletes;
-    new_deletes.reserve(new_metas.size());
-    for (const SegmentMeta& meta : new_metas) {
+    new_deletes.reserve(change.metas.size());
+    for (const SegmentMeta& meta : change.metas) {
       new_deletes.emplace_back(meta.num_rows);
     }
     bool any_new_delete = false;
-    for (size_t i = 0; i < old_ids.size(); ++i) {
-      auto it = segments_.find(old_ids[i]);
+    for (size_t i = 0; i < change.old_ids.size(); ++i) {
+      auto it = segments_.find(change.old_ids[i]);
       if (it == segments_.end()) continue;
       const auto& current = it->second.meta.deletes;
       if (current == scanned_deletes[i] || current == nullptr) continue;
@@ -1028,9 +1060,9 @@ Result<bool> UnifiedTable::MaybeMergeRuns() {
         }
       }
     }
-    for (size_t s = 0; s < new_metas.size(); ++s) {
+    for (size_t s = 0; s < change.metas.size(); ++s) {
       if (any_new_delete && !new_deletes[s].NoneSet()) {
-        new_metas[s].deletes =
+        change.metas[s].deletes =
             std::make_shared<const BitVector>(std::move(new_deletes[s]));
       }
     }
@@ -1039,50 +1071,15 @@ Result<bool> UnifiedTable::MaybeMergeRuns() {
     rec.txn_id = h.id;
     rec.type = LogRecordType::kSegmentMerge;
     PutLengthPrefixed(&rec.payload, name_);
-    PutVarint64(&rec.payload, old_ids.size());
-    for (uint64_t id : old_ids) PutVarint64(&rec.payload, id);
-    PutVarint64(&rec.payload, new_metas.size());
-    for (const SegmentMeta& meta : new_metas) meta.EncodeTo(&rec.payload);
+    PutVarint64(&rec.payload, change.old_ids.size());
+    for (uint64_t id : change.old_ids) PutVarint64(&rec.payload, id);
+    PutVarint64(&rec.payload, change.metas.size());
+    for (const SegmentMeta& meta : change.metas) meta.EncodeTo(&rec.payload);
     log_->Append(rec);
     Status cs = log_->Commit(h.id);
     if (!cs.ok()) return abort_merge(cs);
     Timestamp cts = txns_->PrepareCommit(h.id);
-
-    // Install: drop old, add new, rebuild run bookkeeping. New segments
-    // register their index entries before becoming visible; old ones turn
-    // dead in the liveness set so index lookups skip them lazily.
-    {
-      std::lock_guard<std::mutex> live(live_mu_);
-      for (uint64_t id : old_ids) live_segments_.erase(id);
-      for (const SegmentMeta& meta : new_metas) {
-        live_segments_.insert(meta.id);
-      }
-    }
-    for (uint64_t id : old_ids) {
-      auto it = segments_.find(id);
-      if (it != segments_.end()) it->second.dropped_ts = cts;
-    }
-    SortedRun merged_run;
-    for (size_t s = 0; s < new_metas.size(); ++s) {
-      SegmentEntry entry;
-      entry.created_ts = cts;
-      entry.segment = new_opened[s];
-      entry.delete_history.emplace_back(cts, new_metas[s].deletes);
-      uint64_t id = new_metas[s].id;
-      merged_run.segment_ids.push_back(id);
-      merged_run.total_rows += new_metas[s].live_rows();
-      entry.meta = new_metas[s];
-      S2_RETURN_NOT_OK(AddSegmentToIndexes(id, new_opened[s]));
-      entry.indexed = true;
-      segments_[id] = std::move(entry);
-      stats_.segments_created.fetch_add(1);
-    }
-    std::sort(picked.begin(), picked.end());
-    for (auto it = picked.rbegin(); it != picked.rend(); ++it) {
-      runs_.erase(runs_.begin() + static_cast<long>(*it));
-    }
-    if (!merged_run.segment_ids.empty()) runs_.push_back(merged_run);
-
+    InstallSegmentsLocked(std::move(change), cts);
     txns_->FinishCommit(h.id, cts);
   }
   for (IndexState& state : column_indexes_) state.global->Maintain();
@@ -1091,11 +1088,10 @@ Result<bool> UnifiedTable::MaybeMergeRuns() {
   S2_COUNTER("s2_merge_total").Add();
   S2_HISTOGRAM("s2_merge_ns").Record(merge_timer.ElapsedNs());
   S2_JOURNAL("storage", "merge",
-             "table=" + name_ +
-                 " segments_in=" + std::to_string(old_ids.size()) +
-                 " segments_out=" + std::to_string(new_metas.size()));
-  merge_span.Count("segments_in", static_cast<int64_t>(old_ids.size()));
-  merge_span.Count("segments_out", static_cast<int64_t>(new_metas.size()));
+             "table=" + name_ + " segments_in=" + std::to_string(segments_in) +
+                 " segments_out=" + std::to_string(segments_out));
+  merge_span.Count("segments_in", static_cast<int64_t>(segments_in));
+  merge_span.Count("segments_out", static_cast<int64_t>(segments_out));
   return true;
 }
 
@@ -1129,81 +1125,35 @@ void UnifiedTable::Vacuum(Timestamp oldest_active) {
 
 void UnifiedTable::StampCommit(TxnId txn, Timestamp commit_ts) {
   rowstore_->CommitTxn(txn, commit_ts);
-  // Apply staged replay operations (segment installs) at the commit ts.
-  std::vector<StagedOp> staged;
+  // Install staged replay changes at the commit ts, through the code the
+  // master installed them with.
+  std::vector<SegmentChange> staged;
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
     auto it = staged_.find(txn);
-    if (it != staged_.end()) {
-      staged = std::move(it->second);
-      staged_.erase(it);
+    if (it == staged_.end()) return;
+    staged = std::move(it->second);
+    staged_.erase(it);
+  }
+  // Open the new segment files first, outside meta_mu_. A file that has
+  // not arrived yet (replicas) stays null and opens at first read.
+  for (SegmentChange& change : staged) {
+    for (const SegmentMeta& meta : change.metas) {
+      std::shared_ptr<Segment> opened;
+      auto file = files_->Read(meta.file_name);
+      if (file.ok()) {
+        auto seg = Segment::Open(*file);
+        if (seg.ok()) opened = *seg;
+      }
+      change.opened.push_back(std::move(opened));
     }
   }
-  for (StagedOp& op : staged) {
-    switch (op.kind) {
-      case StagedOp::kFlush: {
-        auto file = files_->Read(op.meta.file_name);
-        std::shared_ptr<Segment> opened;
-        if (file.ok()) {
-          auto seg = Segment::Open(*file);
-          if (seg.ok()) opened = *seg;
-        }
-        SegmentMeta meta_copy = op.meta;
-        (void)RegisterSegment(std::move(meta_copy), commit_ts,
-                              /*new_sorted_run=*/true, opened);
-        break;
-      }
-      case StagedOp::kMetadataUpdate: {
-        std::lock_guard<std::mutex> lock(meta_mu_);
-        auto it = segments_.find(op.segment_id);
-        if (it != segments_.end()) {
-          it->second.meta.deletes = op.deletes;
-          it->second.delete_history.emplace_back(commit_ts, op.deletes);
-        }
-        break;
-      }
-      case StagedOp::kMerge: {
-        // Drop old segments, register new ones as one run.
-        {
-          std::lock_guard<std::mutex> live(live_mu_);
-          for (uint64_t id : op.old_ids) live_segments_.erase(id);
-        }
-        {
-          std::lock_guard<std::mutex> lock(meta_mu_);
-          std::unordered_set<uint64_t> old_set(op.old_ids.begin(),
-                                               op.old_ids.end());
-          for (uint64_t id : op.old_ids) {
-            auto it = segments_.find(id);
-            if (it != segments_.end()) it->second.dropped_ts = commit_ts;
-          }
-          for (auto it = runs_.begin(); it != runs_.end();) {
-            bool overlaps = false;
-            for (uint64_t id : it->segment_ids) {
-              if (old_set.count(id) > 0) overlaps = true;
-            }
-            it = overlaps ? runs_.erase(it) : it + 1;
-          }
-        }
-        SortedRun run;
-        for (SegmentMeta& meta : op.new_metas) {
-          auto file = files_->Read(meta.file_name);
-          std::shared_ptr<Segment> opened;
-          if (file.ok()) {
-            auto seg = Segment::Open(*file);
-            if (seg.ok()) opened = *seg;
-          }
-          uint64_t id = meta.id;
-          run.segment_ids.push_back(id);
-          run.total_rows += meta.live_rows();
-          (void)RegisterSegment(std::move(meta), commit_ts,
-                                /*new_sorted_run=*/false, opened);
-        }
-        {
-          std::lock_guard<std::mutex> lock(meta_mu_);
-          if (!run.segment_ids.empty()) runs_.push_back(run);
-        }
-        break;
-      }
+  std::lock_guard<std::mutex> lock(meta_mu_);
+  for (SegmentChange& change : staged) {
+    if (change.kind == SegmentChange::kDeletes) {
+      InstallDeletesLocked(change, commit_ts);
+    } else {
+      InstallSegmentsLocked(std::move(change), commit_ts);
     }
   }
 }
@@ -1253,16 +1203,19 @@ Status UnifiedTable::RestoreState(Slice* input) {
   S2_ASSIGN_OR_RETURN(Slice rowstore_snap, GetLengthPrefixed(input));
   S2_RETURN_NOT_OK(rowstore_->RestoreSnapshot(rowstore_snap, 1));
   S2_ASSIGN_OR_RETURN(uint64_t num_segments, GetVarint64(input));
+  std::lock_guard<std::mutex> lock(meta_mu_);
   for (uint64_t s = 0; s < num_segments; ++s) {
     S2_ASSIGN_OR_RETURN(SegmentMeta meta, SegmentMeta::DecodeFrom(input));
     S2_ASSIGN_OR_RETURN(std::shared_ptr<const std::string> file,
                         files_->Read(meta.file_name));
     S2_ASSIGN_OR_RETURN(std::shared_ptr<Segment> opened, Segment::Open(file));
-    S2_RETURN_NOT_OK(RegisterSegment(std::move(meta), /*created_ts=*/0,
-                                     /*new_sorted_run=*/false, opened));
+    {
+      std::lock_guard<std::mutex> live(live_mu_);
+      live_segments_.insert(meta.id);
+    }
+    AddSegmentLocked(std::move(meta), /*created_ts=*/0, std::move(opened));
   }
   S2_ASSIGN_OR_RETURN(uint64_t num_runs, GetVarint64(input));
-  std::lock_guard<std::mutex> lock(meta_mu_);
   for (uint64_t r = 0; r < num_runs; ++r) {
     SortedRun run;
     S2_ASSIGN_OR_RETURN(uint64_t n, GetVarint64(input));
@@ -1313,49 +1266,45 @@ Status UnifiedTable::ReplayDelete(TxnId txn, Slice payload) {
 }
 
 Status UnifiedTable::ReplaySegmentFlush(TxnId txn, Slice payload) {
+  SegmentChange change;
   S2_ASSIGN_OR_RETURN(SegmentMeta meta, SegmentMeta::DecodeFrom(&payload));
+  change.metas.push_back(std::move(meta));
   S2_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(&payload));
   for (uint64_t i = 0; i < count; ++i) {
     S2_ASSIGN_OR_RETURN(uint64_t z, GetVarint64(&payload));
     int64_t rowid = ZigZagDecode(z);
     S2_RETURN_NOT_OK(rowstore_->DeleteLatest(txn, kTsMax, {Value(rowid)}));
   }
-  StagedOp op;
-  op.kind = StagedOp::kFlush;
-  op.meta = std::move(meta);
   std::lock_guard<std::mutex> lock(meta_mu_);
-  staged_[txn].push_back(std::move(op));
+  staged_[txn].push_back(std::move(change));
   return Status::OK();
 }
 
-Status UnifiedTable::ReplayMetadataUpdate(TxnId txn, Slice payload,
-                                          Timestamp /*commit_ts*/) {
-  S2_ASSIGN_OR_RETURN(uint64_t segment_id, GetVarint64(&payload));
+Status UnifiedTable::ReplayMetadataUpdate(TxnId txn, Slice payload) {
+  SegmentChange change;
+  change.kind = SegmentChange::kDeletes;
+  S2_ASSIGN_OR_RETURN(change.segment_id, GetVarint64(&payload));
   S2_ASSIGN_OR_RETURN(BitVector bv, BitVector::DecodeFrom(&payload));
-  StagedOp op;
-  op.kind = StagedOp::kMetadataUpdate;
-  op.segment_id = segment_id;
-  op.deletes = std::make_shared<const BitVector>(std::move(bv));
+  change.deletes = std::make_shared<const BitVector>(std::move(bv));
   std::lock_guard<std::mutex> lock(meta_mu_);
-  staged_[txn].push_back(std::move(op));
+  staged_[txn].push_back(std::move(change));
   return Status::OK();
 }
 
 Status UnifiedTable::ReplaySegmentMerge(TxnId txn, Slice payload) {
-  StagedOp op;
-  op.kind = StagedOp::kMerge;
+  SegmentChange change;
   S2_ASSIGN_OR_RETURN(uint64_t num_old, GetVarint64(&payload));
   for (uint64_t i = 0; i < num_old; ++i) {
     S2_ASSIGN_OR_RETURN(uint64_t id, GetVarint64(&payload));
-    op.old_ids.push_back(id);
+    change.old_ids.push_back(id);
   }
   S2_ASSIGN_OR_RETURN(uint64_t num_new, GetVarint64(&payload));
   for (uint64_t i = 0; i < num_new; ++i) {
     S2_ASSIGN_OR_RETURN(SegmentMeta meta, SegmentMeta::DecodeFrom(&payload));
-    op.new_metas.push_back(std::move(meta));
+    change.metas.push_back(std::move(meta));
   }
   std::lock_guard<std::mutex> lock(meta_mu_);
-  staged_[txn].push_back(std::move(op));
+  staged_[txn].push_back(std::move(change));
   return Status::OK();
 }
 

@@ -198,8 +198,7 @@ class UnifiedTable {
   Status ReplayInsert(TxnId txn, Slice payload);
   Status ReplayDelete(TxnId txn, Slice payload);
   Status ReplaySegmentFlush(TxnId txn, Slice payload);
-  Status ReplayMetadataUpdate(TxnId txn, Slice payload,
-                              Timestamp commit_ts);
+  Status ReplayMetadataUpdate(TxnId txn, Slice payload);
   Status ReplaySegmentMerge(TxnId txn, Slice payload);
 
  private:
@@ -262,10 +261,34 @@ class UnifiedTable {
       const std::vector<int>& cols, const Row& values, Timestamp read_ts,
       const std::function<bool(const Row&, uint64_t, uint32_t)>& cb);
 
-  /// Installs a freshly built segment (flush/merge/replay share this).
-  Status RegisterSegment(SegmentMeta meta, Timestamp created_ts,
-                         bool new_sorted_run,
-                         const std::shared_ptr<Segment>& opened);
+  /// One committed segment-metadata change, as the master's flush, move
+  /// or merge builds it and as replay stages it until the commit record.
+  /// kSegments: new segments (a flush's one, a merge's outputs) become one
+  /// sorted run that replaces every run holding an old id (a flush has
+  /// none). kDeletes: a move transaction's new delete vector.
+  struct SegmentChange {
+    enum Kind { kSegments, kDeletes } kind = kSegments;
+    std::vector<uint64_t> old_ids;           // kSegments
+    std::vector<SegmentMeta> metas;          // kSegments
+    /// kSegments, one per meta when installed; a null segment opens (and
+    /// indexes) at first read.
+    std::vector<std::shared_ptr<Segment>> opened;
+    uint64_t segment_id = 0;                   // kDeletes
+    std::shared_ptr<const BitVector> deletes;  // kDeletes
+  };
+
+  /// Install a change committed at commit_ts, one function per kind. The
+  /// master calls them between PrepareCommit and FinishCommit, replay from
+  /// StampCommit; they cannot fail. Expect meta_mu_ held.
+  void InstallSegmentsLocked(SegmentChange change, Timestamp commit_ts);
+  void InstallDeletesLocked(const SegmentChange& change,
+                            Timestamp commit_ts);
+
+  /// Adds one segment, already live, to the catalog with its global-index
+  /// entries when opened (a segment whose entries fail to register stays
+  /// unindexed and retries at first open). Expects meta_mu_ held.
+  void AddSegmentLocked(SegmentMeta meta, Timestamp created_ts,
+                        std::shared_ptr<Segment> opened);
 
   /// Builds file bytes + aux index blocks for `rows` (already sorted), and
   /// the metadata. Returns (file bytes, meta).
@@ -301,17 +324,9 @@ class UnifiedTable {
   std::vector<IndexState> tuple_indexes_;   // multi-col indexes + unique key
   std::vector<std::vector<int>> rowstore_index_cols_;  // rowstore index map
 
-  /// Replayed metadata operations staged per transaction; applied with the
+  /// Replayed segment changes staged per transaction; installed with the
   /// commit timestamp in StampCommit.
-  struct StagedOp {
-    enum Kind { kFlush, kMetadataUpdate, kMerge } kind = kFlush;
-    SegmentMeta meta;                        // kFlush
-    uint64_t segment_id = 0;                 // kMetadataUpdate
-    std::shared_ptr<const BitVector> deletes;  // kMetadataUpdate
-    std::vector<uint64_t> old_ids;           // kMerge
-    std::vector<SegmentMeta> new_metas;      // kMerge
-  };
-  std::map<TxnId, std::vector<StagedOp>> staged_;  // guarded by meta_mu_
+  std::map<TxnId, std::vector<SegmentChange>> staged_;  // guarded by meta_mu_
 
   std::mutex maintenance_mu_;  // serializes flush/merge
   TableStats stats_;

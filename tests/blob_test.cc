@@ -9,6 +9,7 @@
 #include "blob/blob_store.h"
 #include "blob/data_file_store.h"
 #include "common/env.h"
+#include "common/metrics.h"
 
 namespace s2 {
 namespace {
@@ -174,6 +175,25 @@ TEST(DataFileStoreTest, DuplicateWriteRejected) {
   EXPECT_TRUE(store.Write("f1", Bytes("w")).IsAlreadyExists());
   // The rejected write never reaches replicas.
   EXPECT_EQ(replicated, std::vector<std::string>{"v"});
+}
+
+TEST(DataFileStoreTest, CacheBytesGaugeSumsEveryStore) {
+  // s2_cache_bytes is process-wide: with a partition and its replicas each
+  // owning a store, it must read their total, not the last writer's size.
+  Gauge* gauge = MetricsRegistry::Global()->gauge("s2_cache_bytes");
+  const int64_t base = gauge->value();
+  const std::string a(300, 'a');
+  const std::string b(70, 'b');
+  MemBlobStore blob;
+  auto first = std::make_unique<DataFileStore>(&blob, SyncOptions());
+  DataFileStore second(nullptr, SyncOptions());
+  ASSERT_TRUE(first->Write("fa", Bytes(a)).ok());
+  ASSERT_TRUE(second.Write("fb", Bytes(b)).ok());
+  EXPECT_EQ(gauge->value() - base, static_cast<int64_t>(a.size() + b.size()));
+  first.reset();
+  EXPECT_EQ(gauge->value() - base, static_cast<int64_t>(b.size()));
+  ASSERT_TRUE(second.Remove("fb").ok());
+  EXPECT_EQ(gauge->value(), base);
 }
 
 TEST(DataFileStoreTest, WorksWithoutBlobStore) {

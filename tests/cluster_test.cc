@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "blob/blob_store.h"
 #include "cluster/cluster.h"
 #include "common/env.h"
 #include "query/plan.h"
+#include "segment_state.h"
 
 namespace s2 {
 namespace {
@@ -190,6 +194,70 @@ TEST_F(ClusterTest, WorkspaceDoesNotGateCommits) {
                   ->InsertRows("accounts",
                                {{Value(int64_t{500}), Value("y"), Value(0.0)}})
                   .ok());
+}
+
+TEST_F(ClusterTest, WorkspaceInstallsSegmentChangesLikeTheMaster) {
+  // A workspace replays the master's flushes, move-transaction delete bits
+  // and merge from the log stream; once caught up it must report the same
+  // live segments, runs and index answers as the master.
+  Start(/*partitions=*/1, /*nodes=*/2, /*replicas=*/1);
+  TableOptions opts = AccountsTable();
+  opts.sort_key = {0};
+  opts.max_sorted_runs = 4;
+  ASSERT_TRUE(cluster_->CreateTable("ledger", opts, {0}).ok());
+  ASSERT_TRUE(cluster_->UploadAllToBlob().ok());
+  auto ws = cluster_->CreateWorkspace();
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+
+  Partition* master = cluster_->partition(0);
+  auto table_or = master->GetTable("ledger");
+  ASSERT_TRUE(table_or.ok());
+  UnifiedTable* table = *table_or;
+  for (int64_t batch = 0; batch < 6; ++batch) {
+    std::vector<Row> rows;
+    for (int64_t i = batch * 64; i < (batch + 1) * 64; ++i) {
+      rows.push_back({Value(i), Value("u" + std::to_string(i)), Value(1.0)});
+    }
+    ASSERT_TRUE(cluster_->InsertRows("ledger", rows).ok());
+    ASSERT_TRUE(table->FlushRowstore().ok());
+  }
+  auto delete_keys = [&](const std::vector<int64_t>& ids) {
+    for (int64_t id : ids) {
+      auto h = master->Begin();
+      Status s = table->DeleteByKey(h.id, h.read_ts, {Value(id)});
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      ASSERT_TRUE(master->Commit(h.id).ok());
+    }
+  };
+  const std::vector<int64_t> deleted_before = {1, 65, 130, 200};
+  const std::vector<int64_t> deleted_after = {7, 300};
+  delete_keys(deleted_before);
+  auto merged = table->MaybeMergeRuns();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ASSERT_TRUE(*merged);
+  delete_keys(deleted_after);
+
+  for (int spin = 0; spin < 2000 && cluster_->WorkspaceLagBytes(*ws) > 0;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(cluster_->WorkspaceLagBytes(*ws), 0u);
+
+  std::vector<int64_t> keys = deleted_before;
+  keys.insert(keys.end(), deleted_after.begin(), deleted_after.end());
+  keys.push_back(100);  // survives in a segment
+  SegmentState live =
+      CaptureSegmentState(master, table, keys, /*live_only=*/true);
+  ASSERT_EQ(live.hits[100].size(), 1u);
+
+  Partition* replica = cluster_->WorkspacePartition(*ws, 0);
+  auto replica_table = replica->GetTable("ledger");
+  ASSERT_TRUE(replica_table.ok());
+  SegmentState replayed = CaptureSegmentState(replica, *replica_table, keys,
+                                              /*live_only=*/true);
+  EXPECT_EQ(replayed.segments, live.segments);
+  EXPECT_EQ(replayed.runs, live.runs);
+  EXPECT_EQ(replayed.hits, live.hits);
 }
 
 TEST_F(ClusterTest, PromotedMasterMulticastsDataFilesToWorkspace) {

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "segment_state.h"
 #include "test_util.h"
 
 #include <chrono>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "blob/blob_store.h"
 #include "common/coding.h"
@@ -625,6 +628,53 @@ TEST_F(StorageTest, RecoveryAfterMergePreservesData) {
   auto recovered = partition_->GetTable("t");
   auto after = AllRows(*recovered);
   EXPECT_EQ(after.size(), before.size());
+}
+
+TEST_F(StorageTest, RecoveryInstallsSegmentChangesLikeTheMaster) {
+  // Flushes, move-transaction delete bits and a merge, installed live by
+  // the master, must leave the same segments, runs and index answers when
+  // recovery replays them from the log.
+  UnifiedTable* table = MakeTable();
+  for (int batch = 0; batch < 6; ++batch) {
+    InsertRange(table, batch * 64, (batch + 1) * 64);
+    ASSERT_TRUE(table->FlushRowstore().ok());
+  }
+  const std::vector<int64_t> deleted_before = {1, 65, 130, 200};
+  const std::vector<int64_t> deleted_after = {7, 300};
+  auto delete_keys = [&](const std::vector<int64_t>& ids) {
+    for (int64_t id : ids) {
+      Txn([&](TxnManager::TxnHandle h) {
+        return table->DeleteByKey(h.id, h.read_ts, {Value(id)});
+      });
+    }
+  };
+  delete_keys(deleted_before);
+  auto merged = table->MaybeMergeRuns();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ASSERT_TRUE(*merged);
+  delete_keys(deleted_after);
+
+  std::vector<int64_t> keys = deleted_before;
+  keys.insert(keys.end(), deleted_after.begin(), deleted_after.end());
+  keys.push_back(100);  // survives in a segment
+  SegmentState live = CaptureSegmentState(partition_.get(), table, keys,
+                                          /*live_only=*/false);
+  ASSERT_EQ(live.hits[100].size(), 1u);
+  for (int64_t id : deleted_after) EXPECT_TRUE(live.hits[id].empty()) << id;
+  bool some_bits = false;
+  for (const auto& seg : live.segments) {
+    some_bits |= std::get<3>(seg) && std::get<2>(seg) > 0;
+  }
+  EXPECT_TRUE(some_bits) << "post-merge deletes set bits in live segments";
+
+  Reopen();
+  auto recovered = partition_->GetTable("t");
+  ASSERT_TRUE(recovered.ok());
+  SegmentState replayed = CaptureSegmentState(partition_.get(), *recovered,
+                                              keys, /*live_only=*/false);
+  EXPECT_EQ(replayed.segments, live.segments);
+  EXPECT_EQ(replayed.runs, live.runs);
+  EXPECT_EQ(replayed.hits, live.hits);
 }
 
 TEST_F(StorageTest, MultiColumnIndexLookup) {
