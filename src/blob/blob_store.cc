@@ -22,10 +22,8 @@ Status BlobStore::Put(const std::string& key, const std::string& data) {
   ScopedTimer timer(&S2_HISTOGRAM("s2_blob_put_ns"));
   Status s = DoPut(key, data);
   if (s.ok()) {
-    stats_.puts.fetch_add(1);
-    stats_.bytes_uploaded.fetch_add(data.size());
-    S2_COUNTER("s2_blob_put_total").Add();
-    S2_COUNTER("s2_blob_put_bytes_total").Add(data.size());
+    stats_.puts.Add();
+    stats_.bytes_uploaded.Add(data.size());
   } else {
     timer.Cancel();  // keep the success-latency histogram clean
     S2_COUNTER("s2_blob_put_errors_total").Add();
@@ -37,10 +35,8 @@ Result<std::string> BlobStore::Get(const std::string& key) {
   ScopedTimer timer(&S2_HISTOGRAM("s2_blob_get_ns"));
   Result<std::string> r = DoGet(key);
   if (r.ok()) {
-    stats_.gets.fetch_add(1);
-    stats_.bytes_downloaded.fetch_add(r->size());
-    S2_COUNTER("s2_blob_get_total").Add();
-    S2_COUNTER("s2_blob_get_bytes_total").Add(r->size());
+    stats_.gets.Add();
+    stats_.bytes_downloaded.Add(r->size());
   } else {
     timer.Cancel();
     S2_COUNTER("s2_blob_get_errors_total").Add();
@@ -50,10 +46,7 @@ Result<std::string> BlobStore::Get(const std::string& key) {
 
 Status BlobStore::Delete(const std::string& key) {
   Status s = DoDelete(key);
-  if (s.ok()) {
-    stats_.deletes.fetch_add(1);
-    S2_COUNTER("s2_blob_delete_total").Add();
-  }
+  if (s.ok()) stats_.deletes.Add();
   return s;
 }
 

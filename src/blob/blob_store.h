@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/result.h"
 
 namespace s2 {
@@ -17,13 +18,14 @@ namespace s2 {
 class Env;
 
 /// Counters every BlobStore maintains. Benchmarks read these to show the
-/// commit path performs zero blob writes (paper Section 3.1).
+/// commit path performs zero blob writes (paper Section 3.1). Each field
+/// also feeds its process-wide registry counter.
 struct BlobStats {
-  std::atomic<uint64_t> puts{0};
-  std::atomic<uint64_t> gets{0};
-  std::atomic<uint64_t> deletes{0};
-  std::atomic<uint64_t> bytes_uploaded{0};
-  std::atomic<uint64_t> bytes_downloaded{0};
+  StatCounter puts{"s2_blob_put_total"};
+  StatCounter gets{"s2_blob_get_total"};
+  StatCounter deletes{"s2_blob_delete_total"};
+  StatCounter bytes_uploaded{"s2_blob_put_bytes_total"};
+  StatCounter bytes_downloaded{"s2_blob_get_bytes_total"};
 };
 
 /// Abstraction of a cloud blob store (S3-like): immutable puts of whole
@@ -33,9 +35,9 @@ struct BlobStats {
 /// within the cached working set.
 ///
 /// The public operations are non-virtual wrappers that maintain BlobStats
-/// and the process-wide metrics (s2_blob_put_ns / s2_blob_get_ns latency
-/// histograms, byte and error counters) uniformly across backends;
-/// implementations override the Do* hooks.
+/// (which feed the process-wide counters) plus the s2_blob_put_ns /
+/// s2_blob_get_ns latency histograms and error counters uniformly across
+/// backends; implementations override the Do* hooks.
 class BlobStore {
  public:
   virtual ~BlobStore() = default;

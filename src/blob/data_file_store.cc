@@ -29,7 +29,7 @@ DataFileStore::~DataFileStore() {
     return !pump_scheduled_ && uploads_inflight_ == 0;
   });
   // The gauge sums every store in the process; take this one's share out.
-  S2_GAUGE("s2_cache_bytes").Add(-static_cast<int64_t>(cached_bytes_));
+  AddCachedBytesLocked(-static_cast<int64_t>(cached_bytes_));
 }
 
 void DataFileStore::SetFileHook(FileHook hook) {
@@ -47,32 +47,35 @@ void DataFileStore::SchedulePumpLocked() {
 }
 
 void DataFileStore::PumpUploads() {
-  for (;;) {
-    std::string name;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // Park on shutdown, an empty queue, or a sticky error (the file was
-      // requeued; the next Write or DrainUploads retries).
-      if (shutdown_ || upload_queue_.empty() || !last_upload_error_.ok()) {
-        pump_scheduled_ = false;
-        drain_cv_.notify_all();
-        return;
-      }
-      name = std::move(upload_queue_.front());
-      upload_queue_.pop_front();
-      ++uploads_inflight_;
-    }
-    Status s = UploadOne(name);
-    std::lock_guard<std::mutex> lock(mu_);
-    --uploads_inflight_;
-    if (!s.ok()) {
-      upload_queue_.push_front(name);
-      stats_.upload_retries.fetch_add(1);
-      S2_COUNTER("s2_blob_upload_retries_total").Add();
-      last_upload_error_ = s;
-    }
-    if (upload_queue_.empty() || !s.ok()) drain_cv_.notify_all();
+  std::unique_lock<std::mutex> lock(mu_);
+  // Park on shutdown, an empty queue, or a sticky error (the file was
+  // requeued; the next Write or DrainUploads retries).
+  while (!shutdown_ && !upload_queue_.empty() && last_upload_error_.ok()) {
+    UploadFrontLocked(&lock);
   }
+  pump_scheduled_ = false;
+  drain_cv_.notify_all();
+}
+
+void DataFileStore::UploadFrontLocked(std::unique_lock<std::mutex>* lock) {
+  std::string name = std::move(upload_queue_.front());
+  upload_queue_.pop_front();
+  ++uploads_inflight_;
+  lock->unlock();
+  Status s = UploadOne(name);
+  lock->lock();
+  --uploads_inflight_;
+  if (!s.ok()) {
+    upload_queue_.push_front(std::move(name));
+    stats_.upload_retries.Add();
+    last_upload_error_ = s;
+  }
+  if (upload_queue_.empty() || !s.ok()) drain_cv_.notify_all();
+}
+
+void DataFileStore::AddCachedBytesLocked(int64_t delta) {
+  cached_bytes_ += static_cast<size_t>(delta);
+  S2_GAUGE("s2_cache_bytes").Add(delta);
 }
 
 Status DataFileStore::Write(const std::string& name,
@@ -104,8 +107,7 @@ Status DataFileStore::Write(const std::string& name,
       return s;
     }
   }
-  cached_bytes_ += data->size();
-  S2_GAUGE("s2_cache_bytes").Add(static_cast<int64_t>(data->size()));
+  AddCachedBytesLocked(static_cast<int64_t>(data->size()));
   it->second.data = std::move(data);
   it->second.uploaded = false;
   lru_.push_front(name);
@@ -130,8 +132,7 @@ Result<std::shared_ptr<const std::string>> DataFileStore::Read(
     std::lock_guard<std::mutex> lock(mu_);
     auto it = files_.find(name);
     if (it != files_.end() && it->second.data != nullptr) {
-      stats_.local_hits.fetch_add(1);
-      S2_COUNTER("s2_cache_mem_hits_total").Add();
+      stats_.local_hits.Add();
       ProfileCollector::CountHere("cache_mem_hits", 1);
       TouchLocked(name, &it->second);
       return it->second.data;
@@ -148,8 +149,7 @@ Result<std::shared_ptr<const std::string>> DataFileStore::Read(
   }
 
   if (!leader) {
-    stats_.coalesced_reads.fetch_add(1);
-    S2_COUNTER("s2_cache_wait_total").Add();
+    stats_.coalesced_reads.Add();
     // Wait on the fetch's own mutex/cv — never on mu_ — so a slow blob
     // backend only stalls readers of this file.
     std::unique_lock<std::mutex> flock(fetch->m);
@@ -192,8 +192,7 @@ Result<std::shared_ptr<const std::string>> DataFileStore::FetchAndInsert(
         bytes = std::move(*local);
         have_bytes = true;
         from_disk = true;
-        stats_.local_hits.fetch_add(1);
-        S2_COUNTER("s2_cache_disk_hits_total").Add();
+        stats_.local_hits.Add();
         ProfileCollector::CountHere("cache_disk_hits", 1);
       }
     }
@@ -203,7 +202,6 @@ Result<std::shared_ptr<const std::string>> DataFileStore::FetchAndInsert(
       timer.Cancel();
       return Status::NotFound("no data file " + name);
     }
-    S2_COUNTER("s2_cache_misses_total").Add();
     ScopedTimer blob_timer(nullptr);
     auto fetched = blob_->Get(BlobKey(name));
     if (!fetched.ok()) {
@@ -211,7 +209,7 @@ Result<std::shared_ptr<const std::string>> DataFileStore::FetchAndInsert(
       return fetched.status();
     }
     bytes = std::move(*fetched);
-    stats_.blob_fetches.fetch_add(1);
+    stats_.blob_fetches.Add();
     ProfileCollector::CountHere("blob_fetches", 1);
     ProfileCollector::CountHere("blob_fetch_wait_ns", blob_timer.ElapsedNs());
   }
@@ -234,8 +232,7 @@ Result<std::shared_ptr<const std::string>> DataFileStore::FetchAndInsert(
       upload_enqueued_ns_.try_emplace(name, env_->NowNs());
       SchedulePumpLocked();
     }
-    cached_bytes_ += data->size();
-    S2_GAUGE("s2_cache_bytes").Add(static_cast<int64_t>(data->size()));
+    AddCachedBytesLocked(static_cast<int64_t>(data->size()));
     lru_.push_front(name);
     entry.lru_it = lru_.begin();
     EvictColdLocked();
@@ -258,9 +255,7 @@ Status DataFileStore::Remove(const std::string& name) {
   auto it = files_.find(name);
   if (it == files_.end()) return Status::NotFound("no data file " + name);
   if (it->second.data != nullptr) {
-    cached_bytes_ -= it->second.data->size();
-    S2_GAUGE("s2_cache_bytes")
-        .Add(-static_cast<int64_t>(it->second.data->size()));
+    AddCachedBytesLocked(-static_cast<int64_t>(it->second.data->size()));
     lru_.erase(it->second.lru_it);
   }
   files_.erase(it);
@@ -275,44 +270,22 @@ Status DataFileStore::Remove(const std::string& name) {
 
 Status DataFileStore::DrainUploads() {
   if (blob_ == nullptr) return Status::OK();
-  {
-    // A stale error from a parked pump is retried below, not re-reported.
-    std::lock_guard<std::mutex> lock(mu_);
-    last_upload_error_ = Status::OK();
-  }
+  std::unique_lock<std::mutex> lock(mu_);
+  // A stale error from a parked pump is retried below, not re-reported.
+  last_upload_error_ = Status::OK();
   // The calling thread drains the queue itself, cooperating with any
   // running pump task through the shared queue. It therefore never blocks
   // on a task that cannot be scheduled (safe inside executor tasks).
   for (;;) {
-    std::string name;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (!last_upload_error_.ok()) {
-        // A concurrent pump attempt failed while we drained.
-        Status s = last_upload_error_;
-        return s;
-      }
-      if (upload_queue_.empty()) {
-        if (uploads_inflight_ == 0) return Status::OK();
-        drain_cv_.wait(lock);  // a pump attempt is mid-flight; let it land
-        continue;
-      }
-      name = std::move(upload_queue_.front());
-      upload_queue_.pop_front();
-      ++uploads_inflight_;
+    // Our attempt failed, or a concurrent pump attempt did.
+    if (!last_upload_error_.ok()) return last_upload_error_;
+    if (!upload_queue_.empty()) {
+      UploadFrontLocked(&lock);
+    } else if (uploads_inflight_ == 0) {
+      return Status::OK();
+    } else {
+      drain_cv_.wait(lock);  // a pump attempt is mid-flight; let it land
     }
-    Status s = UploadOne(name);
-    std::lock_guard<std::mutex> lock(mu_);
-    --uploads_inflight_;
-    if (!s.ok()) {
-      upload_queue_.push_front(name);
-      stats_.upload_retries.fetch_add(1);
-      S2_COUNTER("s2_blob_upload_retries_total").Add();
-      last_upload_error_ = s;
-      drain_cv_.notify_all();
-      return s;
-    }
-    if (upload_queue_.empty()) drain_cv_.notify_all();
   }
 }
 
@@ -401,11 +374,8 @@ void DataFileStore::EvictColdLocked() {
     if (!fit->second.uploaded || fit->second.data == nullptr) {
       continue;  // pinned until uploaded
     }
-    cached_bytes_ -= fit->second.data->size();
     evicted_bytes += fit->second.data->size();
-    S2_GAUGE("s2_cache_bytes")
-        .Add(-static_cast<int64_t>(fit->second.data->size()));
-    S2_COUNTER("s2_cache_evictions_total").Add();
+    AddCachedBytesLocked(-static_cast<int64_t>(fit->second.data->size()));
     fit->second.data = nullptr;
     if (!options_.local_dir.empty()) {
       // Cold + uploaded: drop the local-disk copy too; it can always be
@@ -413,7 +383,7 @@ void DataFileStore::EvictColdLocked() {
       std::string path = options_.local_dir + "/" + fit->first;
       if (env_->FileExists(path)) (void)env_->RemoveFile(path);
     }
-    stats_.files_evicted.fetch_add(1);
+    stats_.files_evicted.Add();
     ++evicted;
     it = lru_.erase(it);
   }

@@ -41,17 +41,21 @@ struct DataFileStoreOptions {
   Env* env = nullptr;
 };
 
+/// Per-store counters; the StatCounter fields also feed their registry
+/// counters.
 struct DataFileStats {
-  std::atomic<uint64_t> local_hits{0};
-  std::atomic<uint64_t> blob_fetches{0};
+  /// Reads served locally: from memory or from the local-disk copy.
+  StatCounter local_hits{"s2_cache_local_hits_total"};
+  /// Cold reads served by a successful blob Get.
+  StatCounter blob_fetches{"s2_cache_misses_total"};
   std::atomic<uint64_t> files_written{0};
   std::atomic<uint64_t> files_uploaded{0};
-  std::atomic<uint64_t> files_evicted{0};
+  StatCounter files_evicted{"s2_cache_evictions_total"};
   /// Readers that joined another reader's in-flight fetch of the same file
   /// instead of issuing their own (single-flight coalescing).
-  std::atomic<uint64_t> coalesced_reads{0};
+  StatCounter coalesced_reads{"s2_cache_wait_total"};
   /// Failed uploads put back on the queue for a later retry.
-  std::atomic<uint64_t> upload_retries{0};
+  StatCounter upload_retries{"s2_blob_upload_retries_total"};
 };
 
 /// Manages the immutable columnstore data files of one partition across the
@@ -168,7 +172,15 @@ class DataFileStore {
   /// The executor task: drains the upload queue, then exits. At most one
   /// instance exists at a time (pump_scheduled_).
   void PumpUploads();
+  /// One upload step, shared by the pump and DrainUploads: pops the front
+  /// of the (non-empty) queue and uploads it with mu_ released. On failure
+  /// the file goes back to the front, a retry is counted and the error is
+  /// kept in last_upload_error_. `lock` holds mu_ on entry and on return.
+  void UploadFrontLocked(std::unique_lock<std::mutex>* lock);
   Status UploadOne(const std::string& name);
+  /// Changes cached_bytes_ and this store's share of the s2_cache_bytes
+  /// gauge together. mu_ must be held.
+  void AddCachedBytesLocked(int64_t delta);
   void TouchLocked(const std::string& name, Entry* entry);
   void EvictColdLocked();
 

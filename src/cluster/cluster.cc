@@ -156,10 +156,6 @@ Status Cluster::Txn::Commit() {
     if (span.active()) span.SetDetail("p=" + std::to_string(pid));
     Status s = cluster_->partition(pid)->Commit(handle.id);
     if (!s.ok() && first_error.ok()) first_error = s;
-    if (s.ok()) {
-      std::lock_guard<std::mutex> lock(cluster_->mu_);
-      ++cluster_->sites_[pid].committed_txns;
-    }
   }
   return first_error;
 }

@@ -214,7 +214,6 @@ class Cluster {
     /// After a failover the promoted ReplicaPartition owns the new master
     /// Partition; it is kept alive here.
     std::unique_ptr<ReplicaPartition> promoted_holder;
-    uint64_t committed_txns = 0;  // coarse counter for lag computation
   };
 
   struct WorkspaceState {

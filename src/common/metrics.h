@@ -129,6 +129,28 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
+/// A per-object stats field bound to one registry counter, so an event is
+/// counted at one site: Add() bumps the object's own count and the
+/// process-wide total together. The registry name is resolved once, at
+/// construction. Push, not pull: the registry never reads live objects, so
+/// destroying one does not make the process total go backward.
+class StatCounter {
+ public:
+  explicit StatCounter(const char* registry_name)
+      : total_(MetricsRegistry::Global()->counter(registry_name)) {}
+
+  void Add(uint64_t n = 1) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+    total_->Add(n);
+  }
+  /// This object's count (the registry counter holds the process total).
+  uint64_t load() const { return value_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> value_{0};
+  Counter* total_;
+};
+
 /// Escapes a label value for the Prometheus text exposition format:
 /// backslash, double-quote and newline become \\, \" and \n.
 std::string EscapePrometheusLabel(const std::string& value);

@@ -1,14 +1,11 @@
 #include "common/monitor.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <future>
 #include <utility>
 
 #include "common/env.h"
-#include "common/executor.h"
 #include "common/journal.h"
 #include "common/json.h"
 #include "common/metrics.h"
@@ -38,8 +35,6 @@ MonitorService::MonitorService(MonitorOptions options)
       env_(options.env != nullptr ? options.env : Env::Default()) {
   if (options_.ring_capacity == 0) options_.ring_capacity = 1;
 }
-
-MonitorService::~MonitorService() { Stop(); }
 
 void MonitorService::AddRule(WatchdogRule rule) {
   std::lock_guard<std::mutex> lock(rules_mu_);
@@ -127,47 +122,6 @@ void MonitorService::EvaluateRules(uint64_t now_ns) {
   }
 }
 
-void MonitorService::Start(Executor* executor) {
-  std::lock_guard<std::mutex> lock(loop_mu_);
-  if (running_) return;
-  executor_ = executor != nullptr ? executor : Executor::Default();
-  stop_ = false;
-  running_ = true;
-  loop_ = std::thread([this] { LoopBody(); });
-}
-
-void MonitorService::LoopBody() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(loop_mu_);
-      loop_cv_.wait_for(lock,
-                        std::chrono::nanoseconds(options_.interval_ns),
-                        [this] { return stop_; });
-      if (stop_) return;
-    }
-    // The tick body runs on the shared executor pool (the loop thread only
-    // paces); the blocking get() keeps ticks serialized.
-    executor_->SubmitWithResult([this] { TickOnce(); }).get();
-  }
-}
-
-void MonitorService::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(loop_mu_);
-    if (!running_) return;
-    stop_ = true;
-  }
-  loop_cv_.notify_all();
-  loop_.join();
-  std::lock_guard<std::mutex> lock(loop_mu_);
-  running_ = false;
-}
-
-bool MonitorService::running() const {
-  std::lock_guard<std::mutex> lock(loop_mu_);
-  return running_;
-}
-
 uint64_t MonitorService::ticks() const {
   std::lock_guard<std::mutex> lock(series_mu_);
   return ticks_;
@@ -247,10 +201,7 @@ bool MonitorService::AnyFiring() const {
 std::string MonitorService::HistoryJson() const {
   std::lock_guard<std::mutex> lock(series_mu_);
   char buf[64];
-  std::string out = "{\"interval_ns\":";
-  snprintf(buf, sizeof(buf), "%" PRIu64, options_.interval_ns);
-  out += buf;
-  out += ",\"ticks\":";
+  std::string out = "{\"ticks\":";
   snprintf(buf, sizeof(buf), "%" PRIu64, ticks_);
   out += buf;
   out += ",\"series\":{";

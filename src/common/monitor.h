@@ -1,20 +1,17 @@
 #ifndef S2_COMMON_MONITOR_H_
 #define S2_COMMON_MONITOR_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace s2 {
 
 class Env;
-class Executor;
 
 /// One sample of one time-series.
 struct MonitorPoint {
@@ -82,8 +79,6 @@ struct WatchdogThresholds {
 };
 
 struct MonitorOptions {
-  /// Background sampling period (real time, condition-variable wait).
-  uint64_t interval_ns = 100'000'000;
   /// Points retained per series (ring; oldest dropped).
   size_t ring_capacity = 240;
   /// Clock for sample timestamps and rule durations; null = Env::Default().
@@ -94,10 +89,9 @@ struct MonitorOptions {
 
 /// Continuous monitoring: snapshots every registry metric into bounded
 /// ring time-series on each tick and evaluates watchdog rules against the
-/// live state. Ticks come from a background loop (Start/Stop — the wait is
-/// real time, the tick body runs on the shared executor) or from explicit
-/// TickOnce() calls in tests, where the injected env clock makes the
-/// recorded history reproducible.
+/// live state. Ticks come from explicit TickOnce() calls (benches tick it
+/// between phases; in tests the injected env clock makes the recorded
+/// history reproducible).
 ///
 /// Lock order: series state is guarded by series_mu_, rule state by
 /// rules_mu_, and rules are evaluated holding neither — observe()
@@ -106,7 +100,6 @@ struct MonitorOptions {
 class MonitorService {
  public:
   explicit MonitorService(MonitorOptions options = MonitorOptions());
-  ~MonitorService();  // Stops the background loop.
 
   MonitorService(const MonitorService&) = delete;
   MonitorService& operator=(const MonitorService&) = delete;
@@ -117,15 +110,7 @@ class MonitorService {
   /// metric to its series, then evaluates all rules. Thread-safe.
   void TickOnce();
 
-  /// Starts the background loop (idempotent). Each tick body is submitted
-  /// to `executor` (null = Executor::Default()).
-  void Start(Executor* executor = nullptr);
-  /// Stops and joins the loop (idempotent; also called by the dtor).
-  void Stop();
-  bool running() const;
-
   uint64_t ticks() const;
-  uint64_t interval_ns() const { return options_.interval_ns; }
 
   // --- series queries ---
   std::vector<std::string> SeriesNames() const;
@@ -145,7 +130,7 @@ class MonitorService {
   /// True if any rule is currently firing.
   bool AnyFiring() const;
 
-  /// {"interval_ns":..,"ticks":..,"series":{name:[{"ts_ns":..,"v":..}..]}}
+  /// {"ticks":..,"series":{name:[{"ts_ns":..,"v":..}..]}}
   std::string HistoryJson() const;
   /// [{"rule":..,"threshold":..,"cmp":..,"observed":..,"firing":..,..}]
   std::string WatchdogsJson() const;
@@ -153,7 +138,6 @@ class MonitorService {
  private:
   void SampleLocked(uint64_t now_ns);  // series_mu_ held
   void EvaluateRules(uint64_t now_ns);
-  void LoopBody();
 
   MonitorOptions options_;
   Env* env_;
@@ -168,13 +152,6 @@ class MonitorService {
     WatchdogStatus status;
   };
   std::vector<RuleState> rules_;
-
-  mutable std::mutex loop_mu_;
-  std::condition_variable loop_cv_;
-  bool stop_ = false;
-  bool running_ = false;
-  std::thread loop_;
-  Executor* executor_ = nullptr;
 };
 
 }  // namespace s2

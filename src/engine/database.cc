@@ -31,14 +31,9 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   S2_RETURN_NOT_OK(db->cluster_->Start());
   if (db->options_.enable_monitor) {
     MonitorOptions mopts;
-    mopts.interval_ns = db->options_.monitor_interval_ns;
-    mopts.ring_capacity = db->options_.monitor_ring_capacity;
     mopts.env = db->options_.env;
     db->monitor_ = std::make_unique<MonitorService>(mopts);
     db->InstallStandardWatchdogs();
-    if (db->options_.monitor_background) {
-      db->monitor_->Start(db->cluster_->executor());
-    }
   }
   return db;
 }
@@ -70,8 +65,7 @@ void Database::InstallStandardWatchdogs() {
       {"cache_thrash",
        [monitor] {
          double evict = monitor->RatePerSec("s2_cache_evictions_total");
-         double hits = monitor->RatePerSec("s2_cache_mem_hits_total") +
-                       monitor->RatePerSec("s2_cache_disk_hits_total");
+         double hits = monitor->RatePerSec("s2_cache_local_hits_total");
          return evict / (hits + 1.0);
        },
        t.cache_thrash_ratio, WatchdogCmp::kAbove, t.for_ticks});

@@ -64,13 +64,6 @@ struct DatabaseOptions {
   /// age, cache thrash, executor saturation, maintenance backlog, commit
   /// p99 drift). Tests drive it with Database::monitor()->TickOnce().
   bool enable_monitor = false;
-  /// Background sampling period when monitor_background is set.
-  uint64_t monitor_interval_ns = 100'000'000;
-  /// Points retained per sampled time-series.
-  size_t monitor_ring_capacity = 240;
-  /// Also start the monitor's background loop on the cluster executor
-  /// (tests usually leave this off and tick manually for determinism).
-  bool monitor_background = false;
   /// Thresholds for the standard watchdog rules.
   WatchdogThresholds watchdog;
 };

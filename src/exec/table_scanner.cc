@@ -1,8 +1,10 @@
 #include "exec/table_scanner.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <mutex>
 #include <string>
 
@@ -34,22 +36,52 @@ constexpr double kMinCostNsPerRow = 1e-3;
 /// kept, so the sort no longer runs once per row block.
 constexpr double kResortThreshold = 0.3;
 
-void PublishScanStats(const ScanStats& s) {
-  S2_COUNTER("s2_scan_segments_total").Add(s.segments_total);
-  S2_COUNTER("s2_scan_segments_skipped_zone_total")
-      .Add(s.segments_skipped_zone);
-  S2_COUNTER("s2_scan_segments_skipped_index_total")
-      .Add(s.segments_skipped_index);
-  S2_COUNTER("s2_scan_rows_considered_total").Add(s.rows_considered);
-  S2_COUNTER("s2_scan_rows_output_total").Add(s.rows_output);
-  S2_COUNTER("s2_scan_index_filter_total").Add(s.index_filter_uses);
-  S2_COUNTER("s2_scan_encoded_filter_total").Add(s.encoded_filter_uses);
-  S2_COUNTER("s2_scan_group_filter_total").Add(s.group_filter_uses);
-  S2_COUNTER("s2_scan_regular_filter_total").Add(s.regular_filter_uses);
-  S2_COUNTER("s2_scan_reorder_sorts_total").Add(s.reorder_sorts);
+/// Every ScanStats counter, declared once: Merge, the registry publish and
+/// the profile attribution each loop over this table.
+struct ScanCounter {
+  uint64_t ScanStats::*field;
+  const char* metric;       // registry counter (process total)
+  const char* profile_key;  // counter on the ambient profile span
+};
+constexpr ScanCounter kScanCounters[] = {
+    {&ScanStats::segments_total, "s2_scan_segments_total", "segments"},
+    {&ScanStats::segments_skipped_zone, "s2_scan_segments_skipped_zone_total",
+     "segments_skipped_zone"},
+    {&ScanStats::segments_skipped_index,
+     "s2_scan_segments_skipped_index_total", "segments_skipped_index"},
+    {&ScanStats::rows_considered, "s2_scan_rows_considered_total",
+     "rows_considered"},
+    {&ScanStats::rows_output, "s2_scan_rows_output_total", "rows_output"},
+    {&ScanStats::index_filter_uses, "s2_scan_index_filter_total",
+     "index_filter_uses"},
+    {&ScanStats::encoded_filter_uses, "s2_scan_encoded_filter_total",
+     "encoded_filter_uses"},
+    {&ScanStats::group_filter_uses, "s2_scan_group_filter_total",
+     "group_filter_uses"},
+    {&ScanStats::regular_filter_uses, "s2_scan_regular_filter_total",
+     "regular_filter_uses"},
+    {&ScanStats::reorder_sorts, "s2_scan_reorder_sorts_total",
+     "reorder_sorts"},
+};
+constexpr size_t kNumScanCounters = std::size(kScanCounters);
+
+/// The registry counters of kScanCounters, resolved once per process.
+const std::array<Counter*, kNumScanCounters>& ScanCounterTotals() {
+  static const std::array<Counter*, kNumScanCounters> totals = [] {
+    std::array<Counter*, kNumScanCounters> t{};
+    for (size_t i = 0; i < kNumScanCounters; ++i) {
+      t[i] = MetricsRegistry::Global()->counter(kScanCounters[i].metric);
+    }
+    return t;
+  }();
+  return totals;
 }
 
 }  // namespace
+
+void ScanStats::Merge(const ScanStats& other) {
+  for (const ScanCounter& c : kScanCounters) this->*c.field += other.*c.field;
+}
 
 TableScanner::TableScanner(UnifiedTable* table, ScanOptions options)
     : table_(table), options_(std::move(options)) {
@@ -64,33 +96,18 @@ TableScanner::TableScanner(UnifiedTable* table, ScanOptions options)
 
 void TableScanner::FinishScan(const ScanStats& scan_stats) {
   stats_.Merge(scan_stats);
-  PublishScanStats(scan_stats);
-  // Attribute this scan's counters to the ambient profile span (the scan
-  // span opened in Scan() is still the current node at every call site).
-  if (ProfileCollector::Current().collector != nullptr) {
-    const ScanStats& s = scan_stats;
-    ProfileCollector::CountHere("segments",
-                                static_cast<int64_t>(s.segments_total));
-    ProfileCollector::CountHere(
-        "segments_skipped_zone",
-        static_cast<int64_t>(s.segments_skipped_zone));
-    ProfileCollector::CountHere(
-        "segments_skipped_index",
-        static_cast<int64_t>(s.segments_skipped_index));
-    ProfileCollector::CountHere("rows_considered",
-                                static_cast<int64_t>(s.rows_considered));
-    ProfileCollector::CountHere("rows_output",
-                                static_cast<int64_t>(s.rows_output));
-    ProfileCollector::CountHere("index_filter_uses",
-                                static_cast<int64_t>(s.index_filter_uses));
-    ProfileCollector::CountHere("encoded_filter_uses",
-                                static_cast<int64_t>(s.encoded_filter_uses));
-    ProfileCollector::CountHere("group_filter_uses",
-                                static_cast<int64_t>(s.group_filter_uses));
-    ProfileCollector::CountHere("regular_filter_uses",
-                                static_cast<int64_t>(s.regular_filter_uses));
-    ProfileCollector::CountHere("reorder_sorts",
-                                static_cast<int64_t>(s.reorder_sorts));
+  // Publish to the registry, and attribute to the ambient profile span (the
+  // scan span opened in Scan() is still the current node at every call
+  // site).
+  const bool profiled = ProfileCollector::Current().collector != nullptr;
+  const auto& totals = ScanCounterTotals();
+  for (size_t i = 0; i < kNumScanCounters; ++i) {
+    const uint64_t v = scan_stats.*kScanCounters[i].field;
+    totals[i]->Add(v);
+    if (profiled) {
+      ProfileCollector::CountHere(kScanCounters[i].profile_key,
+                                  static_cast<int64_t>(v));
+    }
   }
 }
 

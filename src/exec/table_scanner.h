@@ -61,18 +61,8 @@ struct ScanStats {
   /// when clause estimates move materially, not per row block).
   uint64_t reorder_sorts = 0;
 
-  void Merge(const ScanStats& other) {
-    segments_total += other.segments_total;
-    segments_skipped_zone += other.segments_skipped_zone;
-    segments_skipped_index += other.segments_skipped_index;
-    rows_considered += other.rows_considered;
-    rows_output += other.rows_output;
-    index_filter_uses += other.index_filter_uses;
-    encoded_filter_uses += other.encoded_filter_uses;
-    group_filter_uses += other.group_filter_uses;
-    regular_filter_uses += other.regular_filter_uses;
-    reorder_sorts += other.reorder_sorts;
-  }
+  /// Adds every counter of `other`.
+  void Merge(const ScanStats& other);
 };
 
 /// One emitted batch: the projected columns (aligned) plus each row's

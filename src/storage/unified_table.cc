@@ -945,8 +945,7 @@ Result<size_t> UnifiedTable::FlushRowstore() {
     InstallSegmentsLocked(std::move(change), cts);
   }
   txns_->FinishCommit(h.id, cts);
-  stats_.flushes.fetch_add(1);
-  S2_COUNTER("s2_flush_total").Add();
+  stats_.flushes.Add();
   S2_COUNTER("s2_flush_rows_total").Add(rows.size());
   S2_COUNTER("s2_flush_bytes_total").Add(file->size());
   S2_JOURNAL("storage", "flush",
@@ -1084,8 +1083,7 @@ Result<bool> UnifiedTable::MaybeMergeRuns() {
   }
   for (IndexState& state : column_indexes_) state.global->Maintain();
   for (IndexState& state : tuple_indexes_) state.global->Maintain();
-  stats_.merges.fetch_add(1);
-  S2_COUNTER("s2_merge_total").Add();
+  stats_.merges.Add();
   S2_HISTOGRAM("s2_merge_ns").Record(merge_timer.ElapsedNs());
   S2_JOURNAL("storage", "merge",
              "table=" + name_ + " segments_in=" + std::to_string(segments_in) +

@@ -13,6 +13,7 @@
 #include "columnstore/merger.h"
 #include "columnstore/segment.h"
 #include "columnstore/segment_meta.h"
+#include "common/metrics.h"
 #include "common/result.h"
 #include "common/types.h"
 #include "index/global_index.h"
@@ -38,14 +39,15 @@ struct SegmentIndexMatch {
   uint32_t postings_offset = 0;
 };
 
-/// Running counters for benchmarks and tests.
+/// Running counters for benchmarks and tests. The StatCounter fields also
+/// feed their registry counters.
 struct TableStats {
   std::atomic<uint64_t> rows_inserted{0};
   std::atomic<uint64_t> rows_deleted{0};
   std::atomic<uint64_t> rows_updated{0};
   std::atomic<uint64_t> rows_moved{0};       // move-transaction copies
-  std::atomic<uint64_t> flushes{0};
-  std::atomic<uint64_t> merges{0};
+  StatCounter flushes{"s2_flush_total"};
+  StatCounter merges{"s2_merge_total"};
   std::atomic<uint64_t> segments_created{0};
 };
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -194,6 +195,62 @@ TEST(DataFileStoreTest, CacheBytesGaugeSumsEveryStore) {
   EXPECT_EQ(gauge->value() - base, static_cast<int64_t>(b.size()));
   ASSERT_TRUE(second.Remove("fb").ok());
   EXPECT_EQ(gauge->value(), base);
+}
+
+// Every stats field bound to a registry counter moves that counter by
+// exactly its own delta: over puts, gets, a delete, an upload retry, a
+// memory hit, evictions, a cold re-read and a failed cold read (a blob Get
+// error, which is not a fetch).
+TEST(DataFileStoreTest, StatsFieldsAgreeWithRegistryCounters) {
+  MemBlobStore blob;
+  auto opts = SyncOptions();
+  opts.local_cache_bytes = 10;  // one 8-byte file fits
+  DataFileStore store(&blob, opts);
+  const BlobStats& b = blob.stats();
+  const DataFileStats& f = store.stats();
+  const std::vector<std::pair<const char*, std::function<uint64_t()>>> bound =
+      {
+          {"s2_blob_put_total", [&] { return b.puts.load(); }},
+          {"s2_blob_get_total", [&] { return b.gets.load(); }},
+          {"s2_blob_delete_total", [&] { return b.deletes.load(); }},
+          {"s2_blob_put_bytes_total", [&] { return b.bytes_uploaded.load(); }},
+          {"s2_blob_get_bytes_total",
+           [&] { return b.bytes_downloaded.load(); }},
+          {"s2_cache_local_hits_total", [&] { return f.local_hits.load(); }},
+          {"s2_cache_misses_total", [&] { return f.blob_fetches.load(); }},
+          {"s2_cache_evictions_total", [&] { return f.files_evicted.load(); }},
+          {"s2_cache_wait_total", [&] { return f.coalesced_reads.load(); }},
+          {"s2_blob_upload_retries_total",
+           [&] { return f.upload_retries.load(); }},
+      };
+  MetricsRegistry* reg = MetricsRegistry::Global();
+  std::vector<uint64_t> before;
+  for (const auto& [metric, field] : bound) {
+    before.push_back(reg->counter(metric)->value());
+  }
+
+  blob.FailNextPuts(1);
+  ASSERT_TRUE(store.Write("f1", Bytes(std::string(8, 'a'))).ok());
+  ASSERT_TRUE(store.Write("f2", Bytes(std::string(8, 'b'))).ok());
+  EXPECT_FALSE(store.DrainUploads().ok());  // the first upload is retried
+  ASSERT_TRUE(store.DrainUploads().ok());   // uploaded: f1 is evicted
+  EXPECT_FALSE(store.IsLocal("f1"));
+  EXPECT_EQ(**store.Read("f2"), std::string(8, 'b'));  // memory hit
+  EXPECT_EQ(**store.Read("f1"), std::string(8, 'a'));  // cold; evicts f2
+  blob.FailNextGets(1);
+  EXPECT_FALSE(store.Read("f2").ok());  // failed cold read
+  ASSERT_TRUE(blob.Put("x", "xyz").ok());
+  EXPECT_EQ(*blob.Get("x"), "xyz");
+  ASSERT_TRUE(blob.Delete("x").ok());
+
+  EXPECT_EQ(f.upload_retries.load(), 1u);
+  EXPECT_EQ(f.local_hits.load(), 1u);
+  EXPECT_EQ(f.blob_fetches.load(), 1u);
+  EXPECT_EQ(f.files_evicted.load(), 2u);
+  for (size_t i = 0; i < bound.size(); ++i) {
+    const auto& [metric, field] = bound[i];
+    EXPECT_EQ(reg->counter(metric)->value() - before[i], field()) << metric;
+  }
 }
 
 TEST(DataFileStoreTest, WorksWithoutBlobStore) {

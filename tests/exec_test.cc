@@ -2,10 +2,12 @@
 
 #include "test_util.h"
 
+#include <iterator>
 #include <set>
 
 #include "blob/blob_store.h"
 #include "common/env.h"
+#include "common/metrics.h"
 #include "common/profile.h"
 #include "common/rng.h"
 #include "encoding/bitpack.h"
@@ -385,6 +387,68 @@ TEST_F(ExecTest, ProfileReconstructsScanStrategyDecisions) {
       << "every zone-skip decision must be on a segment span";
   EXPECT_GT(summary_spans, 0u)
       << "scanned segments must carry a per-segment summary";
+}
+
+// Each scan counter has three views: the scanner's stats, the process-wide
+// registry counter and the profile key. They must agree for one scan.
+TEST_F(ExecTest, ScanCountersAgreeAcrossStatsRegistryAndProfile) {
+  struct View {
+    uint64_t ScanStats::*field;
+    const char* metric;
+    const char* profile_key;
+  };
+  const View views[] = {
+      {&ScanStats::segments_total, "s2_scan_segments_total", "segments"},
+      {&ScanStats::segments_skipped_zone,
+       "s2_scan_segments_skipped_zone_total", "segments_skipped_zone"},
+      {&ScanStats::segments_skipped_index,
+       "s2_scan_segments_skipped_index_total", "segments_skipped_index"},
+      {&ScanStats::rows_considered, "s2_scan_rows_considered_total",
+       "rows_considered"},
+      {&ScanStats::rows_output, "s2_scan_rows_output_total", "rows_output"},
+      {&ScanStats::index_filter_uses, "s2_scan_index_filter_total",
+       "index_filter_uses"},
+      {&ScanStats::encoded_filter_uses, "s2_scan_encoded_filter_total",
+       "encoded_filter_uses"},
+      {&ScanStats::group_filter_uses, "s2_scan_group_filter_total",
+       "group_filter_uses"},
+      {&ScanStats::regular_filter_uses, "s2_scan_regular_filter_total",
+       "regular_filter_uses"},
+      {&ScanStats::reorder_sorts, "s2_scan_reorder_sorts_total",
+       "reorder_sorts"},
+  };
+  // A zone-map range on the sort key, an indexed category, and a residual
+  // clause on an unindexed column: most counters move.
+  std::vector<std::unique_ptr<FilterNode>> and_children;
+  and_children.push_back(
+      FilterBetween(0, Value(int64_t{100}), Value(int64_t{700})));
+  and_children.push_back(FilterEq(1, Value("cat3")));
+  and_children.push_back(FilterCmp(2, CmpOp::kLt, Value(300.0)));
+  auto filter = FilterAnd(std::move(and_children));
+  ScanOptions options;
+  options.filter = filter.get();
+  options.block_rows = 32;
+
+  MetricsRegistry* reg = MetricsRegistry::Global();
+  std::vector<uint64_t> before;
+  for (const View& v : views) before.push_back(reg->counter(v.metric)->value());
+  ScanStats stats;
+  ProfileCollector collector("scan");
+  {
+    ProfileScope scope(&collector, collector.root());
+    EXPECT_EQ(RunScan(options, &stats), Expected(filter.get()));
+  }
+  collector.FinishRoot();
+
+  EXPECT_GT(stats.rows_output, 0u);
+  for (size_t i = 0; i < std::size(views); ++i) {
+    const View& v = views[i];
+    const uint64_t field = stats.*v.field;
+    EXPECT_EQ(reg->counter(v.metric)->value() - before[i], field) << v.metric;
+    EXPECT_EQ(collector.TotalCounter(v.profile_key),
+              static_cast<int64_t>(field))
+        << v.profile_key;
+  }
 }
 
 // The residual clause order is recomputed only when clause estimates drift

@@ -105,6 +105,30 @@ TEST_F(MetricsTest, HistogramConcurrentRecord) {
   EXPECT_EQ(h.max(), static_cast<uint64_t>(kPerThread));
 }
 
+// Two objects bound to one registry name, each added to from several
+// threads: each object keeps its own count, the registry their sum.
+TEST_F(MetricsTest, StatCounterConcurrentAdd) {
+  StatCounter a("test_stat_total");
+  StatCounter b("test_stat_total");
+  std::vector<std::thread> threads;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 10000;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&a, &b] {
+      for (int i = 0; i < kPerThread; ++i) {
+        a.Add();
+        b.Add(2);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  constexpr uint64_t kAdds = static_cast<uint64_t>(kThreads) * kPerThread;
+  EXPECT_EQ(a.load(), kAdds);
+  EXPECT_EQ(b.load(), 2 * kAdds);
+  EXPECT_EQ(MetricsRegistry::Global()->counter("test_stat_total")->value(),
+            3 * kAdds);
+}
+
 TEST_F(MetricsTest, ScopedTimerRecordsAndCancels) {
   Histogram h;
   {

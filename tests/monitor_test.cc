@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "blob/blob_store.h"
@@ -152,24 +150,6 @@ TEST(MonitorServiceTest, WatchdogDebouncesFiresAndClears) {
   }
   EXPECT_TRUE(saw_fired);
   EXPECT_TRUE(saw_cleared);
-}
-
-TEST(MonitorServiceTest, BackgroundLoopTicksOnExecutor) {
-  MonitorOptions opts;
-  opts.interval_ns = 2'000'000;  // 2ms
-  MonitorService monitor(opts);
-  monitor.Start();
-  EXPECT_TRUE(monitor.running());
-  // Wait for a few real-time ticks.
-  for (int i = 0; i < 1000 && monitor.ticks() < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  monitor.Stop();
-  EXPECT_FALSE(monitor.running());
-  EXPECT_GE(monitor.ticks(), 3u);
-  uint64_t ticks_after_stop = monitor.ticks();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(monitor.ticks(), ticks_after_stop);
 }
 
 // ----------------------------------------------------------------

@@ -3,20 +3,22 @@
 # them. Scope is limited to the tests that exercise the shared executor
 # (parallel scatter queries, morsel scans, maintenance, uploads; engine_test
 # and profile_test force 4-thread executors over all of them) and the lock
-# table (txn_test, rowstore_test; engine_test's lock cycles) and the
-# segment install path (storage_test: movers racing a merge's install) so
-# the TSan build stays fast.
+# table (txn_test, rowstore_test; engine_test's lock cycles), the
+# segment install path (storage_test: movers racing a merge's install), the
+# scan counters merged by morsel workers (exec_test) and the stats counters
+# bumped from many threads (metrics_test) so the TSan build stays fast.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake --preset tsan
 cmake --build build-tsan -j"$(nproc)" \
   --target common_test blob_test parallel_exec_test cluster_test \
-  engine_test profile_test txn_test rowstore_test storage_test
+  engine_test profile_test txn_test rowstore_test storage_test exec_test \
+  metrics_test
 
 export TSAN_OPTIONS="halt_on_error=1:${TSAN_OPTIONS:-}"
 for t in common_test blob_test parallel_exec_test cluster_test engine_test \
-  profile_test txn_test rowstore_test storage_test; do
+  profile_test txn_test rowstore_test storage_test exec_test metrics_test; do
   echo "=== tsan: $t ==="
   "./build-tsan/tests/$t"
 done
