@@ -1,5 +1,7 @@
 #include "cluster/cluster.h"
 
+#include <utility>
+
 #include "common/env.h"
 #include "common/hash.h"
 #include "common/journal.h"
@@ -131,6 +133,23 @@ int Cluster::PartitionForKey(const Row& shard_values) const {
 }
 
 // --- Txn ---
+
+Cluster::Txn::Txn(Txn&& other) noexcept
+    : cluster_(other.cluster_),
+      handles_(std::move(other.handles_)),
+      profile_(other.profile_),
+      done_(std::exchange(other.done_, true)) {}
+
+Cluster::Txn& Cluster::Txn::operator=(Txn&& other) noexcept {
+  if (this != &other) {
+    Abort();
+    cluster_ = other.cluster_;
+    handles_ = std::move(other.handles_);
+    profile_ = other.profile_;
+    done_ = std::exchange(other.done_, true);
+  }
+  return *this;
+}
 
 TxnManager::TxnHandle Cluster::Txn::On(int partition_id) {
   auto it = handles_.find(partition_id);

@@ -85,6 +85,14 @@ class Cluster {
   /// single-partition.
   class Txn {
    public:
+    /// An unfinished transaction aborts when it is destroyed, so an early
+    /// return releases its row locks and its snapshots.
+    ~Txn() { Abort(); }
+    Txn(Txn&& other) noexcept;
+    Txn& operator=(Txn&& other) noexcept;
+    Txn(const Txn&) = delete;
+    Txn& operator=(const Txn&) = delete;
+
     /// Begins lazily on the partition when first used.
     TxnManager::TxnHandle On(int partition_id);
     UnifiedTable* table(int partition_id, const std::string& name);

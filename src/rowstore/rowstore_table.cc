@@ -5,9 +5,36 @@
 
 namespace s2 {
 
+namespace {
+
+// Frees every version below the chain's anchor, the newest version
+// committed at or below `horizon`. Uncommitted and aborted versions stamp
+// above kTsMax, so neither is ever the anchor.
+void FreeBelowAnchor(RowVersion* head, Timestamp horizon) {
+  RowVersion* anchor = head;
+  while (anchor != nullptr &&
+         anchor->commit_ts.load(std::memory_order_acquire) > horizon) {
+    anchor = anchor->next;
+  }
+  if (anchor == nullptr) return;
+  RowVersion* old = anchor->next;
+  anchor->next = nullptr;
+  while (old != nullptr) {
+    RowVersion* next = old->next;
+    delete old;
+    old = next;
+  }
+}
+
+}  // namespace
+
 RowStoreTable::RowStoreTable(Schema schema, std::vector<int> pk_cols,
-                             LockTable* locks)
-    : schema_(std::move(schema)), pk_cols_(std::move(pk_cols)), locks_(locks) {}
+                             LockTable* locks,
+                             const std::atomic<Timestamp>* horizon)
+    : schema_(std::move(schema)),
+      pk_cols_(std::move(pk_cols)),
+      locks_(locks),
+      horizon_(horizon) {}
 
 RowStoreTable::~RowStoreTable() = default;
 
@@ -101,17 +128,21 @@ Status RowStoreTable::WriteVersion(TxnId txn, Timestamp read_ts,
     return Status::NotFound("no row with given primary key");
   }
 
-  if (newest == nullptr || newest->txn_id != txn) {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending_[txn].push_back(node);
-  }
+  // GC on write: no other writer can touch this chain (the row lock, or a
+  // fresh key no one else writes), and readers stop at or above the anchor.
+  RowVersion* head = node->versions.load(std::memory_order_relaxed);
+  FreeBelowAnchor(head, horizon_->load(std::memory_order_acquire));
   auto* version = new RowVersion();
   version->txn_id = txn;
   version->deleted = deleted;
   version->system = system;
   version->data = std::move(data);
-  version->next = node->versions.load(std::memory_order_relaxed);
+  version->next = head;
   node->versions.store(version, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    pending_[txn].push_back(version);
+  }
 
   if (!deleted) IndexRow(version->data, pk);
   return Status::OK();
@@ -227,9 +258,11 @@ Status RowStoreTable::IndexSeek(
     return Status::InvalidArgument("bad secondary index id");
   }
   const SecondaryIndex& index = secondaries_[index_id];
-  if (key.size() != index.cols.size()) {
-    return Status::InvalidArgument("index key arity mismatch");
+  if (key.size() > index.cols.size()) {
+    return Status::InvalidArgument("index key longer than the index");
   }
+  // Value encodings are prefix-free, so the encoded key is a byte prefix of
+  // exactly the entries whose leading columns equal it.
   std::string prefix;
   for (const Value& v : key) v.EncodeTo(&prefix);
 
@@ -243,19 +276,19 @@ Status RowStoreTable::IndexSeek(
     }
     RowVersion* entry = node->versions.load(std::memory_order_acquire);
     if (entry == nullptr) continue;
-    // Re-check against the primary: the row must be visible and must still
-    // match the index key (entries are not removed on update/delete).
-    std::string pk_encoded(node_key.data() + prefix.size(),
-                           node_key.size() - prefix.size());
+    // Re-check against the primary: the row must be visible and this must
+    // still be its entry (entries are not removed on update/delete). One
+    // row has at most one current entry, so a prefix seek yields it once.
+    std::string pk_encoded;
+    for (const Value& v : entry->data) v.EncodeTo(&pk_encoded);
     SkipList::Node* primary_node = primary_.Find(pk_encoded);
     if (primary_node == nullptr) continue;
     RowVersion* v = VisibleVersion(primary_node, txn, read_ts);
     if (v == nullptr || v->deleted) continue;
-    bool still_matches = true;
     std::string current_key;
     for (int c : index.cols) v->data[c].EncodeTo(&current_key);
-    if (current_key != prefix) still_matches = false;
-    if (still_matches && !cb(v->data)) break;
+    current_key.append(pk_encoded);
+    if (current_key == node->key && !cb(v->data)) break;
   }
   return Status::OK();
 }
@@ -272,26 +305,34 @@ void RowStoreTable::Scan(TxnId txn, Timestamp read_ts,
 }
 
 void RowStoreTable::CommitTxn(TxnId txn, Timestamp commit_ts) {
-  // Shared table lock: the version-chain walk below must not race Purge,
-  // which truncates and frees chain tails under the exclusive lock.
-  std::shared_lock<std::shared_mutex> table_lock(table_lock_);
-  std::vector<SkipList::Node*> nodes;
+  std::vector<RowVersion*> versions;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     auto it = pending_.find(txn);
     if (it == pending_.end()) return;
-    nodes = std::move(it->second);
+    versions = std::move(it->second);
     pending_.erase(it);
   }
-  for (SkipList::Node* node : nodes) {
-    for (RowVersion* v = node->versions.load(std::memory_order_acquire);
-         v != nullptr; v = v->next) {
-      if (v->txn_id == txn &&
-          v->commit_ts.load(std::memory_order_relaxed) == kTsUncommitted) {
-        v->commit_ts.store(commit_ts, std::memory_order_release);
-      }
-    }
+  // Shared table lock: once stamped, a version is Purge's to free, and
+  // Purge runs under the exclusive lock.
+  std::shared_lock<std::shared_mutex> table_lock(table_lock_);
+  for (RowVersion* v : versions) {
+    v->commit_ts.store(commit_ts, std::memory_order_release);
   }
+}
+
+std::vector<Timestamp> RowStoreTable::VersionStamps(const Row& pk) const {
+  std::shared_lock<std::shared_mutex> table_lock(table_lock_);
+  std::string key;
+  for (const Value& v : pk) v.EncodeTo(&key);
+  std::vector<Timestamp> stamps;
+  SkipList::Node* node = primary_.Find(key);
+  if (node == nullptr) return stamps;
+  for (RowVersion* v = node->versions.load(std::memory_order_acquire);
+       v != nullptr; v = v->next) {
+    stamps.push_back(v->commit_ts.load(std::memory_order_acquire));
+  }
+  return stamps;
 }
 
 size_t RowStoreTable::CountVisible(Timestamp ts) const {
@@ -319,23 +360,9 @@ size_t RowStoreTable::Purge(Timestamp oldest_active) {
       head = next;
     }
     node->versions.store(head, std::memory_order_relaxed);
-    // Find the anchor: the newest version already visible to every active
+    // The anchor is the newest version already visible to every active
     // snapshot. Everything older can never be read again.
-    RowVersion* anchor = head;
-    while (anchor != nullptr) {
-      Timestamp ts = anchor->commit_ts.load(std::memory_order_relaxed);
-      if (ts <= kTsMax && ts <= oldest_active) break;
-      anchor = anchor->next;
-    }
-    if (anchor != nullptr) {
-      RowVersion* old = anchor->next;
-      anchor->next = nullptr;
-      while (old != nullptr) {
-        RowVersion* next = old->next;
-        delete old;
-        old = next;
-      }
-    }
+    FreeBelowAnchor(head, oldest_active);
   }
   size_t purged = primary_.Purge([&](SkipList::Node* node) {
     RowVersion* v = node->versions.load(std::memory_order_relaxed);

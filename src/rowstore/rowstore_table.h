@@ -1,6 +1,7 @@
 #ifndef S2_ROWSTORE_ROWSTORE_TABLE_H_
 #define S2_ROWSTORE_ROWSTORE_TABLE_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -32,15 +33,25 @@ namespace s2 {
 ///    conflicts.
 ///
 /// Commit protocol: callers stage writes under a TxnId, then CommitTxn
-/// stamps every staged version with the commit timestamp (AbortTxn rolls
-/// back). The caller releases the row locks afterwards (TxnManager does).
-/// Durability is the log's job, not this class's.
+/// stamps each version the transaction wrote, and only those, with the
+/// commit timestamp (AbortTxn rolls back). The caller releases the row
+/// locks afterwards (TxnManager does). Durability is the log's job, not
+/// this class's.
+///
+/// Version GC on write: a write, holding the row's lock, frees every
+/// version below the chain's anchor, the newest version committed at or
+/// below `*horizon` (the partition's oldest active snapshot). This is safe
+/// because every chain reader holds a registered snapshot, whose read_ts
+/// is at or above the horizon, so it stops at or above the anchor. Purge
+/// does the same for every chain and also unlinks dead rows.
 class RowStoreTable {
  public:
   /// `pk_cols` index into the schema; they form the unique primary key.
   /// Empty pk_cols means "no user key": callers must provide a hidden
-  /// unique key column themselves. Row locks are taken in `locks`.
-  RowStoreTable(Schema schema, std::vector<int> pk_cols, LockTable* locks);
+  /// unique key column themselves. Row locks are taken in `locks`; chains
+  /// are pruned on write below `*horizon`, which may only grow.
+  RowStoreTable(Schema schema, std::vector<int> pk_cols, LockTable* locks,
+                const std::atomic<Timestamp>* horizon);
   ~RowStoreTable();
 
   RowStoreTable(const RowStoreTable&) = delete;
@@ -89,8 +100,9 @@ class RowStoreTable {
   Result<Row> Get(TxnId txn, Timestamp read_ts, const Row& pk) const;
 
   /// Seek by secondary index `index_id` (in AddSecondaryIndex call order):
-  /// invokes cb for every visible row matching the key values. cb returns
-  /// false to stop.
+  /// invokes cb for every visible row whose leading index columns equal
+  /// `key`, which may hold fewer values than the index has columns. cb
+  /// returns false to stop.
   Status IndexSeek(int index_id, TxnId txn, Timestamp read_ts, const Row& key,
                    const std::function<bool(const Row&)>& cb) const;
 
@@ -99,7 +111,7 @@ class RowStoreTable {
   void Scan(TxnId txn, Timestamp read_ts,
             const std::function<bool(const Row&)>& cb) const;
 
-  /// Stamps all of txn's staged versions with commit_ts.
+  /// Stamps each version txn wrote with commit_ts.
   void CommitTxn(TxnId txn, Timestamp commit_ts);
 
   /// Discards txn's staged versions: stamps them aborted.
@@ -112,9 +124,15 @@ class RowStoreTable {
   /// Number of skiplist nodes (live + logically deleted, pre-purge).
   size_t num_nodes() const { return primary_.num_nodes(); }
 
-  /// Physically removes nodes whose newest version is a committed delete
-  /// with commit_ts < oldest_active, and prunes version chains. Takes the
-  /// table's exclusive lock (scans/writes take it shared).
+  /// commit_ts of each version of the row with primary key `pk`, newest
+  /// first; empty when absent. For tests: no write to the row may run
+  /// meanwhile.
+  std::vector<Timestamp> VersionStamps(const Row& pk) const;
+
+  /// Physically removes and frees nodes whose newest version is a
+  /// committed delete with commit_ts <= oldest_active, and prunes version
+  /// chains. Takes the table's exclusive lock (scans/writes take it
+  /// shared).
   size_t Purge(Timestamp oldest_active);
 
   /// Serializes all rows visible at `ts` (snapshot file payload).
@@ -142,16 +160,18 @@ class RowStoreTable {
   Schema schema_;
   std::vector<int> pk_cols_;
   LockTable* locks_;
+  const std::atomic<Timestamp>* horizon_;
   SkipList primary_;
   std::vector<SecondaryIndex> secondaries_;
 
   /// Readers/writers take shared; Purge takes exclusive.
   mutable std::shared_mutex table_lock_;
 
-  /// Staged writes per transaction: each node whose newest version the
-  /// txn wrote, once.
+  /// Staged writes per transaction: every version the txn wrote, in write
+  /// order. A version stays allocated until its txn ends: it is uncommitted
+  /// until then, so neither pruning nor Purge frees it.
   mutable std::mutex pending_mu_;
-  std::unordered_map<TxnId, std::vector<SkipList::Node*>> pending_;
+  std::unordered_map<TxnId, std::vector<RowVersion*>> pending_;
 };
 
 }  // namespace s2

@@ -14,7 +14,6 @@ SkipList::~SkipList() {
     DeleteNode(node);
     node = next;
   }
-  for (Node* dead : graveyard_) DeleteNode(dead);
   DeleteNode(head_);
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/slice.h"
@@ -35,10 +34,11 @@ struct RowVersion {
 ///  - GetOrInsert / Find / iteration may run concurrently from any number
 ///    of threads (inserts use CAS splicing, LevelDB-style; nodes are never
 ///    unlinked concurrently).
-///  - Purge() physically unlinks nodes and requires external exclusion
-///    against all concurrent access (the rowstore table takes its exclusive
-///    lock). Unlinked nodes are kept on a graveyard and freed with the
-///    list, so stale pointers never dangle.
+///  - Purge() physically unlinks and frees nodes and requires external
+///    exclusion against all concurrent access (the rowstore table takes
+///    its exclusive lock). No caller may keep a Node* across that
+///    exclusion: the rowstore holds node pointers only under its shared
+///    lock.
 class SkipList {
  public:
   static constexpr int kMaxHeight = 14;
@@ -77,9 +77,9 @@ class SkipList {
   /// Successor in key order, or nullptr.
   static Node* Next(const Node* node) { return node->Next(0); }
 
-  /// Unlinks every node for which `dead(node)` returns true. Requires
-  /// external exclusion (no concurrent readers or writers). Returns the
-  /// number of unlinked nodes; their memory is reclaimed on destruction.
+  /// Unlinks and frees (with their versions) every node for which
+  /// `dead(node)` returns true. Requires external exclusion (no concurrent
+  /// readers or writers). Returns the number of freed nodes.
   template <typename Pred>
   size_t Purge(Pred dead) {
     size_t purged = 0;
@@ -91,7 +91,8 @@ class SkipList {
         if (dead(cur)) {
           prev->next[level].store(next, std::memory_order_relaxed);
           if (level == 0) {
-            graveyard_.push_back(cur);
+            // Levels run top-down, so level 0 unlinks the node last.
+            DeleteNode(cur);
             ++purged;
           }
         } else {
@@ -125,7 +126,6 @@ class SkipList {
   std::atomic<int> max_height_{1};
   std::atomic<size_t> num_nodes_{0};
   std::atomic<uint64_t> rng_state_{0x853c49e6748fea9bULL};
-  std::vector<Node*> graveyard_;
 };
 
 }  // namespace s2

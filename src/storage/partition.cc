@@ -104,7 +104,11 @@ Status Partition::Commit(TxnId txn) {
     // CDW baseline: pay the blob round-trip on the commit path.
     S2_RETURN_NOT_OK(UploadToBlob());
   }
-  StampCommit(txn);
+  {
+    ProfileSpan stamp_span("commit.stamp");
+    S2_SCOPED_TIMER("s2_txn_stamp_ns");
+    StampCommit(txn);
+  }
   S2_HISTOGRAM("s2_txn_commit_ns").Record(commit_timer.ElapsedNs());
   ProfileCollector::CountHere("commit_wait_ns",
                               static_cast<int64_t>(commit_timer.ElapsedNs()));

@@ -43,7 +43,8 @@ UnifiedTable::UnifiedTable(std::string name, TableOptions options,
   rowstore_schema_ = Schema(cols);
   int rowid_col = static_cast<int>(options_.schema.num_columns());
   rowstore_ = std::make_unique<RowStoreTable>(
-      rowstore_schema_, std::vector<int>{rowid_col}, txns_->locks());
+      rowstore_schema_, std::vector<int>{rowid_col}, txns_->locks(),
+      txns_->gc_horizon());
 
   // Column-level indexes: one per distinct indexed column (secondary
   // indexes and the unique key share per-column structures, Section 4.1.1).
@@ -599,11 +600,18 @@ Status UnifiedTable::LookupByIndex(
   if (index_cols.size() != values.size()) {
     return Status::InvalidArgument("index key arity mismatch");
   }
-  // Level 0 first: exact rowstore index if declared, else filtered scan of
-  // the (small, write-optimized) rowstore.
+  // Level 0 first: seek the shortest rowstore index whose leading columns
+  // are the lookup's, else scan the whole rowstore.
   int rs_index = -1;
   for (size_t i = 0; i < rowstore_index_cols_.size(); ++i) {
-    if (rowstore_index_cols_[i] == index_cols) rs_index = static_cast<int>(i);
+    const std::vector<int>& cols = rowstore_index_cols_[i];
+    if (cols.size() < index_cols.size() ||
+        !std::equal(index_cols.begin(), index_cols.end(), cols.begin())) {
+      continue;
+    }
+    if (rs_index < 0 || cols.size() < rowstore_index_cols_[rs_index].size()) {
+      rs_index = static_cast<int>(i);
+    }
   }
   bool stopped = false;
   auto emit_rowstore = [&](const Row& full) {
@@ -621,6 +629,7 @@ Status UnifiedTable::LookupByIndex(
     S2_RETURN_NOT_OK(
         rowstore_->IndexSeek(rs_index, txn, read_ts, values, emit_rowstore));
   } else {
+    S2_COUNTER("s2_rowstore_scan_lookups_total").Add();
     rowstore_->Scan(txn, read_ts, [&](const Row& full) {
       for (size_t i = 0; i < index_cols.size(); ++i) {
         if (full[index_cols[i]] != values[i]) return true;
@@ -1170,8 +1179,10 @@ void UnifiedTable::SerializeState(std::string* dst) const {
   options_.EncodeTo(dst);
   PutVarint64(dst, static_cast<uint64_t>(next_rowid_.load()));
   PutVarint64(dst, next_segment_id_.load());
-  std::string rowstore_snap =
-      rowstore_->SerializeSnapshot(txns_->watermark());
+  // A registered snapshot: GC never frees a version it can read.
+  TxnManager::TxnHandle h = txns_->Begin();
+  std::string rowstore_snap = rowstore_->SerializeSnapshot(h.read_ts);
+  txns_->EndRead(h.id);
   PutLengthPrefixed(dst, rowstore_snap);
   std::lock_guard<std::mutex> lock(meta_mu_);
   uint64_t live = 0;

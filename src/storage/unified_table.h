@@ -102,10 +102,11 @@ class UnifiedTable {
   // ------------------------------------------------------------------
 
   /// Point/seek read through the secondary index machinery: rowstore index
-  /// seek + global index -> per-segment postings. `index_cols` must equal
-  /// one of the declared indexes (or the unique key, or a prefix subset of
-  /// a multi-column index — per-column indexes are consulted
-  /// independently). cb returns false to stop.
+  /// seek + global index -> per-segment postings. Level 0 seeks a declared
+  /// index (or the unique key) whose leading columns are `index_cols`; a
+  /// column set that leads none scans all of level 0 (counted in
+  /// s2_rowstore_scan_lookups_total). Segments consult the per-column
+  /// indexes of `index_cols` independently. cb returns false to stop.
   Status LookupByIndex(TxnId txn, Timestamp read_ts,
                        const std::vector<int>& index_cols, const Row& values,
                        const std::function<bool(const Row&,

@@ -29,6 +29,7 @@ void TxnManager::FinishCommit(TxnId txn, Timestamp commit_ts) {
     committing_.erase(commit_ts);
     // Advance the watermark to just below the oldest still-stamping commit.
     watermark_ = committing_.empty() ? clock_ : *committing_.begin() - 1;
+    PublishOldestActiveLocked();
   }
   EndRead(txn);
 }
@@ -45,6 +46,7 @@ void TxnManager::EndRead(TxnId txn) {
   if (it != txn_reads_.end()) {
     active_reads_.erase(active_reads_.find(it->second));
     txn_reads_.erase(it);
+    PublishOldestActiveLocked();
   }
 }
 
@@ -52,6 +54,7 @@ void TxnManager::AdvanceTo(Timestamp ts) {
   std::lock_guard<std::mutex> lock(mu_);
   if (clock_ < ts) clock_ = ts;
   if (watermark_ < ts && committing_.empty()) watermark_ = ts;
+  PublishOldestActiveLocked();
 }
 
 Timestamp TxnManager::watermark() const {
@@ -59,10 +62,12 @@ Timestamp TxnManager::watermark() const {
   return watermark_;
 }
 
-Timestamp TxnManager::oldest_active() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (active_reads_.empty()) return watermark_;
-  return std::min(watermark_, *active_reads_.begin());
+void TxnManager::PublishOldestActiveLocked() {
+  // A new snapshot starts at the watermark, so Begin never lowers this.
+  Timestamp oldest = active_reads_.empty()
+                         ? watermark_
+                         : std::min(watermark_, *active_reads_.begin());
+  oldest_active_.store(oldest, std::memory_order_release);
 }
 
 }  // namespace s2

@@ -1,6 +1,7 @@
 #ifndef S2_TXN_TXN_MANAGER_H_
 #define S2_TXN_TXN_MANAGER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -58,8 +59,15 @@ class TxnManager {
   void AdvanceTo(Timestamp ts);
 
   /// Oldest read snapshot still active (== watermark when none): versions
-  /// below this can be purged.
-  Timestamp oldest_active() const;
+  /// below this can be purged. It only ever grows.
+  Timestamp oldest_active() const {
+    return oldest_active_.load(std::memory_order_acquire);
+  }
+
+  /// oldest_active() as the atomic it is read from, for writers that prune
+  /// version chains without taking the manager's mutex. A stale read is
+  /// smaller, so it prunes less, never too much.
+  const std::atomic<Timestamp>* gc_horizon() const { return &oldest_active_; }
 
   /// Row and unique-key locks of the partition's tables.
   LockTable* locks() { return &locks_; }
@@ -72,7 +80,12 @@ class TxnManager {
   std::set<Timestamp> committing_;          // allocated, not yet finished
   std::multiset<Timestamp> active_reads_;   // snapshots of live txns
   std::map<TxnId, Timestamp> txn_reads_;    // txn -> its snapshot
+  /// min(watermark_, oldest of active_reads_), stored under mu_ whenever
+  /// either changes.
+  std::atomic<Timestamp> oldest_active_{0};
   LockTable locks_;
+
+  void PublishOldestActiveLocked();
 };
 
 }  // namespace s2

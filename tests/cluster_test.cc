@@ -9,6 +9,7 @@
 #include "blob/blob_store.h"
 #include "cluster/cluster.h"
 #include "common/env.h"
+#include "common/metrics.h"
 #include "query/plan.h"
 #include "segment_state.h"
 
@@ -123,6 +124,43 @@ TEST_F(ClusterTest, MultiPartitionTransaction) {
                   .ok());
   ASSERT_TRUE(txn.Commit().ok());
   EXPECT_EQ(TotalRows(), 20u);
+}
+
+// A Txn that goes out of scope unfinished aborts: the next writer locks
+// its row without waiting, and its snapshot no longer holds back GC. A
+// moved-from Txn aborts nothing.
+TEST_F(ClusterTest, UnfinishedTxnAbortsWhenDestroyed) {
+  Start(/*partitions=*/1);
+  InsertAccounts(4);
+  Partition* partition = cluster_->partition(0);
+  const Row key = {Value(int64_t{1})};
+  Timestamp first_snapshot = 0;
+  {
+    auto txn = cluster_->BeginTxn();
+    auto h = txn.On(0);
+    first_snapshot = h.read_ts;
+    const Row gone = {Value(int64_t{1}), Value("gone"), Value(1.0)};
+    ASSERT_TRUE(txn.table(0, "accounts")
+                    ->UpdateByKey(h.id, h.read_ts, key, gone)
+                    .ok());
+    EXPECT_GT(partition->txns()->locks()->num_locked(), 0u);
+  }
+  EXPECT_EQ(partition->txns()->locks()->num_locked(), 0u);
+
+  const uint64_t waits_before = S2_HISTOGRAM("s2_lock_wait_ns").count();
+  auto txn = cluster_->BeginTxn();
+  {
+    Cluster::Txn moved = std::move(txn);
+    txn = std::move(moved);
+  }
+  auto h = txn.On(0);
+  ASSERT_TRUE(txn.table(0, "accounts")
+                  ->UpdateByKey(h.id, h.read_ts, key,
+                                {Value(int64_t{1}), Value("kept"), Value(2.0)})
+                  .ok());
+  ASSERT_TRUE(txn.Commit().ok());
+  EXPECT_EQ(S2_HISTOGRAM("s2_lock_wait_ns").count(), waits_before);
+  EXPECT_GT(partition->txns()->oldest_active(), first_snapshot);
 }
 
 TEST_F(ClusterTest, ReplicasApplyContinuously) {

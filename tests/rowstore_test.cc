@@ -2,6 +2,7 @@
 
 #include "test_util.h"
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <set>
@@ -103,7 +104,7 @@ Row MakeRow(int64_t id, std::string name, double score) {
 
 class RowStoreTest : public ::testing::Test {
  protected:
-  RowStoreTest() : table_(TestSchema(), {0}, &locks_) {}
+  RowStoreTest() : table_(TestSchema(), {0}, &locks_, &horizon_) {}
 
   // Ends txn in `table` and then releases its row locks, in the order
   // TxnManager's FinishCommit / Abort keep.
@@ -128,6 +129,7 @@ class RowStoreTest : public ::testing::Test {
   }
 
   LockTable locks_;
+  std::atomic<Timestamp> horizon_{0};  // no pruning until a test moves it
   RowStoreTable table_;
 };
 
@@ -268,7 +270,7 @@ TEST_F(RowStoreTest, ScanVisibleInOrder) {
 }
 
 TEST_F(RowStoreTest, SecondaryIndexSeek) {
-  RowStoreTable table(TestSchema(), {0}, &locks_);
+  RowStoreTable table(TestSchema(), {0}, &locks_, &horizon_);
   table.AddSecondaryIndex({1});  // by name
   ASSERT_TRUE(table.Insert(1, 0, MakeRow(1, "bob", 1)).ok());
   ASSERT_TRUE(table.Insert(1, 0, MakeRow(2, "alice", 2)).ok());
@@ -308,6 +310,102 @@ TEST_F(RowStoreTest, SecondaryIndexSeek) {
   EXPECT_EQ(ids, (std::vector<int64_t>{1}));
 }
 
+// A key shorter than the index seeks its leading columns. An update that
+// moves a row to another key leaves its old entry behind; the row is still
+// yielded once, through its current entry.
+TEST_F(RowStoreTest, SecondaryIndexPrefixSeek) {
+  RowStoreTable table(TestSchema(), {0}, &locks_, &horizon_);
+  table.AddSecondaryIndex({1, 2});  // by (name, score)
+  ASSERT_TRUE(table.Insert(1, 0, MakeRow(1, "bob", 1)).ok());
+  ASSERT_TRUE(table.Insert(1, 0, MakeRow(2, "bob", 2)).ok());
+  ASSERT_TRUE(table.Insert(1, 0, MakeRow(3, "bobby", 3)).ok());
+  Commit(&table, 1, 5);
+  ASSERT_TRUE(
+      table.Update(2, 5, {Value(int64_t{1})}, MakeRow(1, "bob", 9)).ok());
+  Commit(&table, 2, 6);
+
+  auto seek = [&](const Row& key, Timestamp ts) {
+    std::vector<int64_t> ids;
+    EXPECT_TRUE(table
+                    .IndexSeek(0, 9, ts, key,
+                               [&](const Row& row) {
+                                 ids.push_back(row[0].as_int());
+                                 return true;
+                               })
+                    .ok());
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  EXPECT_EQ(seek({Value("bob")}, 6), (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(seek({Value("bob")}, 5), (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(seek({Value("bob"), Value(9.0)}, 6), (std::vector<int64_t>{1}));
+  EXPECT_EQ(seek({Value("bob"), Value(1.0)}, 6), (std::vector<int64_t>{}));
+  EXPECT_EQ(seek({Value("bob"), Value(1.0)}, 5), (std::vector<int64_t>{1}));
+  EXPECT_EQ(seek({}, 6), (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_TRUE(table
+                  .IndexSeek(0, 9, 6, {Value("bob"), Value(1.0), Value(1.0)},
+                             [](const Row&) { return true; })
+                  .IsInvalidArgument());
+}
+
+// CommitTxn stamps the versions the transaction wrote, all of them and no
+// others: two writes of one row both commit, and an aborted version between
+// two commits keeps its abort stamp.
+TEST_F(RowStoreTest, CommitStampsExactlyTheTxnsVersions) {
+  const Row pk = {Value(int64_t{1})};
+  ASSERT_TRUE(Commit1(1, 5, table_.Insert(1, 0, MakeRow(1, "v1", 0))).ok());
+  ASSERT_TRUE(table_.Update(2, 5, pk, MakeRow(1, "v2", 0)).ok());
+  ASSERT_TRUE(table_.Update(2, 5, pk, MakeRow(1, "v3", 0)).ok());
+  Commit(2, 8);
+  EXPECT_EQ(table_.VersionStamps(pk), (std::vector<Timestamp>{8, 8, 5}));
+
+  ASSERT_TRUE(table_.Update(3, 8, pk, MakeRow(1, "doomed", 0)).ok());
+  Abort(3);
+  ASSERT_TRUE(Commit1(4, 9, table_.Update(4, 8, pk, MakeRow(1, "v4", 0))).ok());
+  EXPECT_EQ(table_.VersionStamps(pk),
+            (std::vector<Timestamp>{9, kTsAborted, 8, 8, 5}));
+  EXPECT_EQ((*table_.Get(99, 8, pk))[1], Value("v3"));
+  EXPECT_EQ((*table_.Get(99, 9, pk))[1], Value("v4"));
+}
+
+// A write frees the versions below its chain's anchor, so a hot row's chain
+// stays short while the horizon keeps up with the commits.
+TEST_F(RowStoreTest, WritePrunesChainBelowHorizon) {
+  const Row pk = {Value(int64_t{1})};
+  ASSERT_TRUE(Commit1(1, 1, table_.Insert(1, 0, MakeRow(1, "v", 0))).ok());
+  for (Timestamp ts = 1; ts <= 1000; ++ts) {
+    horizon_.store(ts);  // no snapshot older than the last commit
+    TxnId txn = 100 + ts;
+    ASSERT_TRUE(Commit1(txn, ts + 1,
+                        table_.Update(txn, ts, pk, MakeRow(1, "v", ts)))
+                    .ok());
+    ASSERT_LE(table_.VersionStamps(pk).size(), 2u) << ts;
+  }
+  EXPECT_EQ((*table_.Get(9, 1001, pk))[2], Value(1000.0));
+}
+
+// A snapshot that pins the horizon keeps its version readable however many
+// writes prune the chain after it; once it ends, one write trims the chain.
+TEST_F(RowStoreTest, PinnedSnapshotKeepsItsVersion) {
+  const Row pk = {Value(int64_t{1})};
+  ASSERT_TRUE(Commit1(1, 1, table_.Insert(1, 0, MakeRow(1, "first", 0))).ok());
+  horizon_.store(1);  // a snapshot at ts 1 stays active
+  for (Timestamp ts = 1; ts <= 1000; ++ts) {
+    TxnId txn = 100 + ts;
+    ASSERT_TRUE(Commit1(txn, ts + 1,
+                        table_.Update(txn, ts, pk, MakeRow(1, "later", ts)))
+                    .ok());
+  }
+  EXPECT_EQ(table_.VersionStamps(pk).size(), 1001u);
+  EXPECT_EQ((*table_.Get(9, 1, pk))[1], Value("first"));
+
+  horizon_.store(1001);  // the snapshot ended
+  ASSERT_TRUE(
+      Commit1(2000, 1002, table_.Update(2000, 1001, pk, MakeRow(1, "x", 0)))
+          .ok());
+  EXPECT_EQ(table_.VersionStamps(pk), (std::vector<Timestamp>{1002, 1001}));
+}
+
 TEST_F(RowStoreTest, PurgeRemovesDeadRowsAndOldVersions) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(table_.Insert(1, 0, MakeRow(i, "row", 0)).ok());
@@ -342,7 +440,7 @@ TEST_F(RowStoreTest, SnapshotRoundTrip) {
 
   std::string snapshot = table_.SerializeSnapshot(6);
 
-  RowStoreTable restored(TestSchema(), {0}, &locks_);
+  RowStoreTable restored(TestSchema(), {0}, &locks_, &horizon_);
   ASSERT_TRUE(restored.RestoreSnapshot(snapshot, 1).ok());
   EXPECT_EQ(restored.CountVisible(1), 99u);
   EXPECT_TRUE(restored.Get(9, 1, {Value(int64_t{50})}).status().IsNotFound());

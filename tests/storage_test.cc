@@ -3,6 +3,8 @@
 #include "segment_state.h"
 #include "test_util.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <set>
@@ -13,6 +15,7 @@
 #include "blob/blob_store.h"
 #include "common/coding.h"
 #include "common/env.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "storage/partition.h"
 #include "storage/unified_table.h"
@@ -103,12 +106,12 @@ class StorageTest : public ::testing::Test {
   }
 
   // Collects all visible rows (rowstore + segments) at a fresh snapshot.
-  std::map<int64_t, Row> AllRows(UnifiedTable* table) {
+  std::vector<Row> VisibleRows(UnifiedTable* table) {
     auto h = partition_->Begin();
-    std::map<int64_t, Row> out;
+    std::vector<Row> out;
     table->ScanRowstore(h.id, h.read_ts,
                         [&](const Row& row, const RowLocation&) {
-                          out[row[0].as_int()] = row;
+                          out.push_back(row);
                           return true;
                         });
     auto segments = table->GetSegments(h.read_ts);
@@ -118,10 +121,17 @@ class StorageTest : public ::testing::Test {
         if (snap.deletes != nullptr && snap.deletes->Get(r)) continue;
         auto row = snap.segment->ReadRow(r);
         EXPECT_TRUE(row.ok());
-        out[(*row)[0].as_int()] = *row;
+        out.push_back(*row);
       }
     }
     partition_->EndRead(h.id);
+    return out;
+  }
+
+  // VisibleRows keyed by the first column.
+  std::map<int64_t, Row> AllRows(UnifiedTable* table) {
+    std::map<int64_t, Row> out;
+    for (Row& row : VisibleRows(table)) out[row[0].as_int()] = std::move(row);
     return out;
   }
 
@@ -722,6 +732,186 @@ TEST_F(StorageTest, MultiColumnIndexLookup) {
                   .ok());
   EXPECT_EQ(partial, 16);
   partition_->EndRead(h.id);
+}
+
+// A lookup on the leading columns of an index seeks level 0 rather than
+// scanning it, and returns the rows a scan of the whole table finds: over
+// level 0 and segments, after updates and deletes that leave stale rowstore
+// index entries behind.
+TEST_F(StorageTest, PrefixLookupMatchesScan) {
+  TableOptions opts;
+  opts.schema = TestSchema();
+  opts.indexes = {{0, 1}};
+  opts.segment_rows = 32;
+  opts.flush_threshold = 32;
+  UnifiedTable* tagged = MakeTable(opts);
+  TableOptions no_opts;
+  no_opts.schema = Schema({{"w", DataType::kInt64},
+                           {"d", DataType::kInt64},
+                           {"o", DataType::kInt64}});
+  no_opts.unique_key = {0, 1, 2};
+  no_opts.indexes = {{0, 1, 2}};
+  no_opts.segment_rows = 32;
+  no_opts.flush_threshold = 32;
+  auto created = partition_->CreateTable("neworder", no_opts);
+  ASSERT_TRUE(created.ok());
+  UnifiedTable* neworder = *created;
+
+  for (int64_t i = 0; i < 64; ++i) {
+    Txn([&](TxnManager::TxnHandle h) {
+      return tagged
+          ->InsertRows(h.id, h.read_ts,
+                       {MakeRow(i % 8, "tag" + std::to_string(i % 4), i)})
+          .status();
+    });
+  }
+  for (int64_t o = 1; o <= 10; ++o) {
+    for (int64_t w = 1; w <= 2; ++w) {
+      for (int64_t d = 1; d <= 3; ++d) {
+        Txn([&](TxnManager::TxnHandle h) {
+          return neworder
+              ->InsertRows(h.id, h.read_ts, {{Value(w), Value(d), Value(o)}})
+              .status();
+        });
+      }
+    }
+  }
+  // The oldest 32 rows of each table go to a segment; the rest stay in
+  // level 0.
+  ASSERT_TRUE(tagged->FlushRowstore().ok());
+  ASSERT_TRUE(neworder->FlushRowstore().ok());
+
+  // Retag every id-1 row (some in the segment, some in level 0) and delete
+  // the id-2 rows; deliver (delete) the oldest orders and renumber others.
+  Txn([&](TxnManager::TxnHandle h) -> Status {
+    std::vector<std::pair<Row, RowLocation>> hits;
+    for (int64_t id : {1, 2}) {
+      S2_RETURN_NOT_OK(tagged->LookupByIndex(
+          h.id, h.read_ts, {0}, {Value(id)},
+          [&](const Row& row, const RowLocation& loc) {
+            hits.emplace_back(row, loc);
+            return true;
+          }));
+    }
+    for (auto& [row, loc] : hits) {
+      if (row[0] == Value(int64_t{2})) {
+        S2_RETURN_NOT_OK(tagged->DeleteLocated(h.id, h.read_ts, loc));
+      } else {
+        Row retagged = row;
+        retagged[1] = Value("moved");
+        S2_RETURN_NOT_OK(tagged->UpdateLocated(h.id, h.read_ts, loc, retagged));
+      }
+    }
+    return Status::OK();
+  });
+  Txn([&](TxnManager::TxnHandle h) -> Status {
+    for (int64_t w = 1; w <= 2; ++w) {
+      for (int64_t d = 1; d <= 3; ++d) {
+        for (int64_t o : {1, 7}) {
+          S2_RETURN_NOT_OK(neworder->DeleteByKey(
+              h.id, h.read_ts, {Value(w), Value(d), Value(o)}));
+        }
+        for (int64_t o : {2, 9}) {
+          S2_RETURN_NOT_OK(neworder->UpdateByKey(
+              h.id, h.read_ts, {Value(w), Value(d), Value(o)},
+              {Value(w), Value(d), Value(o + 100)}));
+        }
+      }
+    }
+    return Status::OK();
+  });
+
+  auto scan_where = [&](UnifiedTable* table, const std::vector<int>& cols,
+                        const Row& values) {
+    std::vector<Row> out;
+    for (Row& row : VisibleRows(table)) {
+      bool match = true;
+      for (size_t i = 0; i < cols.size(); ++i) {
+        match &= row[cols[i]] == values[i];
+      }
+      if (match) out.push_back(std::move(row));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  auto h = partition_->Begin();
+  auto lookup = [&](UnifiedTable* table, const std::vector<int>& cols,
+                    const Row& values) {
+    std::vector<Row> out;
+    EXPECT_TRUE(table
+                    ->LookupByIndex(h.id, h.read_ts, cols, values,
+                                    [&](const Row& row, const RowLocation&) {
+                                      out.push_back(row);
+                                      return true;
+                                    })
+                    .ok());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+
+  Counter& scans = S2_COUNTER("s2_rowstore_scan_lookups_total");
+  const uint64_t scans_before = scans.value();
+  for (int64_t id = 0; id < 8; ++id) {
+    std::vector<Row> expected = scan_where(tagged, {0}, {Value(id)});
+    EXPECT_EQ(lookup(tagged, {0}, {Value(id)}), expected) << "id=" << id;
+    EXPECT_EQ(expected.size(), id == 2 ? 0u : 8u) << "id=" << id;
+  }
+  for (int64_t w = 1; w <= 2; ++w) {
+    for (int64_t d = 1; d <= 3; ++d) {
+      std::vector<Row> expected =
+          scan_where(neworder, {0, 1}, {Value(w), Value(d)});
+      EXPECT_EQ(lookup(neworder, {0, 1}, {Value(w), Value(d)}), expected)
+          << "w=" << w << " d=" << d;
+      EXPECT_EQ(expected.size(), 8u) << "w=" << w << " d=" << d;
+    }
+  }
+  EXPECT_EQ(scans.value(), scans_before) << "prefix lookups seek level 0";
+
+  // A column set that leads no index still scans level 0.
+  EXPECT_EQ(lookup(tagged, {1}, {Value("moved")}),
+            scan_where(tagged, {1}, {Value("moved")}));
+  EXPECT_EQ(scans.value(), scans_before + 1);
+  partition_->EndRead(h.id);
+}
+
+// A snapshot reads level 0 at a registered snapshot, so no version it reads
+// is freed under it: recovering from a snapshot taken while one row is
+// updated 10k times (and flushed to segments and moved back now and then)
+// finds every row.
+TEST_F(StorageTest, SnapshotDuringHotRowUpdatesKeepsEveryRow) {
+  UnifiedTable* table = MakeTable();
+  InsertRange(table, 0, 50);
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < 10000; ++i) {
+      auto h = partition_->Begin();
+      Status s = table->UpdateByKey(h.id, h.read_ts, {Value(int64_t{7})},
+                                    MakeRow(7, "hot", i));
+      if (s.ok()) s = partition_->Commit(h.id);
+      if (!s.ok()) {
+        partition_->Abort(h.id);
+        ADD_FAILURE() << s.ToString();
+        break;
+      }
+      if (i % 1000 == 999) (void)table->FlushRowstore();
+    }
+    done = true;
+  });
+  int snapshots = 0;
+  while (!done.load()) {
+    ASSERT_TRUE(partition_->WriteSnapshot().ok());
+    ++snapshots;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  writer.join();
+  EXPECT_GT(snapshots, 0);
+
+  Reopen();
+  auto recovered = partition_->GetTable("t");
+  ASSERT_TRUE(recovered.ok());
+  auto rows = AllRows(*recovered);
+  EXPECT_EQ(rows.size(), 50u);
+  EXPECT_EQ(rows[7], MakeRow(7, "hot", 9999));
 }
 
 TEST_F(StorageTest, IndexProbeCountStaysLogarithmic) {

@@ -5,8 +5,10 @@
 # and profile_test force 4-thread executors over all of them) and the lock
 # table (txn_test, rowstore_test; engine_test's lock cycles), the
 # segment install path (storage_test: movers racing a merge's install), the
-# scan counters merged by morsel workers (exec_test) and the stats counters
-# bumped from many threads (metrics_test) so the TSan build stays fast.
+# scan counters merged by morsel workers (exec_test), the stats counters
+# bumped from many threads (metrics_test) and version GC on write against
+# concurrent readers (workloads_test: 4 TPC-C workers on one partition) so
+# the TSan build stays fast.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,11 +16,12 @@ cmake --preset tsan
 cmake --build build-tsan -j"$(nproc)" \
   --target common_test blob_test parallel_exec_test cluster_test \
   engine_test profile_test txn_test rowstore_test storage_test exec_test \
-  metrics_test
+  metrics_test workloads_test
 
 export TSAN_OPTIONS="halt_on_error=1:${TSAN_OPTIONS:-}"
 for t in common_test blob_test parallel_exec_test cluster_test engine_test \
-  profile_test txn_test rowstore_test storage_test exec_test metrics_test; do
+  profile_test txn_test rowstore_test storage_test exec_test metrics_test \
+  workloads_test; do
   echo "=== tsan: $t ==="
   "./build-tsan/tests/$t"
 done
