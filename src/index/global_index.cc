@@ -1,6 +1,8 @@
 #include "index/global_index.h"
 
+#include <algorithm>
 #include <bit>
+#include <span>
 #include <unordered_set>
 
 #include "common/coding.h"
@@ -27,6 +29,26 @@ IndexEntry ReadSlot(const char* slot) {
   memcpy(&entry.segment_id, slot + 9, 8);
   memcpy(&entry.postings_offset, slot + 17, 4);
   return entry;
+}
+
+// One table holding the entries of `sources` whose segment is not removed.
+Result<ImmutableHashTable> BuildWithout(
+    std::span<const ImmutableHashTable> sources,
+    const std::unordered_set<uint64_t>& removed) {
+  std::vector<IndexEntry> entries;
+  std::vector<uint64_t> covered;
+  std::unordered_set<uint64_t> seen_segments;
+  for (const ImmutableHashTable& table : sources) {
+    table.ForEach([&](const IndexEntry& entry) {
+      if (removed.count(entry.segment_id) > 0) return;
+      entries.push_back(entry);
+      if (seen_segments.insert(entry.segment_id).second) {
+        covered.push_back(entry.segment_id);
+      }
+    });
+  }
+  return ImmutableHashTable::Open(std::make_shared<const std::string>(
+      ImmutableHashTable::Build(entries, std::move(covered))));
 }
 
 }  // namespace
@@ -105,11 +127,36 @@ GlobalIndex::GlobalIndex(size_t max_tables)
 void GlobalIndex::AddSegment(uint64_t segment_id,
                              const std::vector<IndexEntry>& entries) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  std::string bytes = ImmutableHashTable::Build(entries, {segment_id});
-  auto table =
-      ImmutableHashTable::Open(std::make_shared<const std::string>(bytes));
+  auto table = ImmutableHashTable::Open(std::make_shared<const std::string>(
+      ImmutableHashTable::Build(entries, {segment_id})));
   if (table.ok()) tables_.push_back(std::move(*table));
   if (tables_.size() > max_tables_) MergeAllLocked();
+}
+
+void GlobalIndex::RemoveSegments(const std::vector<uint64_t>& segment_ids) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  removed_.insert(segment_ids.begin(), segment_ids.end());
+  // Rewrite any table with >= half of its covered segments removed.
+  std::vector<ImmutableHashTable> kept;
+  for (ImmutableHashTable& table : tables_) {
+    const auto& covered = table.covered_segments();
+    size_t removed = std::count_if(covered.begin(), covered.end(),
+                                   [&](uint64_t seg) {
+                                     return removed_.count(seg) > 0;
+                                   });
+    if (removed * 2 < covered.size()) {
+      kept.push_back(std::move(table));
+      continue;
+    }
+    auto rewritten = BuildWithout({&table, 1}, removed_);
+    if (!rewritten.ok()) {
+      kept.push_back(std::move(table));
+    } else if (rewritten->num_entries() > 0) {
+      kept.push_back(std::move(*rewritten));
+    }
+  }
+  tables_ = std::move(kept);
+  ForgetUncoveredLocked();
 }
 
 void GlobalIndex::Lookup(
@@ -117,49 +164,9 @@ void GlobalIndex::Lookup(
   std::shared_lock<std::shared_mutex> lock(mu_);
   for (const ImmutableHashTable& table : tables_) {
     table.Lookup(hash, [&](const IndexEntry& entry) {
-      // Lazy deletion: skip entries referencing dead segments.
-      if (is_live_ == nullptr || is_live_(entry.segment_id)) cb(entry);
+      if (removed_.count(entry.segment_id) == 0) cb(entry);
     });
   }
-}
-
-bool GlobalIndex::Maintain() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  bool changed = false;
-  if (tables_.size() > max_tables_) {
-    MergeAllLocked();
-    changed = true;
-  }
-  // Rewrite any table with >= half of its covered segments dead.
-  if (is_live_ != nullptr) {
-    for (size_t t = 0; t < tables_.size(); ++t) {
-      const auto& covered = tables_[t].covered_segments();
-      size_t dead = 0;
-      for (uint64_t seg : covered) {
-        if (!is_live_(seg)) ++dead;
-      }
-      if (covered.empty() || dead * 2 < covered.size()) continue;
-      std::vector<IndexEntry> live_entries;
-      std::vector<uint64_t> live_covered;
-      std::unordered_set<uint64_t> seen_segments;
-      tables_[t].ForEach([&](const IndexEntry& entry) {
-        if (!is_live_(entry.segment_id)) return;
-        live_entries.push_back(entry);
-        if (seen_segments.insert(entry.segment_id).second) {
-          live_covered.push_back(entry.segment_id);
-        }
-      });
-      std::string bytes =
-          ImmutableHashTable::Build(live_entries, std::move(live_covered));
-      auto table = ImmutableHashTable::Open(
-          std::make_shared<const std::string>(bytes));
-      if (table.ok()) {
-        tables_[t] = std::move(*table);
-        changed = true;
-      }
-    }
-  }
-  return changed;
 }
 
 size_t GlobalIndex::total_entries() const {
@@ -170,26 +177,23 @@ size_t GlobalIndex::total_entries() const {
 }
 
 void GlobalIndex::MergeAllLocked() {
-  std::vector<IndexEntry> entries;
-  std::vector<uint64_t> covered;
-  std::unordered_set<uint64_t> seen_segments;
+  // Merging is where removed segments' entries are dropped for good.
+  auto table = BuildWithout(tables_, removed_);
+  if (!table.ok()) return;
+  tables_.clear();
+  tables_.push_back(std::move(*table));
+  ForgetUncoveredLocked();
+}
+
+void GlobalIndex::ForgetUncoveredLocked() {
+  if (removed_.empty()) return;
+  std::unordered_set<uint64_t> covered;
   for (const ImmutableHashTable& table : tables_) {
-    table.ForEach([&](const IndexEntry& entry) {
-      // Merging is where lazily-deleted entries are dropped for good.
-      if (is_live_ != nullptr && !is_live_(entry.segment_id)) return;
-      entries.push_back(entry);
-      if (seen_segments.insert(entry.segment_id).second) {
-        covered.push_back(entry.segment_id);
-      }
-    });
+    covered.insert(table.covered_segments().begin(),
+                   table.covered_segments().end());
   }
-  std::string bytes = ImmutableHashTable::Build(entries, std::move(covered));
-  auto table =
-      ImmutableHashTable::Open(std::make_shared<const std::string>(bytes));
-  if (table.ok()) {
-    tables_.clear();
-    tables_.push_back(std::move(*table));
-  }
+  std::erase_if(removed_,
+                [&](uint64_t seg) { return covered.count(seg) == 0; });
 }
 
 }  // namespace s2

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -62,9 +63,9 @@ class ImmutableHashTable {
 /// the number of tables logarithmic, so a point lookup probes O(log N)
 /// tables instead of checking every segment (paper Section 4.1).
 ///
-/// Segment deletion is lazy: lookups skip entries whose segment is no
-/// longer live, and a table is rewritten only once at least half of its
-/// covered segments are dead.
+/// Segment removal is lazy: lookups skip a removed segment's entries at
+/// once, merges drop them, and a table is rewritten without them once at
+/// least half of its covered segments are removed.
 class GlobalIndex {
  public:
   explicit GlobalIndex(size_t max_tables = 8);
@@ -73,20 +74,14 @@ class GlobalIndex {
   /// level-0 table, then merges if the LSM is over its run budget.
   void AddSegment(uint64_t segment_id, const std::vector<IndexEntry>& entries);
 
-  /// Sets the liveness oracle used to skip dead segments. Must be set
-  /// before lookups when segments can be deleted.
-  void set_live_check(std::function<bool(uint64_t)> is_live) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    is_live_ = std::move(is_live);
-  }
+  /// Removes the entries of segments that no reader can see any more. A
+  /// table left with no entries is dropped.
+  void RemoveSegments(const std::vector<uint64_t>& segment_ids);
 
-  /// Invokes cb for every live entry matching `hash`, across all tables.
+  /// Invokes cb for every entry matching `hash` whose segment is not
+  /// removed, across all tables.
   void Lookup(uint64_t hash,
               const std::function<void(const IndexEntry&)>& cb) const;
-
-  /// Background maintenance: merges tables beyond the budget and rewrites
-  /// tables with >= half dead coverage. Returns true if anything changed.
-  bool Maintain();
 
   size_t num_tables() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -98,10 +93,13 @@ class GlobalIndex {
  private:
   void MergeAllLocked();
 
+  /// Forgets removed segments that no table covers any more.
+  void ForgetUncoveredLocked();
+
   size_t max_tables_;
   mutable std::shared_mutex mu_;
   std::vector<ImmutableHashTable> tables_;  // newest last
-  std::function<bool(uint64_t)> is_live_;
+  std::unordered_set<uint64_t> removed_;  // still covered by some table
 };
 
 }  // namespace s2

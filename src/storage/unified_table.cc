@@ -63,8 +63,6 @@ UnifiedTable::UnifiedTable(std::string name, TableOptions options,
     IndexState state;
     state.cols = {c};
     state.global = std::make_unique<GlobalIndex>();
-    state.global->set_live_check(
-        [this](uint64_t id) { return SegmentLiveLatest(id); });
     column_indexes_.push_back(std::move(state));
   }
 
@@ -77,8 +75,6 @@ UnifiedTable::UnifiedTable(std::string name, TableOptions options,
     IndexState state;
     state.cols = cols_vec;
     state.global = std::make_unique<GlobalIndex>();
-    state.global->set_live_check(
-        [this](uint64_t id) { return SegmentLiveLatest(id); });
     tuple_indexes_.push_back(std::move(state));
   };
   for (const auto& index : options_.indexes) add_tuple(index);
@@ -106,13 +102,6 @@ Row UnifiedTable::WithRowId(const Row& row, int64_t rowid) const {
   Row out = row;
   out.push_back(Value(rowid));
   return out;
-}
-
-bool UnifiedTable::SegmentLiveLatest(uint64_t id) const {
-  // Leaf lock only: this is the global indexes' liveness callback and may
-  // run while meta_mu_ is held by the caller.
-  std::lock_guard<std::mutex> lock(live_mu_);
-  return live_segments_.count(id) > 0;
 }
 
 Result<std::shared_ptr<Segment>> UnifiedTable::OpenSegmentLocked(
@@ -451,8 +440,7 @@ Result<std::vector<SegmentSnapshot>> UnifiedTable::GetSegments(
   std::lock_guard<std::mutex> lock(meta_mu_);
   std::vector<SegmentSnapshot> out;
   for (auto& [id, entry] : segments_) {
-    if (entry.created_ts > read_ts) continue;
-    if (entry.dropped_ts != kTsMax && entry.dropped_ts <= read_ts) continue;
+    if (!VisibleAt(entry, read_ts)) continue;
     S2_ASSIGN_OR_RETURN(std::shared_ptr<Segment> segment,
                         OpenSegmentLocked(&entry));
     out.push_back(SegmentSnapshot{id, segment, DeletesAt(entry, read_ts)});
@@ -460,98 +448,88 @@ Result<std::vector<SegmentSnapshot>> UnifiedTable::GetSegments(
   return out;
 }
 
-Result<std::vector<SegmentIndexMatch>> UnifiedTable::IndexLookupSegments(
-    int col, const Value& value, Timestamp read_ts) {
-  GlobalIndex* global = nullptr;
-  for (IndexState& state : column_indexes_) {
-    if (state.cols.size() == 1 && state.cols[0] == col) {
-      global = state.global.get();
-    }
+GlobalIndex* UnifiedTable::ColumnIndex(int col) const {
+  for (const IndexState& state : column_indexes_) {
+    if (state.cols[0] == col) return state.global.get();
   }
-  if (global == nullptr) {
-    return Status::InvalidArgument("column has no secondary index");
-  }
-  std::vector<IndexEntry> entries;
-  global->Lookup(value.Hash(),
-                 [&](const IndexEntry& e) { entries.push_back(e); });
-  std::vector<SegmentIndexMatch> matches;
-  std::lock_guard<std::mutex> lock(meta_mu_);
-  for (const IndexEntry& e : entries) {
-    auto it = segments_.find(e.segment_id);
-    if (it == segments_.end()) continue;
-    SegmentEntry& entry = it->second;
-    if (entry.created_ts > read_ts) continue;
-    if (entry.dropped_ts != kTsMax && entry.dropped_ts <= read_ts) continue;
-    S2_ASSIGN_OR_RETURN(std::shared_ptr<Segment> segment,
-                        OpenSegmentLocked(&entry));
-    matches.push_back(SegmentIndexMatch{
-        SegmentSnapshot{e.segment_id, segment, DeletesAt(entry, read_ts)},
-        e.postings_offset});
-  }
-  return matches;
+  return nullptr;
 }
 
 size_t UnifiedTable::IndexProbeTables(int col) const {
-  for (const IndexState& state : column_indexes_) {
-    if (state.cols.size() == 1 && state.cols[0] == col) {
-      return state.global->num_tables();
-    }
-  }
-  return 0;
+  GlobalIndex* global = ColumnIndex(col);
+  return global == nullptr ? 0 : global->num_tables();
 }
 
 Result<bool> UnifiedTable::LookupSegmentsByCols(
     const std::vector<int>& cols, const Row& values, Timestamp read_ts,
     const std::function<bool(const Row&, uint64_t, uint32_t)>& cb) {
-  // When a tuple-level index exists for these exact columns, use it to
-  // skip segments lacking a full-tuple match (Section 4.1.1).
-  std::unordered_set<uint64_t> tuple_segments;
-  bool have_tuple = false;
-  if (cols.size() >= 2) {
-    for (IndexState& state : tuple_indexes_) {
-      if (state.cols == cols) {
-        have_tuple = true;
-        uint64_t h = 0xa17e5eed;
-        for (size_t i = 0; i < cols.size(); ++i) {
-          h = HashCombine(h, values[i].Hash());
-        }
-        state.global->Lookup(h, [&](const IndexEntry& e) {
-          tuple_segments.insert(e.segment_id);
-        });
-      }
-    }
-  }
-
-  // Per-column matches grouped by segment.
   struct SegmentCandidate {
     SegmentSnapshot snapshot;
     std::vector<uint32_t> offsets;  // postings offsets, aligned with cols
   };
   std::unordered_map<uint64_t, SegmentCandidate> candidates;
-  for (size_t i = 0; i < cols.size(); ++i) {
-    S2_ASSIGN_OR_RETURN(std::vector<SegmentIndexMatch> matches,
-                        IndexLookupSegments(cols[i], values[i], read_ts));
-    // Column 0 proposes the candidates; every later column must match
-    // them too, so a segment it alone names is never a candidate.
-    std::unordered_set<uint64_t> seen;
-    for (SegmentIndexMatch& match : matches) {
-      uint64_t id = match.snapshot.id;
-      if (have_tuple && tuple_segments.count(id) == 0) continue;
-      if (i == 0) {
-        SegmentCandidate& cand = candidates[id];
-        cand.snapshot = std::move(match.snapshot);
-        cand.offsets.assign(cols.size(), 0);
-        cand.offsets[0] = match.postings_offset;
+  {
+    // The probes and the catalog filter share one meta_mu_ hold: installs
+    // add and drop segments under it, so a lookup sees one whole or not at
+    // all. Postings are read after it is released.
+    std::lock_guard<std::mutex> lock(meta_mu_);
+    // When a tuple-level index exists for these exact columns, use it to
+    // skip segments lacking a full-tuple match (Section 4.1.1).
+    std::unordered_set<uint64_t> tuple_segments;
+    bool have_tuple = false;
+    if (cols.size() >= 2) {
+      for (IndexState& state : tuple_indexes_) {
+        if (state.cols == cols) {
+          have_tuple = true;
+          uint64_t h = 0xa17e5eed;
+          for (size_t i = 0; i < cols.size(); ++i) {
+            h = HashCombine(h, values[i].Hash());
+          }
+          state.global->Lookup(h, [&](const IndexEntry& e) {
+            tuple_segments.insert(e.segment_id);
+          });
+        }
+      }
+    }
+    // Per-column matches grouped by segment. Column 0 proposes the
+    // candidates; every later column must match them too, so a segment it
+    // alone names is never a candidate.
+    for (size_t i = 0; i < cols.size(); ++i) {
+      GlobalIndex* global = ColumnIndex(cols[i]);
+      if (global == nullptr) {
+        return Status::InvalidArgument("column has no secondary index");
+      }
+      std::unordered_set<uint64_t> seen;
+      global->Lookup(values[i].Hash(), [&](const IndexEntry& e) {
+        if (have_tuple && tuple_segments.count(e.segment_id) == 0) return;
+        if (i == 0) {
+          std::vector<uint32_t>& offsets = candidates[e.segment_id].offsets;
+          offsets.assign(cols.size(), 0);
+          offsets[0] = e.postings_offset;
+          return;
+        }
+        auto it = candidates.find(e.segment_id);
+        if (it == candidates.end()) return;
+        it->second.offsets[i] = e.postings_offset;
+        seen.insert(e.segment_id);
+      });
+      if (i == 0) continue;
+      for (auto it = candidates.begin(); it != candidates.end();) {
+        it = seen.count(it->first) > 0 ? std::next(it) : candidates.erase(it);
+      }
+    }
+    // Keep the candidates the catalog shows at read_ts.
+    for (auto it = candidates.begin(); it != candidates.end();) {
+      auto seg = segments_.find(it->first);
+      if (seg == segments_.end() || !VisibleAt(seg->second, read_ts)) {
+        it = candidates.erase(it);
         continue;
       }
-      auto it = candidates.find(id);
-      if (it == candidates.end()) continue;
-      it->second.offsets[i] = match.postings_offset;
-      seen.insert(id);
-    }
-    if (i == 0) continue;
-    for (auto it = candidates.begin(); it != candidates.end();) {
-      it = seen.count(it->first) > 0 ? std::next(it) : candidates.erase(it);
+      S2_ASSIGN_OR_RETURN(std::shared_ptr<Segment> segment,
+                          OpenSegmentLocked(&seg->second));
+      it->second.snapshot = SegmentSnapshot{
+          it->first, std::move(segment), DeletesAt(seg->second, read_ts)};
+      ++it;
     }
   }
 
@@ -810,17 +788,8 @@ void UnifiedTable::AddSegmentLocked(SegmentMeta meta, Timestamp created_ts,
 
 void UnifiedTable::InstallSegmentsLocked(SegmentChange change,
                                          Timestamp commit_ts) {
-  // Old segments turn dead and new ones live in one step. The new ones must
-  // be live before their index entries go in (a GlobalIndex merge drops
-  // entries of segments that are not live, and with the old ones dead it
-  // drops theirs for good).
-  {
-    std::lock_guard<std::mutex> live(live_mu_);
-    for (uint64_t id : change.old_ids) live_segments_.erase(id);
-    for (const SegmentMeta& meta : change.metas) {
-      live_segments_.insert(meta.id);
-    }
-  }
+  // Old segments drop and new ones appear at commit_ts in one meta_mu_
+  // hold; the old ones keep their index entries until Vacuum removes them.
   std::unordered_set<uint64_t> old_set(change.old_ids.begin(),
                                        change.old_ids.end());
   for (uint64_t id : old_set) {
@@ -947,12 +916,14 @@ Result<size_t> UnifiedTable::FlushRowstore() {
   SegmentChange change;
   change.metas.push_back(std::move(meta));
   change.opened.push_back(std::move(opened));
+  // The segment goes in before the rows leave level 0, so a latest-state
+  // reader finds each flushed row at least once (twice in between).
   Timestamp cts = txns_->PrepareCommit(h.id);
-  rowstore_->CommitTxn(h.id, cts);
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
     InstallSegmentsLocked(std::move(change), cts);
   }
+  rowstore_->CommitTxn(h.id, cts);
   txns_->FinishCommit(h.id, cts);
   stats_.flushes.Add();
   S2_COUNTER("s2_flush_rows_total").Add(rows.size());
@@ -1090,8 +1061,6 @@ Result<bool> UnifiedTable::MaybeMergeRuns() {
     InstallSegmentsLocked(std::move(change), cts);
     txns_->FinishCommit(h.id, cts);
   }
-  for (IndexState& state : column_indexes_) state.global->Maintain();
-  for (IndexState& state : tuple_indexes_) state.global->Maintain();
   stats_.merges.Add();
   S2_HISTOGRAM("s2_merge_ns").Record(merge_timer.ElapsedNs());
   S2_JOURNAL("storage", "merge",
@@ -1104,6 +1073,7 @@ Result<bool> UnifiedTable::MaybeMergeRuns() {
 
 void UnifiedTable::Vacuum(Timestamp oldest_active) {
   rowstore_->Purge(oldest_active);
+  std::vector<uint64_t> removed;
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
     for (auto it = segments_.begin(); it != segments_.end();) {
@@ -1116,14 +1086,20 @@ void UnifiedTable::Vacuum(Timestamp oldest_active) {
       }
       if (entry.dropped_ts <= oldest_active) {
         (void)files_->Remove(entry.meta.file_name);
+        removed.push_back(it->first);
         it = segments_.erase(it);
       } else {
         ++it;
       }
     }
   }
-  for (IndexState& state : column_indexes_) state.global->Maintain();
-  for (IndexState& state : tuple_indexes_) state.global->Maintain();
+  if (removed.empty()) return;
+  for (IndexState& state : column_indexes_) {
+    state.global->RemoveSegments(removed);
+  }
+  for (IndexState& state : tuple_indexes_) {
+    state.global->RemoveSegments(removed);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1131,16 +1107,18 @@ void UnifiedTable::Vacuum(Timestamp oldest_active) {
 // ---------------------------------------------------------------------------
 
 void UnifiedTable::StampCommit(TxnId txn, Timestamp commit_ts) {
-  rowstore_->CommitTxn(txn, commit_ts);
-  // Install staged replay changes at the commit ts, through the code the
-  // master installed them with.
   std::vector<SegmentChange> staged;
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
     auto it = staged_.find(txn);
-    if (it == staged_.end()) return;
-    staged = std::move(it->second);
-    staged_.erase(it);
+    if (it != staged_.end()) {
+      staged = std::move(it->second);
+      staged_.erase(it);
+    }
+  }
+  if (staged.empty()) {
+    rowstore_->CommitTxn(txn, commit_ts);
+    return;
   }
   // Open the new segment files first, outside meta_mu_. A file that has
   // not arrived yet (replicas) stays null and opens at first read.
@@ -1155,14 +1133,24 @@ void UnifiedTable::StampCommit(TxnId txn, Timestamp commit_ts) {
       change.opened.push_back(std::move(opened));
     }
   }
-  std::lock_guard<std::mutex> lock(meta_mu_);
-  for (SegmentChange& change : staged) {
-    if (change.kind == SegmentChange::kDeletes) {
-      InstallDeletesLocked(change, commit_ts);
-    } else {
-      InstallSegmentsLocked(std::move(change), commit_ts);
+  // Install staged replay changes at the commit ts, through the code and in
+  // the order the master used, so a latest-state reader finds every row at
+  // least once: a flush's segment goes in before its rows leave level 0,
+  // and a move's delete vector after its row copies are stamped.
+  auto install = [&](SegmentChange::Kind kind) {
+    std::lock_guard<std::mutex> lock(meta_mu_);
+    for (SegmentChange& change : staged) {
+      if (change.kind != kind) continue;
+      if (kind == SegmentChange::kDeletes) {
+        InstallDeletesLocked(change, commit_ts);
+      } else {
+        InstallSegmentsLocked(std::move(change), commit_ts);
+      }
     }
-  }
+  };
+  install(SegmentChange::kSegments);
+  rowstore_->CommitTxn(txn, commit_ts);
+  install(SegmentChange::kDeletes);
 }
 
 void UnifiedTable::AbortTxn(TxnId txn) {
@@ -1218,10 +1206,6 @@ Status UnifiedTable::RestoreState(Slice* input) {
     S2_ASSIGN_OR_RETURN(std::shared_ptr<const std::string> file,
                         files_->Read(meta.file_name));
     S2_ASSIGN_OR_RETURN(std::shared_ptr<Segment> opened, Segment::Open(file));
-    {
-      std::lock_guard<std::mutex> live(live_mu_);
-      live_segments_.insert(meta.id);
-    }
     AddSegmentLocked(std::move(meta), /*created_ts=*/0, std::move(opened));
   }
   S2_ASSIGN_OR_RETURN(uint64_t num_runs, GetVarint64(input));

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "blob/data_file_store.h"
@@ -31,12 +30,6 @@ struct SegmentSnapshot {
   uint64_t id = 0;
   std::shared_ptr<Segment> segment;
   std::shared_ptr<const BitVector> deletes;  // null == nothing deleted
-};
-
-/// An index hit within one segment: where to read the postings list.
-struct SegmentIndexMatch {
-  SegmentSnapshot snapshot;
-  uint32_t postings_offset = 0;
 };
 
 /// Running counters for benchmarks and tests. The StatCounter fields also
@@ -121,12 +114,6 @@ class UnifiedTable {
   /// Segment set visible at the snapshot, with per-segment delete vectors.
   Result<std::vector<SegmentSnapshot>> GetSegments(Timestamp read_ts);
 
-  /// Global-index probe for one column value: returns matches restricted
-  /// to segments visible at read_ts. The caller reads postings from each
-  /// match's segment inverted index.
-  Result<std::vector<SegmentIndexMatch>> IndexLookupSegments(
-      int col, const Value& value, Timestamp read_ts);
-
   /// Number of distinct hash-table probes a point lookup on `col` costs
   /// right now (the O(log N) the paper contrasts with O(N) per-segment
   /// checks).
@@ -181,7 +168,9 @@ class UnifiedTable {
   /// Returns true if a merge happened.
   Result<bool> MaybeMergeRuns();
 
-  /// Background index maintenance + version GC below `oldest_active`.
+  /// Version GC below `oldest_active`: purges level 0, trims delete-vector
+  /// history, and drops merged-away segments (files and global-index
+  /// entries) once no snapshot can read them.
   void Vacuum(Timestamp oldest_active);
 
   // ------------------------------------------------------------------
@@ -236,6 +225,14 @@ class UnifiedTable {
 
   Row WithRowId(const Row& row, int64_t rowid) const;
 
+  /// Whether a reader at ts sees the segment (see segments_).
+  static bool VisibleAt(const SegmentEntry& entry, Timestamp ts) {
+    return entry.created_ts <= ts &&
+           (entry.dropped_ts == kTsMax || ts < entry.dropped_ts);
+  }
+  /// The per-column global index of `col`, or null when it has none.
+  GlobalIndex* ColumnIndex(int col) const;
+
   Result<std::shared_ptr<Segment>> OpenSegmentLocked(SegmentEntry* entry);
   std::shared_ptr<const BitVector> DeletesAt(const SegmentEntry& entry,
                                              Timestamp ts) const;
@@ -257,9 +254,10 @@ class UnifiedTable {
 
   /// Index-driven segment-row lookup shared by LookupByIndex and
   /// uniqueness checks: per-column global index probes narrowed by the
-  /// tuple index, postings intersection, delete-bit check. cb gets
-  /// (row, segment_id, offset) and returns false to stop; returns whether
-  /// any row was found.
+  /// tuple index and by the catalog at read_ts (all under one meta_mu_
+  /// hold, so an install is seen whole or not at all), then postings
+  /// intersection and delete-bit check. cb gets (row, segment_id, offset)
+  /// and returns false to stop; returns whether any row was found.
   Result<bool> LookupSegmentsByCols(
       const std::vector<int>& cols, const Row& values, Timestamp read_ts,
       const std::function<bool(const Row&, uint64_t, uint32_t)>& cb);
@@ -302,8 +300,6 @@ class UnifiedTable {
   Status AddSegmentToIndexes(uint64_t segment_id,
                              const std::shared_ptr<Segment>& segment);
 
-  bool SegmentLiveLatest(uint64_t id) const;
-
   std::string name_;
   TableOptions options_;
   PartitionLog* log_;
@@ -313,12 +309,10 @@ class UnifiedTable {
   Schema rowstore_schema_;  // user schema + hidden $rowid column
   std::unique_ptr<RowStoreTable> rowstore_;
 
+  /// The catalog: a reader at ts sees the segments with created_ts <= ts <
+  /// dropped_ts. Scans and index lookups both decide by it under meta_mu_.
   mutable std::mutex meta_mu_;
   std::map<uint64_t, SegmentEntry> segments_;
-  /// Live (not merged-away) segment ids, guarded by its own leaf lock so
-  /// the global indexes' liveness callback never takes meta_mu_.
-  mutable std::mutex live_mu_;
-  std::unordered_set<uint64_t> live_segments_;
   std::vector<SortedRun> runs_;
   std::atomic<int64_t> next_rowid_{1};
   std::atomic<uint64_t> next_segment_id_{1};

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -349,10 +350,28 @@ TEST(DataFileStoreTest, BackgroundUploaderDrains) {
   EXPECT_EQ(blob.stats().puts.load(), 20u);
 }
 
+// A blob store whose Get first waits until `get_gate` returns true (for at
+// most 10 s, so a gate that never opens fails the test instead of hanging).
+class GatedBlobStore : public MemBlobStore {
+ public:
+  std::function<bool()> get_gate;
+
+ protected:
+  Result<std::string> DoGet(const std::string& key) override {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (get_gate != nullptr && !get_gate() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return MemBlobStore::DoGet(key);
+  }
+};
+
 // Regression: concurrent cold reads of the same file must coalesce into one
-// blob Get (single-flight), even with a slow blob backend.
+// blob Get (single-flight). The Get holds until every other reader has
+// joined it, so the check does not depend on thread start-up timing.
 TEST(DataFileStoreTest, ConcurrentColdReadsSingleFlight) {
-  MemBlobStore blob;
+  GatedBlobStore blob;
   auto opts = SyncOptions();
   opts.local_cache_bytes = 4;  // smaller than the file: evictable once cold
   DataFileStore store(&blob, opts);
@@ -363,8 +382,11 @@ TEST(DataFileStoreTest, ConcurrentColdReadsSingleFlight) {
   ASSERT_FALSE(store.IsLocal("cold"));
   uint64_t gets_before = blob.stats().gets.load();
 
-  blob.set_get_latency_us(20000);  // 20ms: plenty of overlap for 8 readers
   constexpr int kReaders = 8;
+  blob.get_gate = [&] {
+    return store.stats().coalesced_reads.load() >=
+           static_cast<uint64_t>(kReaders - 1);
+  };
   std::atomic<int> ok_count{0};
   std::vector<std::thread> readers;
   for (int i = 0; i < kReaders; ++i) {

@@ -260,40 +260,44 @@ TEST(GlobalIndexTest, MergeKeepsLookupsAndBoundsTables) {
 }
 
 TEST(GlobalIndexTest, LazyDeletionSkipsDeadSegments) {
-  GlobalIndex index(/*max_tables=*/100);
-  index.AddSegment(1, {{111, 1, 0}});
+  GlobalIndex index(/*max_tables=*/1);
+  index.AddSegment(1, {{111, 1, 0}, {222, 1, 0}, {333, 1, 0}});
   index.AddSegment(2, {{111, 2, 0}});
-  std::set<uint64_t> live = {2};
-  index.set_live_check([&](uint64_t seg) { return live.count(seg) > 0; });
+  index.AddSegment(3, {{111, 3, 0}});  // merges: one table covers 1, 2, 3
+  index.RemoveSegments({1});  // a third of the table: not rewritten
+  EXPECT_EQ(index.total_entries(), 5u);
 
   std::vector<uint64_t> segs;
   index.Lookup(111, [&](const IndexEntry& e) { segs.push_back(e.segment_id); });
-  EXPECT_EQ(segs, (std::vector<uint64_t>{2}));
+  std::sort(segs.begin(), segs.end());
+  EXPECT_EQ(segs, (std::vector<uint64_t>{2, 3}));
 }
 
 TEST(GlobalIndexTest, MaintainRewritesMostlyDeadTables) {
   GlobalIndex index(/*max_tables=*/100);
   index.AddSegment(1, {{111, 1, 0}, {222, 1, 0}});
-  std::set<uint64_t> live = {};
-  index.set_live_check([&](uint64_t seg) { return live.count(seg) > 0; });
-  EXPECT_EQ(index.total_entries(), 2u);
-  EXPECT_TRUE(index.Maintain()) << "table with 100% dead coverage rewritten";
-  EXPECT_EQ(index.total_entries(), 0u);
+  index.AddSegment(2, {{111, 2, 0}});
+  EXPECT_EQ(index.total_entries(), 3u);
+  index.RemoveSegments({1});
+  EXPECT_EQ(index.total_entries(), 1u) << "fully removed table rewritten";
+  EXPECT_EQ(index.num_tables(), 1u) << "and dropped once empty";
 }
 
 TEST(GlobalIndexTest, MergeDropsDeadEntries) {
   GlobalIndex index(/*max_tables=*/2);
-  std::set<uint64_t> live = {0, 1, 2, 3, 4};
-  index.set_live_check([&](uint64_t seg) { return live.count(seg) > 0; });
-  for (uint64_t seg = 0; seg < 5; ++seg) {
+  for (uint64_t seg = 0; seg < 4; ++seg) {
     index.AddSegment(seg, {{42, seg, 0}});
   }
-  live = {0, 4};
-  index.Maintain();
+  // Tables now cover {0, 1, 2} and {3}: removing 1 rewrites neither.
+  index.RemoveSegments({1});
+  EXPECT_EQ(index.total_entries(), 4u);
+  index.AddSegment(4, {{42, 4, 0}});  // the merge drops segment 1's entry
+  EXPECT_EQ(index.num_tables(), 1u);
+  EXPECT_EQ(index.total_entries(), 4u);
   std::vector<uint64_t> segs;
   index.Lookup(42, [&](const IndexEntry& e) { segs.push_back(e.segment_id); });
   std::sort(segs.begin(), segs.end());
-  EXPECT_EQ(segs, (std::vector<uint64_t>{0, 4}));
+  EXPECT_EQ(segs, (std::vector<uint64_t>{0, 2, 3, 4}));
 }
 
 }  // namespace

@@ -926,5 +926,137 @@ TEST_F(StorageTest, IndexProbeCountStaysLogarithmic) {
       << "global index LSM keeps probe count O(log N), not O(#segments)";
 }
 
+// A snapshot taken before a merge still reads the merged-away segments, so
+// its index lookups find their rows. Vacuum drops those segments' global-index
+// entries only once no snapshot can read them.
+TEST_F(StorageTest, LookupAtSnapshotPinnedBeforeMerge) {
+  UnifiedTable* table = MakeTable();
+  constexpr int64_t kRows = 5 * 64;
+  for (int64_t lo = 0; lo < kRows; lo += 64) {
+    InsertRange(table, lo, lo + 64);
+    ASSERT_TRUE(table->FlushRowstore().ok());
+  }
+  auto count = [&](TxnManager::TxnHandle h, int64_t key) {
+    int found = 0;
+    EXPECT_TRUE(table
+                    ->LookupByIndex(h.id, h.read_ts, {0}, {Value(key)},
+                                    [&](const Row&, const RowLocation&) {
+                                      ++found;
+                                      return true;
+                                    })
+                    .ok());
+    return found;
+  };
+  auto missing_at = [&](TxnManager::TxnHandle h) {
+    int missing = 0;
+    for (int64_t key = 0; key < kRows; ++key) missing += count(h, key) != 1;
+    return missing;
+  };
+
+  auto pinned = partition_->Begin();
+  auto merged = table->MaybeMergeRuns();
+  ASSERT_TRUE(merged.ok() && *merged);
+  EXPECT_EQ(missing_at(pinned), 0) << "rows of merged-away segments";
+  const size_t tables = table->IndexProbeTables(0);
+
+  table->Vacuum(partition_->txns()->oldest_active());
+  EXPECT_EQ(missing_at(pinned), 0) << "vacuum under a pinned snapshot";
+  EXPECT_EQ(table->IndexProbeTables(0), tables);
+
+  partition_->EndRead(pinned.id);
+  table->Vacuum(partition_->txns()->oldest_active());
+  EXPECT_LT(table->IndexProbeTables(0), tables)
+      << "vacuum drops the merged-away segments' entries";
+  auto latest = partition_->Begin();
+  EXPECT_EQ(missing_at(latest), 0);
+  partition_->EndRead(latest.id);
+}
+
+// A writer inserts 64-row batches, and flushes, merges and vacuums after
+// each; `probe` runs on a second thread meanwhile, on keys committed before
+// it starts, mostly recent ones (the rows being flushed and merged).
+// Returns how many probes failed out of how many ran.
+template <typename Probe>
+std::pair<int, int> RaceWithInstalls(Partition* partition, UnifiedTable* table,
+                                     Probe probe) {
+  constexpr int kRounds = 100;
+  std::atomic<int64_t> committed{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<Row> batch;
+      for (int64_t i = 0; i < 64; ++i) {
+        int64_t id = round * 64 + i;
+        batch.push_back(MakeRow(id, "t" + std::to_string(id % 7), id * 0.5));
+      }
+      auto h = partition->Begin();
+      Status s = table->InsertRows(h.id, h.read_ts, batch).status();
+      if (s.ok()) s = partition->Commit(h.id);
+      if (!s.ok()) {
+        ADD_FAILURE() << s.ToString();
+        break;
+      }
+      committed = (round + 1) * 64;
+      EXPECT_TRUE(table->FlushRowstore().ok());
+      EXPECT_TRUE(table->MaybeMergeRuns().ok());
+      table->Vacuum(partition->txns()->oldest_active());
+    }
+    done = true;
+  });
+  Rng rng(TestSeed(20));
+  int failed = 0;
+  int probes = 0;
+  while (!done.load()) {
+    int64_t upto = committed.load();
+    if (upto == 0) {
+      std::this_thread::yield();
+      continue;
+    }
+    uint64_t back = rng.Uniform(std::min<int64_t>(upto, 256));
+    failed += !probe(upto - 1 - static_cast<int64_t>(back));
+    ++probes;
+  }
+  writer.join();
+  return {failed, probes};
+}
+
+// A latest-state lookup racing flush and merge installs finds every
+// committed row: a flush installs its segment before its rows leave level 0,
+// and a lookup sees a merge's install entirely or not at all.
+TEST_F(StorageTest, LatestLookupsRacingInstallsFindEveryRow) {
+  UnifiedTable* table = MakeTable();
+  auto [missed, probes] =
+      RaceWithInstalls(partition_.get(), table, [&](int64_t key) {
+        auto h = partition_->Begin();
+        int found = 0;
+        Status s = table->LookupByIndex(h.id, kTsMax, {0}, {Value(key)},
+                                        [&](const Row&, const RowLocation&) {
+                                          ++found;
+                                          return true;
+                                        });
+        partition_->EndRead(h.id);
+        return s.ok() && found >= 1;
+      });
+  EXPECT_EQ(missed, 0) << "of " << probes << " lookups";
+  EXPECT_GT(probes, 0);
+}
+
+// A unique-key insert racing flush and merge installs never admits a key
+// that is already committed.
+TEST_F(StorageTest, DuplicateInsertsRacingInstallsAreRejected) {
+  UnifiedTable* table = MakeTable();
+  auto [admitted, probes] =
+      RaceWithInstalls(partition_.get(), table, [&](int64_t key) {
+        auto h = partition_->Begin();
+        Status s =
+            table->InsertRows(h.id, h.read_ts, {MakeRow(key, "dup", 0)})
+                .status();
+        partition_->Abort(h.id);
+        return s.IsAlreadyExists();
+      });
+  EXPECT_EQ(admitted, 0) << "of " << probes << " inserts";
+  EXPECT_GT(probes, 0);
+}
+
 }  // namespace
 }  // namespace s2

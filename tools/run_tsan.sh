@@ -4,7 +4,8 @@
 # (parallel scatter queries, morsel scans, maintenance, uploads; engine_test
 # and profile_test force 4-thread executors over all of them) and the lock
 # table (txn_test, rowstore_test; engine_test's lock cycles), the
-# segment install path (storage_test: movers racing a merge's install), the
+# segment install path (storage_test: movers racing a merge's install;
+# lookups racing a flush or merge install), the
 # scan counters merged by morsel workers (exec_test), the stats counters
 # bumped from many threads (metrics_test) and version GC on write against
 # concurrent readers (workloads_test: 4 TPC-C workers on one partition) so
