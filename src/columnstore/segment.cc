@@ -4,6 +4,7 @@
 
 #include "common/coding.h"
 #include "common/crc32.h"
+#include "common/metrics.h"
 
 namespace s2 {
 
@@ -126,15 +127,28 @@ Result<Slice> Segment::aux_block(const std::string& name) const {
   return Slice(file_->data() + it->second.first, it->second.second);
 }
 
-Result<Row> Segment::ReadRow(uint32_t r) const {
-  if (r >= num_rows_) return Status::OutOfRange("row out of range");
-  Row row;
-  row.reserve(columns_.size());
+Result<std::vector<Row>> Segment::ReadRows(
+    const std::vector<uint32_t>& rows) const {
+  for (uint32_t r : rows) {
+    if (r >= num_rows_) return Status::OutOfRange("row out of range");
+  }
+  std::vector<Row> out(rows.size());
+  for (Row& row : out) row.reserve(columns_.size());
   for (size_t c = 0; c < columns_.size(); ++c) {
     S2_ASSIGN_OR_RETURN(const ColumnReader* reader, column(c));
-    row.push_back(reader->ValueAt(r));
+    ColumnVector values(reader->type());
+    S2_RETURN_NOT_OK(reader->DecodeRows(rows, &values));
+    for (size_t i = 0; i < out.size(); ++i) {
+      out[i].push_back(values.GetValue(i));
+    }
   }
-  return row;
+  S2_COUNTER("s2_segment_rows_read_total").Add(rows.size());
+  return out;
+}
+
+Result<Row> Segment::ReadRow(uint32_t r) const {
+  S2_ASSIGN_OR_RETURN(std::vector<Row> rows, ReadRows({r}));
+  return std::move(rows[0]);
 }
 
 // --- SegmentBuilder ---

@@ -56,7 +56,14 @@ class Segment {
   /// Raw bytes of the named auxiliary block; NotFound if absent.
   Result<Slice> aux_block(const std::string& name) const;
 
-  /// Materializes full row `r` (all columns).
+  /// Materializes the full rows (all columns) at ascending offsets `rows`,
+  /// one batch decode per column, and counts them in
+  /// s2_segment_rows_read_total. A column body that fails to decode (a
+  /// damaged LZ block, an out-of-range dictionary code) is Corruption,
+  /// never a NULL field: the footer CRC does not cover column bodies.
+  Result<std::vector<Row>> ReadRows(const std::vector<uint32_t>& rows) const;
+
+  /// ReadRows of the one row `r`.
   Result<Row> ReadRow(uint32_t r) const;
 
   size_t file_size() const { return file_->size(); }

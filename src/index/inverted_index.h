@@ -34,7 +34,7 @@ class InvertedIndexBuilder {
   /// Entries produced for the global index: one per distinct value.
   struct TermInfo {
     uint64_t hash;             // Value::Hash() of the term
-    uint32_t postings_offset;  // offset of the postings list in the block
+    uint32_t postings_offset;  // offset of the term's entry in the block
     uint32_t doc_count;        // number of rows with this value
   };
 
@@ -44,19 +44,23 @@ class InvertedIndexBuilder {
 };
 
 /// Read-side view over an inverted-index aux block. The underlying bytes
-/// (the segment file) must outlive the reader.
+/// (the segment file) must outlive the reader. Opening parses the term
+/// directory; a read at a known postings offset needs none of it and goes
+/// through the static PostingsAt.
 class InvertedIndexReader {
  public:
   static Result<InvertedIndexReader> Open(Slice block);
 
+  /// Opens the postings list at a known offset in `block` (the global-index
+  /// path, paper Section 4.1: no directory parse or search). Verifies the
+  /// stored term equals `expected` and returns an invalid iterator when it
+  /// does not (a 64-bit hash collision); Corruption when the trailer or the
+  /// offset falls outside the block.
+  static Result<PostingsIterator> PostingsAt(Slice block, uint32_t offset,
+                                             const Value& expected);
+
   /// Looks up a value; returns an invalid iterator when absent.
   Result<PostingsIterator> Lookup(const Value& value) const;
-
-  /// Opens the postings list at a known offset (the global-index fast path:
-  /// no directory search). Verifies the stored term equals `expected` to
-  /// reject hash collisions.
-  Result<PostingsIterator> PostingsAt(uint32_t offset,
-                                      const Value& expected) const;
 
   size_t num_terms() const { return terms_.size(); }
 
@@ -68,11 +72,11 @@ class InvertedIndexReader {
 
  private:
   struct Term {
-    std::string encoded_value;
-    uint32_t offset;  // into entries region
+    Slice encoded_value;  // into the block's directory
+    uint32_t offset;      // into the entries region
   };
 
-  Slice entries_;  // concatenated [value][postings] records
+  Slice block_;
   std::vector<Term> terms_;  // sorted by encoded_value
 };
 

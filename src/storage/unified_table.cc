@@ -228,18 +228,17 @@ Result<bool> UnifiedTable::FindDuplicate(TxnId txn, const Row& key_values,
   if (found) return true;
 
   // Columnstore: probe the global indexes. In the typical no-duplicate
-  // case only the in-memory hash tables are touched (Section 4.1.2).
-  S2_ASSIGN_OR_RETURN(
-      bool seg_found,
-      LookupSegmentsByCols(options_.unique_key, key_values, kTsMax,
-                           [&](const Row&, uint64_t segment_id,
-                               uint32_t offset) {
-                             loc->in_rowstore = false;
-                             loc->segment_id = segment_id;
-                             loc->row_offset = offset;
-                             return false;
-                           }));
-  return seg_found;
+  // case only the in-memory hash tables are touched (Section 4.1.2); a
+  // duplicate costs one postings list per candidate segment and no row
+  // read, since only its location is needed.
+  return LookupSegmentsByCols(options_.unique_key, key_values, kTsMax,
+                              [&](const Segment&, uint64_t segment_id,
+                                  uint32_t offset) {
+                                loc->in_rowstore = false;
+                                loc->segment_id = segment_id;
+                                loc->row_offset = offset;
+                                return false;
+                              });
 }
 
 Status UnifiedTable::MoveRows(uint64_t segment_id,
@@ -273,13 +272,14 @@ Status UnifiedTable::MoveRows(uint64_t segment_id,
     return AbortOwnTxn(h.id, Status::OK());
   }
 
+  auto rows = segment->ReadRows(to_move);
+  if (!rows.ok()) return AbortOwnTxn(h.id, rows.status());
   std::string payload_rows;
   uint64_t moved_count = 0;
   std::vector<uint32_t> actually_moved;
-  for (uint32_t off : to_move) {
-    auto row = segment->ReadRow(off);
-    if (!row.ok()) return AbortOwnTxn(h.id, row.status());
-    Row full = WithRowId(*row, MovedRowId(segment_id, off));
+  for (size_t i = 0; i < to_move.size(); ++i) {
+    uint32_t off = to_move[i];
+    Row full = WithRowId((*rows)[i], MovedRowId(segment_id, off));
     Status st = rowstore_->InsertMoved(h.id, full);
     if (st.IsAlreadyExists()) continue;  // raced with another mover
     if (!st.ok()) return AbortOwnTxn(h.id, st);
@@ -462,7 +462,7 @@ size_t UnifiedTable::IndexProbeTables(int col) const {
 
 Result<bool> UnifiedTable::LookupSegmentsByCols(
     const std::vector<int>& cols, const Row& values, Timestamp read_ts,
-    const std::function<bool(const Row&, uint64_t, uint32_t)>& cb) {
+    const std::function<bool(const Segment&, uint64_t, uint32_t)>& cb) {
   struct SegmentCandidate {
     SegmentSnapshot snapshot;
     std::vector<uint32_t> offsets;  // postings offsets, aligned with cols
@@ -535,8 +535,9 @@ Result<bool> UnifiedTable::LookupSegmentsByCols(
 
   bool found_any = false;
   for (auto& [id, cand] : candidates) {
-    // Intersect the per-column postings lists (hash collisions rejected by
-    // the value check inside PostingsAt).
+    // Intersect the per-column postings lists, each read straight at its
+    // global-index offset (hash collisions rejected by the value check
+    // inside PostingsAt).
     std::vector<PostingsIterator> its;
     bool missing = false;
     for (size_t i = 0; i < cols.size(); ++i) {
@@ -546,10 +547,9 @@ Result<bool> UnifiedTable::LookupSegmentsByCols(
         missing = true;
         break;
       }
-      S2_ASSIGN_OR_RETURN(InvertedIndexReader reader,
-                          InvertedIndexReader::Open(*block));
-      S2_ASSIGN_OR_RETURN(PostingsIterator it,
-                          reader.PostingsAt(cand.offsets[i], values[i]));
+      S2_ASSIGN_OR_RETURN(
+          PostingsIterator it,
+          InvertedIndexReader::PostingsAt(*block, cand.offsets[i], values[i]));
       if (!it.Valid()) {
         missing = true;
         break;
@@ -563,9 +563,8 @@ Result<bool> UnifiedTable::LookupSegmentsByCols(
       if (cand.snapshot.deletes != nullptr && cand.snapshot.deletes->Get(off)) {
         continue;
       }
-      S2_ASSIGN_OR_RETURN(Row row, cand.snapshot.segment->ReadRow(off));
       found_any = true;
-      if (!cb(row, id, off)) return true;
+      if (!cb(*cand.snapshot.segment, id, off)) return true;
     }
   }
   return found_any;
@@ -617,20 +616,26 @@ Status UnifiedTable::LookupByIndex(
   }
   if (stopped) return Status::OK();
 
-  // Columnstore via the two-level index.
-  S2_ASSIGN_OR_RETURN(
-      bool found,
+  // Columnstore via the two-level index; only the rows handed to cb are
+  // materialized.
+  Status read_status;
+  S2_RETURN_NOT_OK(
       LookupSegmentsByCols(index_cols, values, read_ts,
-                           [&](const Row& row, uint64_t segment_id,
+                           [&](const Segment& segment, uint64_t segment_id,
                                uint32_t offset) {
+                             auto row = segment.ReadRow(offset);
+                             if (!row.ok()) {
+                               read_status = row.status();
+                               return false;
+                             }
                              RowLocation loc;
                              loc.in_rowstore = false;
                              loc.segment_id = segment_id;
                              loc.row_offset = offset;
-                             return cb(row, loc);
-                           }));
-  (void)found;
-  return Status::OK();
+                             return cb(*row, loc);
+                           })
+          .status());
+  return read_status;
 }
 
 uint64_t UnifiedTable::ApproxRowCount() const {

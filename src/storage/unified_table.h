@@ -246,9 +246,10 @@ class UnifiedTable {
   /// snapshot. Returns `status`.
   Status AbortOwnTxn(TxnId txn, Status status);
 
-  /// Moves segment rows into the rowstore in an autonomous transaction
-  /// that commits immediately (logical table content unchanged). The
-  /// caller then mutates the moved copies under their own row locks.
+  /// Moves segment rows (ascending `offsets`) into the rowstore in an
+  /// autonomous transaction that commits immediately (logical table content
+  /// unchanged). The caller then mutates the moved copies under their own
+  /// row locks. A row that fails to read aborts the move with its status.
   Status MoveRows(uint64_t segment_id,
                   const std::vector<uint32_t>& offsets);
 
@@ -256,11 +257,12 @@ class UnifiedTable {
   /// uniqueness checks: per-column global index probes narrowed by the
   /// tuple index and by the catalog at read_ts (all under one meta_mu_
   /// hold, so an install is seen whole or not at all), then postings
-  /// intersection and delete-bit check. cb gets (row, segment_id, offset)
-  /// and returns false to stop; returns whether any row was found.
+  /// intersection and delete-bit check. Reads no row: cb gets each match's
+  /// (segment, segment_id, offset) and returns false to stop; returns
+  /// whether any row was found.
   Result<bool> LookupSegmentsByCols(
       const std::vector<int>& cols, const Row& values, Timestamp read_ts,
-      const std::function<bool(const Row&, uint64_t, uint32_t)>& cb);
+      const std::function<bool(const Segment&, uint64_t, uint32_t)>& cb);
 
   /// One committed segment-metadata change, as the master's flush, move
   /// or merge builds it and as replay stages it until the commit record.

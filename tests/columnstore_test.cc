@@ -6,6 +6,7 @@
 #include "columnstore/segment.h"
 #include "columnstore/segment_meta.h"
 #include "common/rng.h"
+#include "test_util.h"
 
 namespace s2 {
 namespace {
@@ -45,6 +46,46 @@ TEST(SegmentTest, BuildOpenReadRows) {
     EXPECT_EQ(*row, rows[r]) << "row " << r;
   }
   EXPECT_FALSE(segment->ReadRow(100).ok());
+}
+
+// A column body that fails to decode is Corruption from a row read, not a
+// NULL field: the footer CRC does not cover column bodies.
+TEST(SegmentTest, DamagedLzColumnFailsRowReads) {
+  std::vector<Row> rows;
+  std::string payload;
+  for (int i = 0; i < 64; ++i) {
+    std::string tag = "tag-" + std::to_string(i) + "-" + std::string(90, 'x');
+    payload += tag;
+    rows.push_back(MakeRow(i, std::move(tag), i * 0.5));
+  }
+  SegmentBuilder builder(TestSchema());
+  for (const Row& row : rows) builder.AddRow(row);
+  auto file = builder.Finish();
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(ZeroLzBlock(&*file, payload));
+  auto segment =
+      Segment::Open(std::make_shared<const std::string>(std::move(*file)));
+  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+  ASSERT_EQ((*(*segment)->column(1))->encoding(), Encoding::kLz);
+
+  EXPECT_TRUE((*segment)->ReadRow(3).status().IsCorruption());
+  EXPECT_TRUE((*segment)->ReadRows({1, 5, 60}).status().IsCorruption());
+  // The undamaged columns still decode on their own.
+  EXPECT_EQ((*(*segment)->column(0))->ValueAt(3), Value(int64_t{3}));
+}
+
+TEST(SegmentTest, ReadRowsMatchesReadRow) {
+  std::vector<Row> rows;
+  for (int i = 0; i < 100; ++i) {
+    rows.push_back(MakeRow(i, "tag" + std::to_string(i % 3), i * 0.25));
+  }
+  auto segment = BuildSegment(rows);
+  auto read = segment->ReadRows({0, 7, 8, 99});
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, (std::vector<Row>{rows[0], rows[7], rows[8], rows[99]}));
+  EXPECT_TRUE(segment->ReadRows({}).ok());
+  EXPECT_EQ(segment->ReadRows({5, 100}).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(SegmentTest, ColumnStatsComputed) {

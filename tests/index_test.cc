@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 
+#include "common/coding.h"
 #include "common/rng.h"
 #include "index/global_index.h"
 #include "index/inverted_index.h"
@@ -189,13 +190,79 @@ TEST(InvertedIndexTest, TermsReportHashAndOffset) {
   }
   // PostingsAt with the correct value works; with a wrong value (hash
   // collision simulation) it must return an invalid iterator.
-  auto good = reader->PostingsAt(terms[0].postings_offset, Value(int64_t{0}));
+  auto good = InvertedIndexReader::PostingsAt(
+      block, terms[0].postings_offset, Value(int64_t{0}));
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(good->count(), 20u);
-  auto collided =
-      reader->PostingsAt(terms[0].postings_offset, Value(int64_t{999}));
+  auto collided = InvertedIndexReader::PostingsAt(
+      block, terms[0].postings_offset, Value(int64_t{999}));
   ASSERT_TRUE(collided.ok());
   EXPECT_FALSE(collided->Valid());
+}
+
+// The global-index path reads a postings list straight from the block, with
+// no directory: for every term it yields what a directory lookup yields.
+TEST(InvertedIndexTest, PostingsAtMatchesDirectoryLookup) {
+  ColumnVector col(DataType::kString);
+  for (int i = 0; i < 300; ++i) {
+    if (i % 11 == 0) {
+      col.AppendNull();
+    } else {
+      col.AppendString("term-" + std::to_string(i * 7 % 23));
+    }
+  }
+  std::vector<InvertedIndexBuilder::TermInfo> terms;
+  std::string block = InvertedIndexBuilder::BuildWithTerms(col, &terms);
+  auto reader = InvertedIndexReader::Open(block);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_EQ(reader->num_terms(), terms.size());
+  ASSERT_GT(terms.size(), 1u);
+  size_t visited = 0;
+  reader->ForEachTerm([&](const Value& value, uint32_t offset) {
+    ++visited;
+    auto direct = InvertedIndexReader::PostingsAt(block, offset, value);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    ASSERT_TRUE(direct->Valid());
+    auto looked_up = reader->Lookup(value);
+    ASSERT_TRUE(looked_up.ok());
+    EXPECT_EQ(Drain(*direct), Drain(*looked_up)) << value.ToString();
+    // A different value at the same offset is a collision, not a match.
+    auto wrong = InvertedIndexReader::PostingsAt(block, offset,
+                                                 Value("absent-term"));
+    ASSERT_TRUE(wrong.ok());
+    EXPECT_FALSE(wrong->Valid());
+  });
+  EXPECT_EQ(visited, terms.size());
+}
+
+// A damaged block is Corruption from the directory-free read, not a crash.
+TEST(InvertedIndexTest, PostingsAtRejectsDamagedBlock) {
+  ColumnVector col(DataType::kInt64);
+  for (int i = 0; i < 50; ++i) col.AppendInt(i % 4);
+  std::vector<InvertedIndexBuilder::TermInfo> terms;
+  std::string block = InvertedIndexBuilder::BuildWithTerms(col, &terms);
+  ASSERT_EQ(terms.size(), 4u);
+  const Value zero(int64_t{0});
+
+  // Shorter than the trailer.
+  EXPECT_TRUE(InvertedIndexReader::PostingsAt(Slice(block.data(), 3), 0, zero)
+                  .status()
+                  .IsCorruption());
+  // A trailer whose entries size runs past the block.
+  std::string long_trailer = block.substr(0, block.size() - 4);
+  PutFixed32(&long_trailer, static_cast<uint32_t>(block.size()));
+  EXPECT_TRUE(
+      InvertedIndexReader::PostingsAt(long_trailer, 0, zero).status()
+          .IsCorruption());
+  EXPECT_TRUE(InvertedIndexReader::Open(long_trailer).status().IsCorruption());
+  // An offset at or past the entries size.
+  uint32_t entries_size = DecodeFixed32(block.data() + block.size() - 4);
+  EXPECT_TRUE(InvertedIndexReader::PostingsAt(block, entries_size, zero)
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(InvertedIndexReader::PostingsAt(block, entries_size + 100, zero)
+                  .status()
+                  .IsCorruption());
 }
 
 TEST(HashTableTest, BuildLookupMultiEntry) {

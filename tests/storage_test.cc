@@ -1058,5 +1058,84 @@ TEST_F(StorageTest, DuplicateInsertsRacingInstallsAreRejected) {
   EXPECT_GT(probes, 0);
 }
 
+// A unique-key check needs only a row's location, so a duplicate found in
+// a segment reads no row; a lookup reads the one row it returns.
+TEST_F(StorageTest, UniqueKeyCheckReadsNoSegmentRow) {
+  UnifiedTable* table = MakeTable();
+  InsertRange(table, 0, 64);
+  ASSERT_TRUE(table->FlushRowstore().ok());
+  ASSERT_EQ(table->RowstoreRows(), 0u);
+  Counter& rows_read = S2_COUNTER("s2_segment_rows_read_total");
+
+  auto h = partition_->Begin();
+  uint64_t before = rows_read.value();
+  auto r = table->InsertRows(h.id, h.read_ts, {MakeRow(5, "dup", 0)},
+                             DupPolicy::kError);
+  EXPECT_TRUE(r.status().IsAlreadyExists());
+  EXPECT_EQ(rows_read.value(), before);
+  partition_->Abort(h.id);
+
+  auto h2 = partition_->Begin();
+  before = rows_read.value();
+  std::vector<Row> found;
+  ASSERT_TRUE(table
+                  ->LookupByIndex(h2.id, h2.read_ts, {0}, {Value(int64_t{5})},
+                                  [&](const Row& row, const RowLocation& loc) {
+                                    EXPECT_FALSE(loc.in_rowstore);
+                                    found.push_back(row);
+                                    return true;
+                                  })
+                  .ok());
+  partition_->EndRead(h2.id);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0][0], Value(int64_t{5}));
+  EXPECT_EQ(rows_read.value(), before + 1);
+}
+
+// A segment whose LZ column body fails to decompress (outside the footer
+// CRC) fails the lookup and the move transaction with Corruption instead
+// of handing out, or copying into the rowstore and log, a NULL field.
+TEST_F(StorageTest, DamagedSegmentColumnFailsLookupAndMove) {
+  UnifiedTable* table = MakeTable();
+  std::string payload;
+  for (int64_t i = 0; i < 64; ++i) {
+    std::string tag = "tag-" + std::to_string(i) + "-" + std::string(90, 'x');
+    payload += tag;
+    Txn([&](TxnManager::TxnHandle h) {
+      return table->InsertRows(h.id, h.read_ts, {MakeRow(i, tag, i * 0.5)})
+          .status();
+    });
+  }
+  ASSERT_TRUE(table->FlushRowstore().ok());
+  ASSERT_EQ(table->NumSegments(), 1u);
+  const std::string path =
+      dir_ + "/files/" + table->DebugSegments()[0].file_name;
+
+  partition_.reset();
+  auto file = ReadFileToString(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_TRUE(ZeroLzBlock(&*file, payload));
+  ASSERT_TRUE(WriteFileAtomic(path, *file).ok());
+  Open();
+  table = *partition_->GetTable("t");
+  ASSERT_EQ(table->NumSegments(), 1u);
+
+  auto h = partition_->Begin();
+  Status lookup = table->LookupByIndex(
+      h.id, h.read_ts, {0}, {Value(int64_t{5})},
+      [](const Row&, const RowLocation&) { return true; });
+  EXPECT_TRUE(lookup.IsCorruption()) << lookup.ToString();
+  partition_->EndRead(h.id);
+
+  const size_t rowstore_rows = table->RowstoreRows();
+  auto h2 = partition_->Begin();
+  Status del = table->DeleteByKey(h2.id, h2.read_ts, {Value(int64_t{5})});
+  EXPECT_TRUE(del.IsCorruption()) << del.ToString();
+  partition_->Abort(h2.id);
+  EXPECT_EQ(table->stats().rows_moved.load(), 0u);
+  EXPECT_EQ(table->RowstoreRows(), rowstore_rows);
+  EXPECT_EQ(table->DebugSegments()[0].deleted_rows, 0u);
+}
+
 }  // namespace
 }  // namespace s2
