@@ -80,6 +80,7 @@ Status Cluster::ProvisionReplica(int partition_id, int node_id) {
   ropts.blob_prefix = PartitionPrefix(partition_id);
   ropts.ack_commits = true;
   ropts.env = options_.env;
+  ropts.executor = executor_.get();
   auto replica = std::make_unique<ReplicaPartition>(ropts);
   S2_RETURN_NOT_OK(replica->Init());
   S2_RETURN_NOT_OK(WireReplica(partition_id, replica.get()));
@@ -93,7 +94,8 @@ Status Cluster::ProvisionReplica(int partition_id, int node_id) {
 }
 
 Status Cluster::WireReplica(int partition_id, ReplicaPartition* replica) {
-  return masters_[partition_id]->log()->AddSink(replica);
+  return masters_[partition_id]->log()->AddSink(replica,
+                                                 replica->ack_commits());
 }
 
 Status Cluster::CreateTable(const std::string& name,
@@ -378,6 +380,7 @@ Result<int> Cluster::CreateWorkspace() {
     ropts.blob_prefix = PartitionPrefix(p);
     ropts.ack_commits = false;  // workspaces never gate commits
     ropts.env = options_.env;
+    ropts.executor = executor_.get();
     auto replica = std::make_unique<ReplicaPartition>(ropts);
     S2_RETURN_NOT_OK(replica->Init());
     // With a blob store the replica bootstrapped its data files from blob;

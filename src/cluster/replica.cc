@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <set>
 
+#include "common/coding.h"
 #include "common/env.h"
+#include "common/journal.h"
+#include "common/metrics.h"
 #include "log/snapshot.h"
 
 namespace s2 {
@@ -68,32 +72,24 @@ Result<Lsn> BootstrapFromBlob(BlobStore* blob, const std::string& blob_prefix,
 }  // namespace
 
 ReplicaPartition::ReplicaPartition(ReplicaOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      executor_(options_.executor != nullptr ? options_.executor
+                                             : Executor::Default()),
+      env_(options_.env != nullptr ? options_.env : Env::Default()) {}
 
 ReplicaPartition::~ReplicaPartition() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  apply_cv_.notify_all();
-  if (apply_thread_.joinable()) apply_thread_.join();
-}
-
-void ReplicaPartition::AsyncApplyLoop() {
+  // Wait for a queued or running apply task to see stopped_ and exit, so no
+  // task touches this replica afterwards.
   std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    apply_cv_.wait(lock, [this] { return shutdown_ || apply_pending_; });
-    if (shutdown_) return;
-    apply_pending_ = false;
-    ApplyCompleteRecordsLocked();
-  }
+  stopped_ = true;
+  apply_cv_.wait(lock, [this] { return !apply_scheduled_; });
 }
 
 Status ReplicaPartition::Init() {
   if (!options_.ack_commits && options_.blob != nullptr) {
     // Workspace provisioning: bootstrap from blob storage so only the log
     // tail needs replication from the master (fast provisioning,
-    // Section 3.1).
+    // Section 3.1). dir()'s log then ends where the stream begins.
     S2_ASSIGN_OR_RETURN(Lsn end,
                         BootstrapFromBlob(options_.blob, options_.blob_prefix,
                                           options_.dir, /*to_lsn=*/0,
@@ -109,18 +105,12 @@ Status ReplicaPartition::Init() {
   popts.auto_maintain = false;       // maintenance replicates from master
   popts.env = options_.env;
   partition_ = std::make_unique<Partition>(popts);
-  S2_RETURN_NOT_OK(partition_->Init());
-  if (!options_.ack_commits) {
-    // Workspaces replicate asynchronously: apply on a background thread so
-    // the master's commit path never waits for us.
-    apply_thread_ = std::thread([this] { AsyncApplyLoop(); });
-  }
-  return Status::OK();
+  return partition_->Init();
 }
 
 bool ReplicaPartition::OnPage(Lsn page_lsn, Slice page_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (down) return false;
+  if (down || stopped_) return false;
   Lsn end = stream_base_ + stream_.size();
   if (page_lsn > end) {
     // Out-of-order delivery: hold until the gap fills ("log pages can be
@@ -143,30 +133,87 @@ bool ReplicaPartition::OnPage(Lsn page_lsn, Slice page_bytes) {
     }
     it = out_of_order_.erase(it);
   }
-  if (options_.ack_commits) {
-    // HA replicas apply inline: they must be hot for instant failover.
-    ApplyCompleteRecordsLocked();
-  } else {
-    apply_pending_ = true;
-    apply_cv_.notify_one();
-  }
+  ScheduleApplyLocked();
   return true;
 }
 
-void ReplicaPartition::ApplyCompleteRecordsLocked() {
-  size_t offset = applied_ - stream_base_;
-  Slice unapplied(stream_.data() + offset, stream_.size() - offset);
-  size_t complete = PartitionLog::CompletePagePrefix(unapplied);
-  if (complete == 0) return;
-  Slice pages(unapplied.data(), complete);
-  Status s = PartitionLog::ParseStream(
-      pages, applied_, [&](Lsn, const LogRecord& rec) -> Status {
+void ReplicaPartition::ScheduleApplyLocked() {
+  if (apply_scheduled_ || stopped_ || stream_.empty()) return;
+  apply_scheduled_ = true;
+  if (!executor_->Submit([this] { ApplyPages(); })) apply_scheduled_ = false;
+}
+
+void ReplicaPartition::ApplyPages() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!stopped_ && !stream_.empty()) {
+    std::string batch;
+    batch.swap(stream_);
+    const Lsn batch_lsn = stream_base_;
+    stream_base_ += batch.size();
+    apply_running_ = true;
+    lock.unlock();
+    ScopedTimer timer(nullptr);
+    // Persist first: a failed append leaves the batch unapplied, and the
+    // next batch retries it.
+    Status persisted = env_->AppendToFile(options_.dir + "/log", batch,
+                                          /*sync=*/false);
+    size_t replayed = 0;
+    uint64_t txns = 0;
+    if (persisted.ok()) {
+      replayed = ReplayBatch(std::move(batch), batch_lsn, &txns);
+      S2_HISTOGRAM("s2_replica_apply_ns").Record(timer.ElapsedNs());
+    }
+    lock.lock();
+    apply_running_ = false;
+    apply_cv_.notify_all();
+    if (!persisted.ok()) {
+      stream_.insert(0, batch);
+      stream_base_ = batch_lsn;
+      break;  // the next page reschedules the task
+    }
+    applied_ += replayed;
+    txns_applied_ += txns;
+  }
+  apply_scheduled_ = false;
+  apply_cv_.notify_all();
+}
+
+size_t ReplicaPartition::ReplayBatch(std::string batch, Lsn batch_lsn,
+                                     uint64_t* txns) {
+  if (!replay_status_.ok()) return 0;
+  const Lsn base = batch_lsn - unparsed_.size();
+  std::string bytes =
+      unparsed_.empty() ? std::move(batch) : std::move(unparsed_) + batch;
+  std::set<std::string> changed;  // tables a flush or merge changed
+  Result<size_t> parsed = PartitionLog::ParseStream(
+      bytes, base, [&](Lsn, const LogRecord& rec) -> Status {
+        if (rec.type == LogRecordType::kSegmentFlush ||
+            rec.type == LogRecordType::kSegmentMerge) {
+          Slice in(rec.payload);
+          S2_ASSIGN_OR_RETURN(Slice table, GetLengthPrefixed(&in));
+          changed.insert(table.ToString());
+        }
         S2_ASSIGN_OR_RETURN(bool applied,
                             partition_->ReplayRecord(rec, &pending_txns_));
-        if (applied) ++txns_applied_;
+        if (applied) ++*txns;
         return Status::OK();
       });
-  if (s.ok()) applied_ += complete;
+  if (!parsed.ok()) {
+    replay_status_ = parsed.status();
+    unparsed_.clear();
+    S2_JOURNAL("cluster", "replica_replay_failed",
+               "dir=" + options_.dir + " " + replay_status_.ToString());
+    return 0;
+  }
+  unparsed_ = bytes.substr(*parsed);
+  // Vacuum at the replica's own horizon, as the master does after its
+  // flushes and merges; replica readers hold registered snapshots.
+  const Timestamp horizon = partition_->txns()->oldest_active();
+  for (const std::string& name : changed) {
+    auto table = partition_->GetTable(name);
+    if (table.ok()) (*table)->Vacuum(horizon);
+  }
+  return *parsed;
 }
 
 void ReplicaPartition::OnDataFile(const std::string& name,
@@ -187,15 +234,21 @@ uint64_t ReplicaPartition::txns_applied() const {
 }
 
 Result<Partition*> ReplicaPartition::Promote(PartitionOptions options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Persist the received stream as this partition's log: the promoted
-  // master recovers the full replicated prefix, then accepts new writes.
-  size_t complete = PartitionLog::CompletePagePrefix(
-      Slice(stream_.data(), stream_.size()));
-  Env* env = options_.env != nullptr ? options_.env : Env::Default();
-  S2_RETURN_NOT_OK(env->AppendToFile(options_.dir + "/log",
-                                     stream_.substr(0, complete),
-                                     /*sync=*/false));
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    // A running batch persists its bytes before it lets go; a queued task
+    // finds stopped_ and exits without touching the partition.
+    stopped_ = true;
+    apply_cv_.wait(lock, [this] { return !apply_running_; });
+    // dir()'s log ends where stream_ begins: append the rest of what was
+    // received, and the promoted master recovers the replicated prefix.
+    if (!stream_.empty()) {
+      S2_RETURN_NOT_OK(env_->AppendToFile(options_.dir + "/log", stream_,
+                                          /*sync=*/false));
+      stream_base_ += stream_.size();
+      stream_.clear();
+    }
+  }
   partition_.reset();
   partition_ = std::make_unique<Partition>(std::move(options));
   S2_RETURN_NOT_OK(partition_->Init());

@@ -1,15 +1,16 @@
 #ifndef S2_CLUSTER_REPLICA_H_
 #define S2_CLUSTER_REPLICA_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "blob/blob_store.h"
+#include "common/executor.h"
 #include "log/partition_log.h"
 #include "storage/partition.h"
 
@@ -22,26 +23,39 @@ struct ReplicaOptions {
   /// Filesystem for the replica's local state. Not owned; null =
   /// Env::Default().
   Env* env = nullptr;
-  /// True for HA replicas: OnPage returns true once the page is held in
-  /// memory, which is what lets the master count it toward commit
-  /// durability. False for read-only workspaces, which replicate
-  /// asynchronously and "don't participate in acking commits" (paper
-  /// Section 3.2).
+  /// True for HA replicas: the master counts their OnPage (true once the
+  /// page is held in memory) toward commit durability. False for read-only
+  /// workspaces, which replicate asynchronously and "don't participate in
+  /// acking commits" (paper Section 3.2): the cluster registers them as
+  /// sinks that do not ack. Workspaces also bootstrap from blob storage.
   bool ack_commits = true;
+  /// Executor that runs the apply tasks. Not owned; must outlive the
+  /// replica. Null = Executor::Default().
+  Executor* executor = nullptr;
 };
 
-/// A continuously-applied replica of one partition. Receives the master's
-/// log pages (possibly out of order / duplicated on redelivery) and data
-/// files, applies committed transactions incrementally, and can serve
-/// snapshot reads at any time — a hot copy that "can pick up the query
-/// workload immediately after a failover without needing any warm up".
+/// A continuously-applied replica of one partition: an HA replica or one
+/// partition of a read-only workspace, which apply the same way.
 ///
-/// Promotion writes the received log stream into this replica's own
-/// directory so the promoted partition recovers exactly the replicated
-/// prefix and then accepts new writes.
+/// OnPage, called on the master's commit path, only appends the page to
+/// the in-memory stream and schedules an apply task on the executor, so a
+/// commit costs the master a buffer append ("commit needs its log page held
+/// in memory on a replica", paper Section 3). At most one apply task exists
+/// at a time. It takes the received bytes, appends them to the replica's
+/// own log in dir() (in the master's format), then replays their whole
+/// pages into the partition without holding the receive lock, and vacuums
+/// the tables a replayed flush or merge changed. Only the bytes no task has
+/// taken yet stay in memory. The partition serves snapshot reads at the
+/// applied position, a hot copy that "can pick up the query workload
+/// immediately after a failover without needing any warm up".
+///
+/// Promotion appends the not yet persisted tail to dir()'s log and re-opens
+/// it, so the promoted partition recovers exactly the replicated prefix and
+/// then accepts new writes.
 class ReplicaPartition : public ReplicationSink {
  public:
   explicit ReplicaPartition(ReplicaOptions options);
+  /// Waits for a queued or running apply task to exit.
   ~ReplicaPartition() override;
 
   /// Initializes the replica's partition state. For workspaces, first
@@ -62,45 +76,63 @@ class ReplicaPartition : public ReplicationSink {
   /// Every byte below this log position has been applied.
   Lsn applied_lsn() const;
 
-  /// How many transactions behind the master this replica has ever been at
-  /// its worst (lag proxy used by the CH-benCHmark experiment).
+  /// Transactions this replica has applied from the stream.
   uint64_t txns_applied() const;
 
   /// Local directory of the replica's state.
   const std::string& dir() const { return options_.dir; }
 
-  /// Converts the replica into a standalone master partition: persists the
-  /// received stream as the partition log in dir() and re-opens it with
-  /// `options`, whose dir must be dir(). Returns the promoted partition
-  /// (this object keeps owning it); the caller must stop feeding pages
-  /// first.
+  bool ack_commits() const { return options_.ack_commits; }
+
+  /// Converts the replica into a standalone master partition: stops
+  /// applying, appends the received bytes not yet in dir()'s log, and
+  /// re-opens the partition from that log with `options`, whose dir must be
+  /// dir(). Waits for an apply batch that is running, never for a task
+  /// still queued. Returns the promoted partition (this object keeps owning
+  /// it); pages offered afterwards are refused.
   Result<Partition*> Promote(PartitionOptions options);
 
-  bool down = false;  // fault injection: drop pages & refuse acks
+  /// Fault injection: the replica's node is dead, so it drops pages and
+  /// data files and refuses acks. Set under the cluster's lock and read by
+  /// the master's log delivery and data-file hook.
+  std::atomic<bool> down{false};
 
  private:
-  void ApplyCompleteRecordsLocked();
-  void AsyncApplyLoop();
+  /// Submits the apply task unless one is queued or running, the stream
+  /// is empty, or the replica stopped.
+  void ScheduleApplyLocked();
+  /// The executor task: applies batches until the stream is empty.
+  void ApplyPages();
+  /// Replays the whole pages of unparsed_ + `batch` (bytes already in
+  /// dir()'s log, starting at stream position `batch_lsn`) and vacuums the
+  /// tables a flush or merge changed. Runs on the apply task without mu_.
+  /// Returns the bytes replayed and adds the applied transactions to
+  /// `txns`.
+  size_t ReplayBatch(std::string batch, Lsn batch_lsn, uint64_t* txns);
 
   ReplicaOptions options_;
+  Executor* executor_;
+  Env* env_;
   std::unique_ptr<Partition> partition_;
 
-  /// Workspaces apply asynchronously (a background thread drains the
-  /// stream) so the master's commit path only pays for page buffering —
-  /// "read-only workspaces ... replicate recently written data
-  /// asynchronously from the primary".
-  std::thread apply_thread_;
-  std::condition_variable apply_cv_;
-  bool shutdown_ = false;
-  bool apply_pending_ = false;  // guarded by mu_
-
   mutable std::mutex mu_;
-  std::string stream_;       // contiguous received log bytes
+  std::condition_variable apply_cv_;
+  std::string stream_;       // received bytes not yet in dir()'s log
   Lsn stream_base_ = 0;      // log position of stream_[0]
   Lsn applied_ = 0;          // absolute position fully applied
   std::map<Lsn, std::string> out_of_order_;  // pages ahead of the stream
-  Partition::PendingTxns pending_txns_;
   uint64_t txns_applied_ = 0;
+  bool apply_scheduled_ = false;  // an apply task is queued or running
+  bool apply_running_ = false;    // the task holds a batch outside stream_
+  bool stopped_ = false;          // promoted or being destroyed
+
+  // Owned by the apply task (one runs at a time).
+  std::string unparsed_;  // in dir()'s log, an incomplete trailing page
+  Partition::PendingTxns pending_txns_;
+  /// First replay error. Replay stops there (the records before it were
+  /// applied, so a retry would apply them twice); later batches are still
+  /// persisted, so promotion recovers them from dir()'s log.
+  Status replay_status_;
 };
 
 /// Point-in-time restore from blob storage: builds a fresh partition in

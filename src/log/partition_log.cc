@@ -6,6 +6,7 @@
 #include "common/crc32.h"
 #include "common/env.h"
 #include "common/metrics.h"
+#include "common/profile.h"
 
 namespace s2 {
 
@@ -112,11 +113,7 @@ Status PartitionLog::SealPageLocked() {
   // Redeliver any previously unacked pages first: durability advances only
   // through a contiguous acked prefix.
   for (auto it = pending_pages_.begin(); it != pending_pages_.end();) {
-    bool acked = sinks_.empty();
-    for (ReplicationSink* sink : sinks_) {
-      if (sink->OnPage(it->first, Slice(it->second))) acked = true;
-    }
-    if (!acked) break;
+    if (!DeliverLocked(it->first, Slice(it->second))) break;
     it = pending_pages_.erase(it);
   }
 
@@ -137,13 +134,11 @@ Status PartitionLog::SealPageLocked() {
     page_start_ = sealed_end_;
     page_buf_.clear();
 
-    // Synchronous in-memory replication: the page is durable once one sink
-    // acks (or immediately when the partition has no replicas configured).
-    bool acked = sinks_.empty();
-    for (ReplicationSink* sink : sinks_) {
-      if (sink->OnPage(page_lsn, Slice(page))) acked = true;
+    // Synchronous in-memory replication: the page is durable once one
+    // acking sink holds it (or at once when no sink acks).
+    if (!DeliverLocked(page_lsn, Slice(page))) {
+      pending_pages_.emplace_back(page_lsn, std::move(page));
     }
-    if (!acked) pending_pages_.emplace_back(page_lsn, std::move(page));
   }
 
   durable_ = pending_pages_.empty() ? sealed_end_ : pending_pages_.front().first;
@@ -153,20 +148,36 @@ Status PartitionLog::SealPageLocked() {
   return Status::OK();
 }
 
-Status PartitionLog::AddSink(ReplicationSink* sink) {
+bool PartitionLog::DeliverLocked(Lsn page_lsn, Slice page) {
+  if (sinks_.empty()) return true;
+  ProfileSpan span("commit.replicate");
+  S2_SCOPED_TIMER("s2_log_replicate_ns");
+  bool needs_ack = false;
+  bool acked = false;
+  for (const Sink& s : sinks_) {
+    bool held = s.sink->OnPage(page_lsn, page);
+    if (s.acks) {
+      needs_ack = true;
+      acked = acked || held;
+    }
+  }
+  return acked || !needs_ack;
+}
+
+Status PartitionLog::AddSink(ReplicationSink* sink, bool acks) {
   std::lock_guard<std::mutex> lock(mu_);
   // Catch the sink up with all sealed pages (they parse as a page stream).
   if (sealed_end_ > 0) {
     S2_ASSIGN_OR_RETURN(std::string bytes, env_->ReadFileToString(path_));
     sink->OnPage(0, Slice(bytes.data(), sealed_end_));
   }
-  sinks_.push_back(sink);
+  sinks_.push_back({sink, acks});
   return Status::OK();
 }
 
 void PartitionLog::RemoveSink(ReplicationSink* sink) {
   std::lock_guard<std::mutex> lock(mu_);
-  sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink), sinks_.end());
+  std::erase_if(sinks_, [sink](const Sink& s) { return s.sink == sink; });
 }
 
 Lsn PartitionLog::durable_lsn() const {
@@ -194,7 +205,8 @@ Status PartitionLog::Replay(
                        if (lsn < from) return Status::OK();
                        if (to != 0 && lsn >= to) return Status::OK();
                        return cb(lsn, rec);
-                     });
+                     })
+      .status();
 }
 
 Result<std::string> PartitionLog::ReadRange(Lsn from, Lsn to) const {
@@ -206,27 +218,18 @@ Result<std::string> PartitionLog::ReadRange(Lsn from, Lsn to) const {
   return bytes.substr(from, to - from);
 }
 
-size_t PartitionLog::CompletePagePrefix(Slice bytes) {
-  return ValidPrefix(bytes);
-}
-
-Status PartitionLog::ParseStream(
+Result<size_t> PartitionLog::ParseStream(
     Slice bytes, Lsn base_lsn,
     const std::function<Status(Lsn, const LogRecord&)>& cb) {
   size_t pos = 0;
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < kPageHeaderSize) {
-      return Status::Corruption("truncated log page header");
-    }
+  while (bytes.size() - pos >= kPageHeaderSize) {
     const char* p = bytes.data() + pos;
     if (DecodeFixed32(p) != kPageMagic) {
       return Status::Corruption("bad log page magic");
     }
     uint32_t payload_size = DecodeFixed32(p + 4);
     uint32_t crc = DecodeFixed32(p + 8);
-    if (bytes.size() - pos - kPageHeaderSize < payload_size) {
-      return Status::Corruption("truncated log page");
-    }
+    if (bytes.size() - pos - kPageHeaderSize < payload_size) break;
     if (Crc32(p + kPageHeaderSize, static_cast<size_t>(payload_size)) != crc) {
       return Status::Corruption("log page crc mismatch");
     }
@@ -240,7 +243,7 @@ Status PartitionLog::ParseStream(
     }
     pos += kPageHeaderSize + payload_size;
   }
-  return Status::OK();
+  return pos;
 }
 
 }  // namespace s2

@@ -78,13 +78,16 @@ class PartitionLog {
   Status SealPage();
 
   /// Registers a replication sink. Newly added sinks receive already-sealed
-  /// pages so they can catch up, then stream new pages. Not owned.
-  Status AddSink(ReplicationSink* sink);
+  /// pages so they can catch up, then stream new pages. Not owned. Only a
+  /// sink that `acks` (an HA replica) counts toward durability; a read-only
+  /// workspace holds pages without acking. A log with no acking sink is
+  /// durable once a page is written locally.
+  Status AddSink(ReplicationSink* sink, bool acks = true);
   void RemoveSink(ReplicationSink* sink);
 
   /// All records strictly below this LSN are durable (locally written and
-  /// acked by >=1 sink when sinks exist). This is the position below which
-  /// log chunks may be uploaded to blob storage.
+  /// acked by >=1 acking sink when such sinks exist). This is the position
+  /// below which log chunks may be uploaded to blob storage.
   Lsn durable_lsn() const;
 
   /// LSN the next appended record will receive.
@@ -101,22 +104,24 @@ class PartitionLog {
 
   const std::string& path() const { return path_; }
 
-  /// Parses the raw byte range of a log stream (as produced by ReadRange or
-  /// page delivery) invoking cb per record. Used by replicas and restores
-  /// that hold log bytes fetched from blob storage.
-  static Status ParseStream(
+  /// Parses the whole pages at the front of a raw log byte range (as
+  /// produced by ReadRange or page delivery), invoking cb per record, and
+  /// returns the bytes those pages take. Stops before an incomplete
+  /// trailing page, so a replica finds and parses its whole pages in one
+  /// pass that checks each page's CRC once. A complete page with a bad
+  /// magic or CRC is Corruption.
+  static Result<size_t> ParseStream(
       Slice bytes, Lsn base_lsn,
       const std::function<Status(Lsn, const LogRecord&)>& cb);
-
-  /// Length of the prefix of `bytes` consisting of complete, checksummed
-  /// pages (replicas apply only whole pages from the stream).
-  static size_t CompletePagePrefix(Slice bytes);
 
  private:
   explicit PartitionLog(const LogOptions& options);
 
   // Seals current page under mu_ held.
   Status SealPageLocked();
+  /// Delivers one sealed page to every sink; returns whether it is durable
+  /// (an acking sink holds it, or no sink acks).
+  bool DeliverLocked(Lsn page_lsn, Slice page);
   void RecomputeDurableLocked();
 
   LogOptions options_;
@@ -129,7 +134,11 @@ class PartitionLog {
   Lsn sealed_end_ = 0;       // file offset past the last sealed page
   Lsn durable_ = 0;
   std::vector<std::pair<Lsn, std::string>> pending_pages_;  // unacked pages
-  std::vector<ReplicationSink*> sinks_;
+  struct Sink {
+    ReplicationSink* sink;
+    bool acks;
+  };
+  std::vector<Sink> sinks_;
 };
 
 }  // namespace s2

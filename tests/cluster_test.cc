@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
@@ -40,7 +42,7 @@ class ClusterTest : public ::testing::Test {
     (void)RemoveDirRecursive(dir_);
   }
 
-  void Start(int partitions = 4, int nodes = 2, int replicas = 1) {
+  ClusterOptions Options(int partitions = 4, int nodes = 2, int replicas = 1) {
     ClusterOptions opts;
     opts.dir = dir_;
     opts.num_partitions = partitions;
@@ -48,9 +50,33 @@ class ClusterTest : public ::testing::Test {
     opts.ha_replicas = replicas;
     opts.blob = &blob_;
     opts.auto_maintain = false;
+    return opts;
+  }
+
+  void Start(int partitions = 4, int nodes = 2, int replicas = 1) {
+    StartWith(Options(partitions, nodes, replicas));
+  }
+
+  void StartWith(const ClusterOptions& opts) {
     cluster_ = std::make_unique<Cluster>(opts);
     ASSERT_TRUE(cluster_->Start().ok());
     ASSERT_TRUE(cluster_->CreateTable("accounts", AccountsTable(), {0}).ok());
+  }
+
+  // Whether every live HA and workspace replica has applied its master's
+  // durable log.
+  bool CaughtUp() {
+    for (const Cluster::ReplicaState& r : cluster_->ReplicaStates()) {
+      if (!r.down && r.applied_lsn < r.master_durable_lsn) return false;
+    }
+    return true;
+  }
+
+  void WaitForReplicas() {
+    for (int spin = 0; spin < 20000 && !CaughtUp(); ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(CaughtUp());
   }
 
   void InsertAccounts(int64_t n) {
@@ -275,11 +301,7 @@ TEST_F(ClusterTest, WorkspaceInstallsSegmentChangesLikeTheMaster) {
   ASSERT_TRUE(*merged);
   delete_keys(deleted_after);
 
-  for (int spin = 0; spin < 2000 && cluster_->WorkspaceLagBytes(*ws) > 0;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(cluster_->WorkspaceLagBytes(*ws), 0u);
+  WaitForReplicas();
 
   std::vector<int64_t> keys = deleted_before;
   keys.insert(keys.end(), deleted_after.begin(), deleted_after.end());
@@ -296,6 +318,176 @@ TEST_F(ClusterTest, WorkspaceInstallsSegmentChangesLikeTheMaster) {
   EXPECT_EQ(replayed.segments, live.segments);
   EXPECT_EQ(replayed.runs, live.runs);
   EXPECT_EQ(replayed.hits, live.hits);
+
+  // The workspace vacuums what it replays: once it has replayed the
+  // master's next flush, the merged-away segments and the level-0 rows of
+  // earlier flushes are gone there as on the master, which vacuumed in
+  // Maintain.
+  std::vector<Row> rows;
+  for (int64_t i = 1000; i < 1064; ++i) {
+    rows.push_back({Value(i), Value("m"), Value(1.0)});
+  }
+  ASSERT_TRUE(cluster_->InsertRows("ledger", rows).ok());
+  ASSERT_TRUE(cluster_->Maintain().ok());
+  WaitForReplicas();
+  SegmentState master_all =
+      CaptureSegmentState(master, table, keys, /*live_only=*/false);
+  SegmentState replica_all = CaptureSegmentState(replica, *replica_table, keys,
+                                                 /*live_only=*/false);
+  EXPECT_EQ(replica_all.segments, master_all.segments);
+  for (const auto& [id, rows_in, deleted, is_live] : replica_all.segments) {
+    EXPECT_TRUE(is_live) << "merged-away segment " << id << " not vacuumed";
+  }
+  EXPECT_EQ((*replica_table)->RowstoreRows(), table->RowstoreRows());
+  EXPECT_LT((*replica_table)->RowstoreRows(), 64u)
+      << "flushed rows must leave the workspace's level 0";
+}
+
+TEST_F(ClusterTest, WorkspaceDoesNotCountTowardDurability) {
+  // A workspace holds the master's pages but does not ack them: with the
+  // partition's only HA replica down, a commit fails although a workspace
+  // is attached.
+  Start(/*partitions=*/1, /*nodes=*/2, /*replicas=*/1);
+  InsertAccounts(5);
+  ASSERT_TRUE(cluster_->UploadAllToBlob().ok());
+  auto ws = cluster_->CreateWorkspace();
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  cluster_->KillNode(1);
+  Status s = cluster_->InsertRows(
+      "accounts", {{Value(int64_t{100}), Value("x"), Value(0.0)}});
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+}
+
+TEST_F(ClusterTest, WorkspaceWithoutHaReplicasCommits) {
+  // Without HA replicas the log is durable locally, workspace or not.
+  Start(/*partitions=*/1, /*nodes=*/2, /*replicas=*/0);
+  InsertAccounts(5);
+  ASSERT_TRUE(cluster_->UploadAllToBlob().ok());
+  auto ws = cluster_->CreateWorkspace();
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  Status s = cluster_->InsertRows(
+      "accounts", {{Value(int64_t{100}), Value("x"), Value(0.0)}});
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  WaitForReplicas();
+  EXPECT_EQ(TotalRows(*ws), 6u);
+}
+
+TEST_F(ClusterTest, PromotionPersistsTheUnappliedTail) {
+  // One executor thread, held by a latch task: the HA replica's apply task
+  // stays queued, so every row committed afterwards is in the replica's
+  // unapplied tail when the master's node dies. Promotion must persist
+  // that tail without waiting for the queued task.
+  ClusterOptions opts = Options(/*partitions=*/1, /*nodes=*/2);
+  opts.num_exec_threads = 1;
+  StartWith(opts);
+  WaitForReplicas();
+  std::promise<void> running;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  ASSERT_TRUE(cluster_->executor()->Submit([&running, released] {
+    running.set_value();
+    released.wait();
+  }));
+  running.get_future().wait();
+
+  constexpr int64_t kRows = 40;
+  InsertAccounts(kRows);
+  std::vector<Cluster::ReplicaState> states = cluster_->ReplicaStates();
+  EXPECT_EQ(states.size(), 1u);
+  for (const Cluster::ReplicaState& r : states) {
+    EXPECT_LT(r.applied_lsn, r.master_durable_lsn) << "no unapplied tail";
+  }
+
+  cluster_->KillNode(0);
+  auto failover = std::async(std::launch::async,
+                             [this] { return cluster_->RunFailureDetector(); });
+  const bool returned = failover.wait_for(std::chrono::seconds(30)) ==
+                        std::future_status::ready;
+  EXPECT_TRUE(returned) << "promotion waited for a queued apply task";
+  if (returned) {
+    Result<int> promoted = failover.get();
+    EXPECT_TRUE(promoted.ok()) << promoted.status().ToString();
+    EXPECT_EQ(promoted.ok() ? *promoted : 0, 1);
+    // One partition on a 1-thread executor: the scan runs on this thread.
+    EXPECT_EQ(TotalRows(), static_cast<size_t>(kRows));
+  }
+  release.set_value();
+  if (!returned) failover.wait();
+  cluster_->executor()->WaitIdle();
+}
+
+TEST_F(ClusterTest, CaughtUpReplicaLogEqualsTheMastersLog) {
+  // A replica appends what it applies to its own log, in the master's
+  // format: once caught up, that log is the master's log up to the applied
+  // position. An HA replica's log starts empty; a workspace's starts with
+  // the log it bootstrapped from blob storage.
+  PartitionOptions mopts;
+  mopts.dir = dir_ + "/master";
+  mopts.blob = &blob_;
+  mopts.blob_prefix = "p/";
+  mopts.background_uploads = false;
+  mopts.auto_maintain = false;
+  Partition master(mopts);
+  ASSERT_TRUE(master.Init().ok());
+  auto table = master.CreateTable("accounts", AccountsTable());
+  ASSERT_TRUE(table.ok());
+
+  std::vector<std::unique_ptr<ReplicaPartition>> replicas;
+  auto attach = [&](const std::string& name, bool ha) {
+    ReplicaOptions ropts;
+    ropts.dir = dir_ + "/" + name;
+    ropts.blob = &blob_;
+    ropts.blob_prefix = mopts.blob_prefix;
+    ropts.ack_commits = ha;
+    replicas.push_back(std::make_unique<ReplicaPartition>(ropts));
+    ASSERT_TRUE(replicas.back()->Init().ok());
+    ASSERT_TRUE(master.log()->AddSink(replicas.back().get(), ha).ok());
+  };
+  master.files()->SetFileHook(
+      [&replicas](const std::string& name,
+                  std::shared_ptr<const std::string> data) {
+        for (auto& replica : replicas) replica->OnDataFile(name, data);
+      });
+  auto insert = [&](int64_t from, int64_t to) {
+    for (int64_t i = from; i < to; ++i) {
+      auto h = master.Begin();
+      ASSERT_TRUE((*table)
+                      ->InsertRows(h.id, h.read_ts,
+                                   {{Value(i), Value("r"), Value(1.0)}},
+                                   DupPolicy::kError)
+                      .ok());
+      ASSERT_TRUE(master.Commit(h.id).ok());
+      if (i % 40 == 39) {
+        ASSERT_TRUE((*table)->FlushRowstore().ok());
+      }
+    }
+  };
+  attach("replica", /*ha=*/true);
+  insert(0, 50);
+  ASSERT_TRUE(master.WriteSnapshot().ok());
+  attach("workspace", /*ha=*/false);
+  insert(50, 100);
+
+  const Lsn durable = master.log()->durable_lsn();
+  auto expected = master.log()->ReadRange(0, durable);
+  ASSERT_TRUE(expected.ok());
+  for (auto& replica : replicas) {
+    SCOPED_TRACE(replica->dir());
+    for (int spin = 0; spin < 20000 && replica->applied_lsn() < durable;
+         ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(replica->applied_lsn(), durable);
+    auto persisted = Env::Default()->ReadFileToString(replica->dir() + "/log");
+    ASSERT_TRUE(persisted.ok()) << persisted.status().ToString();
+    EXPECT_TRUE(*persisted == *expected)
+        << persisted->size() << " vs " << expected->size() << " bytes";
+    auto replica_table = replica->partition()->GetTable("accounts");
+    ASSERT_TRUE(replica_table.ok());
+    EXPECT_EQ((*replica_table)->ApproxRowCount(), 100u);
+  }
+  for (auto& replica : replicas) master.log()->RemoveSink(replica.get());
+  master.files()->SetFileHook(nullptr);
 }
 
 TEST_F(ClusterTest, PromotedMasterMulticastsDataFilesToWorkspace) {
@@ -331,18 +523,11 @@ TEST_F(ClusterTest, PromotedMasterKeepsTheClusterPartitionOptions) {
   // A promoted master runs with the same options as the masters Start
   // built: here, background uploads on the cluster executor and automatic
   // flushes. Three nodes so it can re-provision its HA replica.
-  ClusterOptions opts;
-  opts.dir = dir_;
-  opts.num_partitions = 1;
-  opts.num_nodes = 3;
-  opts.ha_replicas = 1;
-  opts.blob = &blob_;
+  ClusterOptions opts = Options(/*partitions=*/1, /*nodes=*/3);
   opts.auto_maintain = true;
   opts.background_uploads = true;
   opts.num_exec_threads = 2;
-  cluster_ = std::make_unique<Cluster>(opts);
-  ASSERT_TRUE(cluster_->Start().ok());
-  ASSERT_TRUE(cluster_->CreateTable("accounts", AccountsTable(), {0}).ok());
+  StartWith(opts);
   InsertAccounts(10);  // below the flush threshold: no data file yet
 
   cluster_->KillNode(0);
@@ -392,6 +577,79 @@ TEST_F(ClusterTest, PointInTimeRestoreFromBlobHistory) {
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->ApproxRowCount(), 30u)
       << "PITR state excludes post-checkpoint writes";
+}
+
+TEST_F(ClusterTest, ReplicationRacesWritersMaintenanceReadersAndFailover) {
+  // Two writers, one per partition, commit while automatic flushes and
+  // merges run; each partition streams to one HA replica and one workspace
+  // partition, whose apply tasks share the executor, and a reader scans
+  // the workspace throughout. Then the node of partition 0's master dies.
+  // Three nodes, so partition 1 keeps its replica and the promoted master
+  // gets a new one.
+  ClusterOptions opts = Options(/*partitions=*/2, /*nodes=*/3);
+  opts.auto_maintain = true;
+  opts.num_exec_threads = 4;
+  cluster_ = std::make_unique<Cluster>(opts);
+  ASSERT_TRUE(cluster_->Start().ok());
+  TableOptions table = AccountsTable();
+  table.sort_key = {0};
+  table.max_sorted_runs = 2;
+  ASSERT_TRUE(cluster_->CreateTable("accounts", table, {0}).ok());
+  ASSERT_TRUE(cluster_->UploadAllToBlob().ok());
+  auto ws = cluster_->CreateWorkspace();
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+
+  constexpr int kRowsPerWriter = 480;
+  constexpr int kRowsPerTxn = 8;
+  std::atomic<int> writers_left{2};
+  std::vector<std::thread> threads;
+  for (int p = 0; p < 2; ++p) {
+    threads.emplace_back([&, p] {
+      std::vector<Row> rows;
+      int written = 0;
+      for (int64_t key = 0; written < kRowsPerWriter; ++key) {
+        if (cluster_->PartitionForKey({Value(key)}) != p) continue;
+        rows.push_back({Value(key), Value("w"), Value(1.0)});
+        ++written;
+        if (rows.size() == kRowsPerTxn) {
+          Status s = cluster_->InsertRows("accounts", rows);
+          EXPECT_TRUE(s.ok()) << s.ToString();
+          rows.clear();
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    // Each replica applies its stream in order, so a later scan never sees
+    // fewer rows.
+    size_t seen = 0;
+    while (writers_left.load() > 0) {
+      size_t now = TotalRows(*ws);
+      EXPECT_GE(now, seen);
+      seen = now;
+    }
+  });
+  for (std::thread& t : threads) t.join();
+
+  const size_t total = 2 * kRowsPerWriter;
+  WaitForReplicas();
+  EXPECT_EQ(TotalRows(*ws), total);
+  EXPECT_EQ(TotalRows(), total);
+
+  cluster_->KillNode(0);
+  auto promoted = cluster_->RunFailureDetector();
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  EXPECT_EQ(*promoted, 1);
+  EXPECT_EQ(TotalRows(), total);
+  ASSERT_TRUE(cluster_
+                  ->InsertRows("accounts",
+                               {{Value(int64_t{-1}), Value("after"),
+                                 Value(1.0)},
+                                {Value(int64_t{-2}), Value("after"),
+                                 Value(1.0)}})
+                  .ok());
+  EXPECT_EQ(TotalRows(), total + 2);
 }
 
 TEST_F(ClusterTest, ScatterQueryWithAggregation) {

@@ -317,6 +317,82 @@ TEST_F(LogTest, ReadRangeReturnsChunks) {
   EXPECT_FALSE((*log)->ReadRange(0, durable + 999).ok());
 }
 
+TEST_F(LogTest, ParseStreamStopsAtAnIncompleteTrailingPage) {
+  LogOptions opts;
+  opts.dir = dir_;
+  auto log = PartitionLog::Open(opts);
+  (*log)->Append(MakeRecord(1, LogRecordType::kInsertRows, "first"));
+  ASSERT_TRUE((*log)->Commit(1).ok());
+  const Lsn first_page_end = (*log)->durable_lsn();
+  (*log)->Append(MakeRecord(2, LogRecordType::kInsertRows, "second"));
+  ASSERT_TRUE((*log)->Commit(2).ok());
+  auto stream = (*log)->ReadRange(0, (*log)->durable_lsn());
+  ASSERT_TRUE(stream.ok());
+
+  // Every cut inside the second page (its header or its payload) parses the
+  // first page alone and reports the bytes it took.
+  for (size_t cut = first_page_end; cut < stream->size(); ++cut) {
+    std::vector<std::string> payloads;
+    auto parsed = PartitionLog::ParseStream(
+        Slice(stream->data(), cut), 0, [&](Lsn, const LogRecord& rec) {
+          payloads.push_back(rec.payload);
+          return Status::OK();
+        });
+    ASSERT_TRUE(parsed.ok()) << "cut " << cut << ": "
+                             << parsed.status().ToString();
+    EXPECT_EQ(*parsed, first_page_end) << "cut " << cut;
+    ASSERT_EQ(payloads.size(), 2u) << "cut " << cut;
+    EXPECT_EQ(payloads[0], "first");
+  }
+  auto whole = PartitionLog::ParseStream(
+      *stream, 0, [](Lsn, const LogRecord&) { return Status::OK(); });
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(*whole, stream->size());
+
+  // A complete page whose payload was damaged is Corruption, not a stop.
+  std::string damaged = *stream;
+  damaged[damaged.size() - 1] ^= 0x20;
+  int records = 0;
+  auto bad = PartitionLog::ParseStream(damaged, 0,
+                                       [&](Lsn, const LogRecord&) {
+                                         ++records;
+                                         return Status::OK();
+                                       });
+  EXPECT_TRUE(bad.status().IsCorruption()) << bad.status().ToString();
+  EXPECT_EQ(records, 2) << "the intact first page was parsed before it";
+}
+
+TEST_F(LogTest, OnlyAckingSinksCountTowardDurability) {
+  LogOptions opts;
+  opts.dir = dir_;
+  auto log = PartitionLog::Open(opts);
+  TestSink ha;
+  TestSink workspace;
+  ASSERT_TRUE((*log)->AddSink(&ha).ok());
+  ASSERT_TRUE((*log)->AddSink(&workspace, /*acks=*/false).ok());
+
+  // The acking sink is down: a page the other sink holds is not durable.
+  ha.down = true;
+  (*log)->Append(MakeRecord(1, LogRecordType::kInsertRows, "r1"));
+  EXPECT_TRUE((*log)->Commit(1).IsUnavailable());
+  EXPECT_EQ(workspace.pages.size(), 1u) << "non-acking sinks still receive";
+
+  // Without an acking sink the log is durable once written locally.
+  (*log)->RemoveSink(&ha);
+  (*log)->Append(MakeRecord(2, LogRecordType::kInsertRows, "r2"));
+  ASSERT_TRUE((*log)->Commit(2).ok());
+  auto durable = (*log)->ReadRange(0, (*log)->durable_lsn());
+  ASSERT_TRUE(durable.ok());
+  int records = 0;
+  ASSERT_TRUE(PartitionLog::ParseStream(*durable, 0,
+                                        [&](Lsn, const LogRecord&) {
+                                          ++records;
+                                          return Status::OK();
+                                        })
+                  .ok());
+  EXPECT_EQ(records, 4) << "the stalled page is durable too";
+}
+
 TEST_F(LogTest, AbortMarkerWritten) {
   LogOptions opts;
   opts.dir = dir_;

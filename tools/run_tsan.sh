@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Builds the concurrency-sensitive tests under ThreadSanitizer and runs
 # them. Scope is limited to the tests that exercise the shared executor
-# (parallel scatter queries, morsel scans, maintenance, uploads; engine_test
-# and profile_test force 4-thread executors over all of them) and the lock
+# (parallel scatter queries, morsel scans, maintenance, uploads, replica
+# apply tasks; engine_test and profile_test force 4-thread executors over
+# all of them, and cluster_test races writers, flushes, merges, replica
+# apply, a workspace reader and a failover on 4 threads) and the lock
 # table (txn_test, rowstore_test; engine_test's lock cycles), the
 # segment install path (storage_test: movers racing a merge's install;
 # lookups racing a flush or merge install), the
