@@ -94,8 +94,7 @@ Status Cluster::ProvisionReplica(int partition_id, int node_id) {
 }
 
 Status Cluster::WireReplica(int partition_id, ReplicaPartition* replica) {
-  return masters_[partition_id]->log()->AddSink(replica,
-                                                 replica->ack_commits());
+  return masters_[partition_id]->log()->AddSink(replica);
 }
 
 Status Cluster::CreateTable(const std::string& name,
@@ -305,6 +304,9 @@ Result<int> Cluster::RunFailureDetector() {
     // Promote the first replica on a live node.
     std::unique_ptr<ReplicaPartition> chosen;
     int chosen_node = -1;
+    // Destroyed after mu_ is released: a replica's destructor waits for
+    // its running apply batch.
+    std::vector<std::unique_ptr<ReplicaPartition>> stale;
     {
       std::lock_guard<std::mutex> lock(mu_);
       PartitionSite& site = sites_[p];
@@ -320,7 +322,7 @@ Result<int> Cluster::RunFailureDetector() {
       }
       // Remaining replicas of this partition are stale relative to the new
       // master's log; drop them (auto-healing re-provisions below).
-      site.replicas.clear();
+      stale.swap(site.replicas);
       site.replica_nodes.clear();
     }
     if (chosen == nullptr) {

@@ -75,17 +75,27 @@ ReplicaPartition::ReplicaPartition(ReplicaOptions options)
     : options_(std::move(options)),
       executor_(options_.executor != nullptr ? options_.executor
                                              : Executor::Default()),
-      env_(options_.env != nullptr ? options_.env : Env::Default()) {}
+      env_(options_.env != nullptr ? options_.env : Env::Default()),
+      gate_(std::make_shared<ApplyGate>()) {}
 
 ReplicaPartition::~ReplicaPartition() {
-  // Wait for a queued or running apply task to see stopped_ and exit, so no
-  // task touches this replica afterwards.
-  std::unique_lock<std::mutex> lock(mu_);
-  stopped_ = true;
-  apply_cv_.wait(lock, [this] { return !apply_scheduled_; });
+  // A queued task finds `stopped` and exits without touching this replica;
+  // only a running batch is waited for.
+  std::unique_lock<std::mutex> lock(gate_->mu);
+  gate_->stopped = true;
+  gate_->cv.wait(lock, [this] { return !gate_->running; });
 }
 
 Status ReplicaPartition::Init() {
+  // A replica starts from an empty log (the master catches it up from LSN
+  // 0) or from the log it bootstraps below. A log or snapshot that an
+  // earlier run left in a reused dir would be replayed twice.
+  const std::string log = options_.dir + "/log";
+  if (env_->FileExists(log)) S2_RETURN_NOT_OK(env_->RemoveFile(log));
+  const std::string snapshots = options_.dir + "/snapshots";
+  if (env_->FileExists(snapshots)) {
+    S2_RETURN_NOT_OK(env_->RemoveDirRecursive(snapshots));
+  }
   if (!options_.ack_commits && options_.blob != nullptr) {
     // Workspace provisioning: bootstrap from blob storage so only the log
     // tail needs replication from the master (fast provisioning,
@@ -109,8 +119,8 @@ Status ReplicaPartition::Init() {
 }
 
 bool ReplicaPartition::OnPage(Lsn page_lsn, Slice page_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (down || stopped_) return false;
+  std::lock_guard<std::mutex> lock(gate_->mu);
+  if (down || gate_->stopped) return false;
   Lsn end = stream_base_ + stream_.size();
   if (page_lsn > end) {
     // Out-of-order delivery: hold until the gap fills ("log pages can be
@@ -138,44 +148,50 @@ bool ReplicaPartition::OnPage(Lsn page_lsn, Slice page_bytes) {
 }
 
 void ReplicaPartition::ScheduleApplyLocked() {
-  if (apply_scheduled_ || stopped_ || stream_.empty()) return;
+  if (apply_scheduled_ || gate_->stopped || stream_.empty()) return;
   apply_scheduled_ = true;
-  if (!executor_->Submit([this] { ApplyPages(); })) apply_scheduled_ = false;
+  std::shared_ptr<ApplyGate> gate = gate_;
+  if (!executor_->Submit([this, gate] {
+        std::unique_lock<std::mutex> lock(gate->mu);
+        // A stopped replica may be gone already: touch nothing of it.
+        if (!gate->stopped) ApplyBatch(&lock);
+      })) {
+    apply_scheduled_ = false;
+  }
 }
 
-void ReplicaPartition::ApplyPages() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stopped_ && !stream_.empty()) {
-    std::string batch;
-    batch.swap(stream_);
-    const Lsn batch_lsn = stream_base_;
-    stream_base_ += batch.size();
-    apply_running_ = true;
-    lock.unlock();
-    ScopedTimer timer(nullptr);
-    // Persist first: a failed append leaves the batch unapplied, and the
-    // next batch retries it.
-    Status persisted = env_->AppendToFile(options_.dir + "/log", batch,
-                                          /*sync=*/false);
-    size_t replayed = 0;
-    uint64_t txns = 0;
-    if (persisted.ok()) {
-      replayed = ReplayBatch(std::move(batch), batch_lsn, &txns);
-      S2_HISTOGRAM("s2_replica_apply_ns").Record(timer.ElapsedNs());
-    }
-    lock.lock();
-    apply_running_ = false;
-    apply_cv_.notify_all();
-    if (!persisted.ok()) {
-      stream_.insert(0, batch);
-      stream_base_ = batch_lsn;
-      break;  // the next page reschedules the task
-    }
-    applied_ += replayed;
-    txns_applied_ += txns;
+void ReplicaPartition::ApplyBatch(std::unique_lock<std::mutex>* lock) {
+  std::string batch;
+  batch.swap(stream_);
+  const Lsn batch_lsn = stream_base_;
+  stream_base_ += batch.size();
+  gate_->running = true;
+  lock->unlock();
+  ScopedTimer timer(nullptr);
+  // Persist first: a failed append leaves the batch unapplied, and the
+  // next batch retries it.
+  Status persisted = env_->AppendToFile(options_.dir + "/log", batch,
+                                        /*sync=*/false);
+  size_t replayed = 0;
+  uint64_t txns = 0;
+  if (persisted.ok()) {
+    replayed = ReplayBatch(std::move(batch), batch_lsn, &txns);
+    S2_HISTOGRAM("s2_replica_apply_ns").Record(timer.ElapsedNs());
   }
+  lock->lock();
+  gate_->running = false;
+  gate_->cv.notify_all();
   apply_scheduled_ = false;
-  apply_cv_.notify_all();
+  if (!persisted.ok()) {
+    stream_.insert(0, batch);
+    stream_base_ = batch_lsn;
+    return;  // the next page reschedules the task
+  }
+  applied_ += replayed;
+  txns_applied_ += txns;
+  // One batch per task: bytes that arrived meanwhile go to a new task, so
+  // other executor work interleaves under sustained writes.
+  ScheduleApplyLocked();
 }
 
 size_t ReplicaPartition::ReplayBatch(std::string batch, Lsn batch_lsn,
@@ -184,18 +200,32 @@ size_t ReplicaPartition::ReplayBatch(std::string batch, Lsn batch_lsn,
   const Lsn base = batch_lsn - unparsed_.size();
   std::string bytes =
       unparsed_.empty() ? std::move(batch) : std::move(unparsed_) + batch;
-  std::set<std::string> changed;  // tables a flush or merge changed
+  std::set<std::string> changed;  // tables a committed flush or merge changed
   Result<size_t> parsed = PartitionLog::ParseStream(
       bytes, base, [&](Lsn, const LogRecord& rec) -> Status {
-        if (rec.type == LogRecordType::kSegmentFlush ||
-            rec.type == LogRecordType::kSegmentMerge) {
-          Slice in(rec.payload);
-          S2_ASSIGN_OR_RETURN(Slice table, GetLengthPrefixed(&in));
-          changed.insert(table.ToString());
+        // A flush or merge changes its table once its transaction commits,
+        // which may be in a later batch than the record.
+        std::vector<std::string> tables;
+        auto txn = rec.type == LogRecordType::kCommit
+                       ? pending_txns_.find(rec.txn_id)
+                       : pending_txns_.end();
+        if (txn != pending_txns_.end()) {
+          for (const auto& [type, payload] : txn->second) {
+            if (type != LogRecordType::kSegmentFlush &&
+                type != LogRecordType::kSegmentMerge) {
+              continue;
+            }
+            Slice in(payload);
+            S2_ASSIGN_OR_RETURN(Slice table, GetLengthPrefixed(&in));
+            tables.push_back(table.ToString());
+          }
         }
         S2_ASSIGN_OR_RETURN(bool applied,
                             partition_->ReplayRecord(rec, &pending_txns_));
-        if (applied) ++*txns;
+        if (applied) {
+          ++*txns;
+          changed.insert(tables.begin(), tables.end());
+        }
         return Status::OK();
       });
   if (!parsed.ok()) {
@@ -224,22 +254,22 @@ void ReplicaPartition::OnDataFile(const std::string& name,
 }
 
 Lsn ReplicaPartition::applied_lsn() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(gate_->mu);
   return applied_;
 }
 
 uint64_t ReplicaPartition::txns_applied() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(gate_->mu);
   return txns_applied_;
 }
 
 Result<Partition*> ReplicaPartition::Promote(PartitionOptions options) {
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(gate_->mu);
     // A running batch persists its bytes before it lets go; a queued task
-    // finds stopped_ and exits without touching the partition.
-    stopped_ = true;
-    apply_cv_.wait(lock, [this] { return !apply_running_; });
+    // finds `stopped` and exits without touching the partition.
+    gate_->stopped = true;
+    gate_->cv.wait(lock, [this] { return !gate_->running; });
     // dir()'s log ends where stream_ begins: append the rest of what was
     // received, and the promoted master recovers the replicated prefix.
     if (!stream_.empty()) {

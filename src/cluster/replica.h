@@ -26,8 +26,8 @@ struct ReplicaOptions {
   /// True for HA replicas: the master counts their OnPage (true once the
   /// page is held in memory) toward commit durability. False for read-only
   /// workspaces, which replicate asynchronously and "don't participate in
-  /// acking commits" (paper Section 3.2): the cluster registers them as
-  /// sinks that do not ack. Workspaces also bootstrap from blob storage.
+  /// acking commits" (paper Section 3.2): their acks() is false.
+  /// Workspaces also bootstrap from blob storage.
   bool ack_commits = true;
   /// Executor that runs the apply tasks. Not owned; must outlive the
   /// replica. Null = Executor::Default().
@@ -41,13 +41,17 @@ struct ReplicaOptions {
 /// the in-memory stream and schedules an apply task on the executor, so a
 /// commit costs the master a buffer append ("commit needs its log page held
 /// in memory on a replica", paper Section 3). At most one apply task exists
-/// at a time. It takes the received bytes, appends them to the replica's
-/// own log in dir() (in the master's format), then replays their whole
-/// pages into the partition without holding the receive lock, and vacuums
-/// the tables a replayed flush or merge changed. Only the bytes no task has
+/// at a time. It takes the received bytes as one batch, appends them to the
+/// replica's own log in dir() (in the master's format), then replays their
+/// whole pages into the partition without holding the receive lock, and
+/// vacuums the tables whose committed flush or merge it replayed. Bytes
+/// that arrived meanwhile go to a new task. Only the bytes no task has
 /// taken yet stay in memory. The partition serves snapshot reads at the
 /// applied position, a hot copy that "can pick up the query workload
 /// immediately after a failover without needing any warm up".
+///
+/// Init starts dir()'s log afresh (empty, or bootstrapped for a
+/// workspace), so a dir reused from an earlier run is not replayed twice.
 ///
 /// Promotion appends the not yet persisted tail to dir()'s log and re-opens
 /// it, so the promoted partition recovers exactly the replicated prefix and
@@ -55,7 +59,7 @@ struct ReplicaOptions {
 class ReplicaPartition : public ReplicationSink {
  public:
   explicit ReplicaPartition(ReplicaOptions options);
-  /// Waits for a queued or running apply task to exit.
+  /// Waits for a running apply batch; a queued task exits untouched.
   ~ReplicaPartition() override;
 
   /// Initializes the replica's partition state. For workspaces, first
@@ -65,6 +69,7 @@ class ReplicaPartition : public ReplicationSink {
 
   // ReplicationSink:
   bool OnPage(Lsn page_lsn, Slice page_bytes) override;
+  bool acks() const override { return options_.ack_commits; }
 
   /// Data-file replication hook (wired by the cluster).
   void OnDataFile(const std::string& name,
@@ -82,8 +87,6 @@ class ReplicaPartition : public ReplicationSink {
   /// Local directory of the replica's state.
   const std::string& dir() const { return options_.dir; }
 
-  bool ack_commits() const { return options_.ack_commits; }
-
   /// Converts the replica into a standalone master partition: stops
   /// applying, appends the received bytes not yet in dir()'s log, and
   /// re-opens the partition from that log with `options`, whose dir must be
@@ -98,16 +101,28 @@ class ReplicaPartition : public ReplicationSink {
   std::atomic<bool> down{false};
 
  private:
+  /// What an apply task holds instead of the replica: a queued task that
+  /// finds `stopped` exits without touching the replica, so neither Promote
+  /// nor the destructor waits for a task still in the queue.
+  struct ApplyGate {
+    std::mutex mu;  // also guards the replica's receive state below
+    std::condition_variable cv;  // signalled when `running` clears
+    bool stopped = false;        // promoted or being destroyed
+    bool running = false;        // a task holds a batch outside stream_
+  };
+
   /// Submits the apply task unless one is queued or running, the stream
-  /// is empty, or the replica stopped.
+  /// is empty, or the replica stopped. Requires gate_->mu.
   void ScheduleApplyLocked();
-  /// The executor task: applies batches until the stream is empty.
-  void ApplyPages();
+  /// The apply task's body, entered and left with gate_->mu held through
+  /// `lock`: persists and replays the stream as one batch, then schedules
+  /// the next task for bytes that arrived meanwhile.
+  void ApplyBatch(std::unique_lock<std::mutex>* lock);
   /// Replays the whole pages of unparsed_ + `batch` (bytes already in
   /// dir()'s log, starting at stream position `batch_lsn`) and vacuums the
-  /// tables a flush or merge changed. Runs on the apply task without mu_.
-  /// Returns the bytes replayed and adds the applied transactions to
-  /// `txns`.
+  /// tables a committed flush or merge changed. Runs on the apply task
+  /// without gate_->mu. Returns the bytes replayed and adds the applied
+  /// transactions to `txns`.
   size_t ReplayBatch(std::string batch, Lsn batch_lsn, uint64_t* txns);
 
   ReplicaOptions options_;
@@ -115,16 +130,14 @@ class ReplicaPartition : public ReplicationSink {
   Env* env_;
   std::unique_ptr<Partition> partition_;
 
-  mutable std::mutex mu_;
-  std::condition_variable apply_cv_;
+  std::shared_ptr<ApplyGate> gate_;
+  // Guarded by gate_->mu.
   std::string stream_;       // received bytes not yet in dir()'s log
   Lsn stream_base_ = 0;      // log position of stream_[0]
   Lsn applied_ = 0;          // absolute position fully applied
   std::map<Lsn, std::string> out_of_order_;  // pages ahead of the stream
   uint64_t txns_applied_ = 0;
   bool apply_scheduled_ = false;  // an apply task is queued or running
-  bool apply_running_ = false;    // the task holds a batch outside stream_
-  bool stopped_ = false;          // promoted or being destroyed
 
   // Owned by the apply task (one runs at a time).
   std::string unparsed_;  // in dir()'s log, an incomplete trailing page

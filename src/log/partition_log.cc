@@ -154,9 +154,9 @@ bool PartitionLog::DeliverLocked(Lsn page_lsn, Slice page) {
   S2_SCOPED_TIMER("s2_log_replicate_ns");
   bool needs_ack = false;
   bool acked = false;
-  for (const Sink& s : sinks_) {
-    bool held = s.sink->OnPage(page_lsn, page);
-    if (s.acks) {
+  for (ReplicationSink* sink : sinks_) {
+    bool held = sink->OnPage(page_lsn, page);
+    if (sink->acks()) {
       needs_ack = true;
       acked = acked || held;
     }
@@ -164,20 +164,20 @@ bool PartitionLog::DeliverLocked(Lsn page_lsn, Slice page) {
   return acked || !needs_ack;
 }
 
-Status PartitionLog::AddSink(ReplicationSink* sink, bool acks) {
+Status PartitionLog::AddSink(ReplicationSink* sink) {
   std::lock_guard<std::mutex> lock(mu_);
   // Catch the sink up with all sealed pages (they parse as a page stream).
   if (sealed_end_ > 0) {
     S2_ASSIGN_OR_RETURN(std::string bytes, env_->ReadFileToString(path_));
     sink->OnPage(0, Slice(bytes.data(), sealed_end_));
   }
-  sinks_.push_back({sink, acks});
+  sinks_.push_back(sink);
   return Status::OK();
 }
 
 void PartitionLog::RemoveSink(ReplicationSink* sink) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::erase_if(sinks_, [sink](const Sink& s) { return s.sink == sink; });
+  std::erase(sinks_, sink);
 }
 
 Lsn PartitionLog::durable_lsn() const {

@@ -27,6 +27,10 @@ class ReplicationSink {
   /// stream. Returns true once the sink holds the page in memory (the ack
   /// that makes the page count toward durability).
   virtual bool OnPage(Lsn page_lsn, Slice page_bytes) = 0;
+
+  /// Whether OnPage's answer counts toward durability. True for HA
+  /// replicas; a read-only workspace holds pages without acking them.
+  virtual bool acks() const { return true; }
 };
 
 struct LogOptions {
@@ -79,10 +83,9 @@ class PartitionLog {
 
   /// Registers a replication sink. Newly added sinks receive already-sealed
   /// pages so they can catch up, then stream new pages. Not owned. Only a
-  /// sink that `acks` (an HA replica) counts toward durability; a read-only
-  /// workspace holds pages without acking. A log with no acking sink is
-  /// durable once a page is written locally.
-  Status AddSink(ReplicationSink* sink, bool acks = true);
+  /// sink whose acks() is true counts toward durability; a log with no
+  /// acking sink is durable once a page is written locally.
+  Status AddSink(ReplicationSink* sink);
   void RemoveSink(ReplicationSink* sink);
 
   /// All records strictly below this LSN are durable (locally written and
@@ -134,11 +137,7 @@ class PartitionLog {
   Lsn sealed_end_ = 0;       // file offset past the last sealed page
   Lsn durable_ = 0;
   std::vector<std::pair<Lsn, std::string>> pending_pages_;  // unacked pages
-  struct Sink {
-    ReplicationSink* sink;
-    bool acks;
-  };
-  std::vector<Sink> sinks_;
+  std::vector<ReplicationSink*> sinks_;
 };
 
 }  // namespace s2

@@ -12,6 +12,7 @@
 #include "cluster/cluster.h"
 #include "common/env.h"
 #include "common/metrics.h"
+#include "log/partition_log.h"
 #include "query/plan.h"
 #include "segment_state.h"
 
@@ -373,47 +374,178 @@ TEST_F(ClusterTest, WorkspaceWithoutHaReplicasCommits) {
 }
 
 TEST_F(ClusterTest, PromotionPersistsTheUnappliedTail) {
-  // One executor thread, held by a latch task: the HA replica's apply task
-  // stays queued, so every row committed afterwards is in the replica's
-  // unapplied tail when the master's node dies. Promotion must persist
-  // that tail without waiting for the queued task.
-  ClusterOptions opts = Options(/*partitions=*/1, /*nodes=*/2);
-  opts.num_exec_threads = 1;
-  StartWith(opts);
-  WaitForReplicas();
-  std::promise<void> running;
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  ASSERT_TRUE(cluster_->executor()->Submit([&running, released] {
-    running.set_value();
-    released.wait();
-  }));
-  running.get_future().wait();
+  // One executor thread, held by a latch task: the HA replicas' apply tasks
+  // stay queued, so every row committed afterwards is in the unapplied
+  // tail when the master's node dies. Promotion must persist that tail,
+  // and neither it nor dropping the other, stale replica may wait for a
+  // queued task.
+  for (const int replicas : {1, 2}) {
+    SCOPED_TRACE("ha_replicas=" + std::to_string(replicas));
+    ClusterOptions opts = Options(/*partitions=*/1, /*nodes=*/replicas + 1,
+                                  replicas);
+    opts.dir = dir_ + "/ha" + std::to_string(replicas);
+    opts.num_exec_threads = 1;
+    StartWith(opts);
+    WaitForReplicas();
+    std::promise<void> running;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    ASSERT_TRUE(cluster_->executor()->Submit([&running, released] {
+      running.set_value();
+      released.wait();
+    }));
+    running.get_future().wait();
 
-  constexpr int64_t kRows = 40;
-  InsertAccounts(kRows);
-  std::vector<Cluster::ReplicaState> states = cluster_->ReplicaStates();
-  EXPECT_EQ(states.size(), 1u);
-  for (const Cluster::ReplicaState& r : states) {
-    EXPECT_LT(r.applied_lsn, r.master_durable_lsn) << "no unapplied tail";
+    constexpr int64_t kRows = 40;
+    InsertAccounts(kRows);
+    std::vector<Cluster::ReplicaState> states = cluster_->ReplicaStates();
+    EXPECT_EQ(states.size(), static_cast<size_t>(replicas));
+    for (const Cluster::ReplicaState& r : states) {
+      EXPECT_LT(r.applied_lsn, r.master_durable_lsn) << "no unapplied tail";
+    }
+
+    cluster_->KillNode(0);
+    auto failover = std::async(std::launch::async, [this] {
+      return cluster_->RunFailureDetector();
+    });
+    const bool returned = failover.wait_for(std::chrono::seconds(30)) ==
+                          std::future_status::ready;
+    EXPECT_TRUE(returned) << "failover waited for a queued apply task";
+    if (returned) {
+      Result<int> promoted = failover.get();
+      EXPECT_TRUE(promoted.ok()) << promoted.status().ToString();
+      EXPECT_EQ(promoted.ok() ? *promoted : 0, 1);
+      // One partition on a 1-thread executor: the scan runs on this thread.
+      EXPECT_EQ(TotalRows(), static_cast<size_t>(kRows));
+    }
+    release.set_value();
+    if (!returned) failover.wait();
+    cluster_->executor()->WaitIdle();
+    cluster_.reset();
   }
+}
+
+TEST_F(ClusterTest, ReopenedClusterReplicatesAfresh) {
+  // A cluster reopened in the same dir reuses its replica dirs. An HA
+  // replica must start from an empty log again, or the master's catch-up
+  // from LSN 0 replays the first run's transactions twice: the replica
+  // stops applying and failover cannot recover its log.
+  ClusterOptions opts = Options(/*partitions=*/1, /*nodes=*/2);
+  StartWith(opts);
+  InsertAccounts(20);
+  auto table = cluster_->partition(0)->GetTable("accounts");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)->FlushRowstore().ok());
+  WaitForReplicas();
+  cluster_.reset();
+
+  // The reopened master recovers the table; the cluster's shard keys are
+  // not persisted, so write to the one partition directly.
+  cluster_ = std::make_unique<Cluster>(opts);
+  ASSERT_TRUE(cluster_->Start().ok());
+  Partition* master = cluster_->partition(0);
+  table = master->GetTable("accounts");
+  ASSERT_TRUE(table.ok());
+  for (int64_t i = 20; i < 40; ++i) {
+    auto h = master->Begin();
+    ASSERT_TRUE((*table)
+                    ->InsertRows(h.id, h.read_ts,
+                                 {{Value(i), Value("v"), Value(1.0)}},
+                                 DupPolicy::kError)
+                    .ok());
+    ASSERT_TRUE(master->Commit(h.id).ok());
+  }
+  WaitForReplicas();
+  std::vector<Cluster::ReplicaState> states = cluster_->ReplicaStates();
+  ASSERT_EQ(states.size(), 1u);
+  auto expected =
+      master->log()->ReadRange(0, states[0].applied_lsn);
+  ASSERT_TRUE(expected.ok());
+  auto persisted = Env::Default()->ReadFileToString(dir_ + "/replica0/log");
+  ASSERT_TRUE(persisted.ok()) << persisted.status().ToString();
+  EXPECT_TRUE(*persisted == *expected)
+      << persisted->size() << " vs " << expected->size() << " bytes";
 
   cluster_->KillNode(0);
-  auto failover = std::async(std::launch::async,
-                             [this] { return cluster_->RunFailureDetector(); });
-  const bool returned = failover.wait_for(std::chrono::seconds(30)) ==
-                        std::future_status::ready;
-  EXPECT_TRUE(returned) << "promotion waited for a queued apply task";
-  if (returned) {
-    Result<int> promoted = failover.get();
-    EXPECT_TRUE(promoted.ok()) << promoted.status().ToString();
-    EXPECT_EQ(promoted.ok() ? *promoted : 0, 1);
-    // One partition on a 1-thread executor: the scan runs on this thread.
-    EXPECT_EQ(TotalRows(), static_cast<size_t>(kRows));
+  Result<int> promoted = cluster_->RunFailureDetector();
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  EXPECT_EQ(*promoted, 1);
+  EXPECT_EQ(TotalRows(), 40u);
+}
+
+TEST_F(ClusterTest, ReplicaVacuumsAFlushCommittedInALaterBatch) {
+  // A flush record and its commit can reach a replica in different apply
+  // batches. The replica vacuums the table when the batch with the commit
+  // applies the flush, so the flushed rows leave its level 0.
+  PartitionOptions mopts;
+  mopts.dir = dir_ + "/master";
+  mopts.background_uploads = false;
+  mopts.auto_maintain = false;
+  Partition master(mopts);
+  ASSERT_TRUE(master.Init().ok());
+  auto table = master.CreateTable("accounts", AccountsTable());
+  ASSERT_TRUE(table.ok());
+  for (int64_t i = 0; i < 64; ++i) {
+    auto h = master.Begin();
+    ASSERT_TRUE((*table)
+                    ->InsertRows(h.id, h.read_ts,
+                                 {{Value(i), Value("r"), Value(1.0)}},
+                                 DupPolicy::kError)
+                    .ok());
+    ASSERT_TRUE(master.Commit(h.id).ok());
   }
-  release.set_value();
-  if (!returned) failover.wait();
-  cluster_->executor()->WaitIdle();
+  ASSERT_TRUE((*table)->FlushRowstore().ok());
+  auto master_log = master.log()->ReadRange(0, master.log()->durable_lsn());
+  ASSERT_TRUE(master_log.ok());
+
+  ReplicaOptions ropts;
+  ropts.dir = dir_ + "/replica";
+  ReplicaPartition replica(ropts);
+  ASSERT_TRUE(replica.Init().ok());
+  master.files()->ForEachFile(
+      [&replica](const std::string& name,
+                 std::shared_ptr<const std::string> data) {
+        replica.OnDataFile(name, std::move(data));
+      });
+
+  // Relay the master's records through a log that seals a page after each
+  // flush record and each commit, and let the replica apply each page
+  // before the next is sealed: the flush's commit is a batch of its own.
+  LogOptions lopts;
+  lopts.dir = dir_ + "/relay";
+  ASSERT_TRUE(Env::Default()->CreateDirs(lopts.dir).ok());
+  auto relay = PartitionLog::Open(lopts);
+  ASSERT_TRUE(relay.ok()) << relay.status().ToString();
+  ASSERT_TRUE((*relay)->AddSink(&replica).ok());
+  int flushes = 0;
+  auto seal = [&]() -> Status {
+    S2_RETURN_NOT_OK((*relay)->SealPage());
+    const Lsn end = (*relay)->durable_lsn();
+    for (int spin = 0; spin < 20000 && replica.applied_lsn() < end; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (replica.applied_lsn() < end) return Status::Unavailable("replica did not apply the page");
+    return Status::OK();
+  };
+  auto parsed = PartitionLog::ParseStream(
+      *master_log, 0, [&](Lsn, const LogRecord& rec) -> Status {
+        (*relay)->Append(rec);
+        if (rec.type == LogRecordType::kSegmentFlush) ++flushes;
+        if (rec.type == LogRecordType::kSegmentFlush ||
+            rec.type == LogRecordType::kCommit) {
+          return seal();
+        }
+        return Status::OK();
+      });
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_GE(flushes, 1);
+  (*relay)->RemoveSink(&replica);
+
+  auto replica_table = replica.partition()->GetTable("accounts");
+  ASSERT_TRUE(replica_table.ok());
+  EXPECT_EQ((*replica_table)->ApproxRowCount(), 64u);
+  EXPECT_EQ((*replica_table)->RowstoreRows(), 0u)
+      << "flushed rows must leave the replica's level 0";
 }
 
 TEST_F(ClusterTest, CaughtUpReplicaLogEqualsTheMastersLog) {
@@ -441,7 +573,7 @@ TEST_F(ClusterTest, CaughtUpReplicaLogEqualsTheMastersLog) {
     ropts.ack_commits = ha;
     replicas.push_back(std::make_unique<ReplicaPartition>(ropts));
     ASSERT_TRUE(replicas.back()->Init().ok());
-    ASSERT_TRUE(master.log()->AddSink(replicas.back().get(), ha).ok());
+    ASSERT_TRUE(master.log()->AddSink(replicas.back().get()).ok());
   };
   master.files()->SetFileHook(
       [&replicas](const std::string& name,

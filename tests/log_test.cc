@@ -196,6 +196,7 @@ class TestSink : public ReplicationSink {
     pages[lsn] = bytes.ToString();
     return true;
   }
+  bool acks() const override { return acking; }
 
   // Replica-side view: contiguous byte stream rebuilt from pages.
   std::string Stream() const {
@@ -210,6 +211,7 @@ class TestSink : public ReplicationSink {
 
   std::map<Lsn, std::string> pages;
   bool down = false;
+  bool acking = true;
 };
 
 TEST_F(LogTest, ReplicationDeliversPagesAndAcks) {
@@ -368,8 +370,9 @@ TEST_F(LogTest, OnlyAckingSinksCountTowardDurability) {
   auto log = PartitionLog::Open(opts);
   TestSink ha;
   TestSink workspace;
+  workspace.acking = false;
   ASSERT_TRUE((*log)->AddSink(&ha).ok());
-  ASSERT_TRUE((*log)->AddSink(&workspace, /*acks=*/false).ok());
+  ASSERT_TRUE((*log)->AddSink(&workspace).ok());
 
   // The acking sink is down: a page the other sink holds is not durable.
   ha.down = true;
