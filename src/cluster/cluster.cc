@@ -36,6 +36,14 @@ Status Cluster::Start() {
       S2_RETURN_NOT_OK(ProvisionReplica(p, node));
     }
   }
+  // A reopened cluster routes its recovered tables as before: each table's
+  // shard key rides in its options (DDL record and snapshots), and every
+  // partition holds every cluster table.
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const std::string& name : masters_[0]->TableNames()) {
+    S2_ASSIGN_OR_RETURN(UnifiedTable * table, masters_[0]->GetTable(name));
+    shard_keys_[name] = table->options().shard_key;
+  }
   return Status::OK();
 }
 
@@ -100,8 +108,10 @@ Status Cluster::WireReplica(int partition_id, ReplicaPartition* replica) {
 Status Cluster::CreateTable(const std::string& name,
                             const TableOptions& options,
                             std::vector<int> shard_key) {
+  TableOptions sharded = options;
+  sharded.shard_key = shard_key;
   for (int p = 0; p < options_.num_partitions; ++p) {
-    S2_RETURN_NOT_OK(masters_[p]->CreateTable(name, options).status());
+    S2_RETURN_NOT_OK(masters_[p]->CreateTable(name, sharded).status());
   }
   std::lock_guard<std::mutex> lock(mu_);
   shard_keys_[name] = std::move(shard_key);
@@ -342,8 +352,20 @@ Result<int> Cluster::RunFailureDetector() {
       masters_[p] = new_master;
       master_node_[p] = chosen_node;
     }
-    // Re-wire the file hook to the new master and heal replication.
+    // Re-wire the file hook to the new master, point the workspaces at its
+    // log and heal replication. AddSink catches a workspace up from LSN 0;
+    // its replica skips the bytes it already has.
     WireFileHook(p);
+    std::vector<ReplicaPartition*> workspace_replicas;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (auto& ws : workspaces_) {
+        workspace_replicas.push_back(ws.replicas[p].get());
+      }
+    }
+    for (ReplicaPartition* replica : workspace_replicas) {
+      S2_RETURN_NOT_OK(WireReplica(p, replica));
+    }
     for (int r = 0; r < options_.ha_replicas; ++r) {
       int node = -1;
       {

@@ -1,11 +1,13 @@
 #include "encoding/encoding.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <ranges>
 #include <unordered_map>
 
 #include "common/coding.h"
+#include "common/metrics.h"
 #include "encoding/bitpack.h"
 #include "encoding/lz.h"
 
@@ -270,25 +272,33 @@ class LzStringReader : public ReaderBase<LzStringReader> {
       : ReaderBase(type, enc, num_rows, std::move(buf), payload, payload_size),
         block_uncomp_end_(std::move(block_uncomp_end)),
         block_data_(std::move(block_data)),
-        block_comp_size_(std::move(block_comp_size)) {
+        block_comp_size_(std::move(block_comp_size)),
+        decoded_(std::make_unique<std::atomic<const std::string*>[]>(
+            block_data_.size())) {
     offsets_ = payload_;
+  }
+
+  LzStringReader(const LzStringReader&) = delete;
+  LzStringReader& operator=(const LzStringReader&) = delete;
+
+  ~LzStringReader() override {
+    for (size_t b = 0; b < block_data_.size(); ++b) {
+      delete decoded_[b].load(std::memory_order_relaxed);
+    }
   }
 
   Value ValueAt(uint32_t row) const override {
     if (IsNull(row)) return Value::Null();
-    Block block;
+    size_t block = 0;
     std::string out;
     if (!ReadValue(row, &block, &out).ok()) return Value::Null();
     return Value(std::move(out));
   }
 
-  // One call-local block buffer serves every row: ascending rows touch
-  // each block once, and a value straddling a block boundary is joined
-  // from the tail of one block and the head of the next.
   template <typename Rows>
   Status Decode(const Rows& rows, ColumnVector* out) const {
     out->Reserve(out->size() + rows.size());
-    Block block;
+    size_t block = 0;
     for (uint32_t r : rows) {
       if (IsNull(r)) {
         out->AppendNull();
@@ -302,44 +312,56 @@ class LzStringReader : public ReaderBase<LzStringReader> {
   }
 
  private:
-  // The decompressed block a call is positioned on ("seekable at block
-  // granularity": only blocks overlapping a read are decompressed). Empty
-  // until the first Seek.
-  struct Block {
-    uint32_t begin = 0;  // uncompressed offset range [begin, end)
-    uint32_t end = 0;
-    std::string bytes;
-  };
-
-  // Positions *block on the block holding uncompressed offset `pos`,
-  // decompressing it unless it is already the current one.
-  Status Seek(uint32_t pos, Block* block) const {
-    if (pos >= block->begin && pos < block->end) return Status::OK();
-    size_t idx = std::upper_bound(block_uncomp_end_.begin(),
-                                  block_uncomp_end_.end(), pos) -
-                 block_uncomp_end_.begin();
-    if (idx == block_uncomp_end_.size()) {
-      return Status::Corruption("lz offset past the last block");
-    }
-    uint32_t begin = idx == 0 ? 0 : block_uncomp_end_[idx - 1];
-    block->begin = block->end = begin;  // empty unless the block decodes
-    block->bytes.clear();
-    S2_RETURN_NOT_OK(
-        LzDecompress(Slice(block_data_[idx], block_comp_size_[idx]),
-                     block_uncomp_end_[idx] - begin, &block->bytes));
-    block->end = block_uncomp_end_[idx];
-    return Status::OK();
+  uint32_t BlockBegin(size_t idx) const {
+    return idx == 0 ? 0 : block_uncomp_end_[idx - 1];
   }
 
-  Status ReadValue(uint32_t row, Block* block, std::string* out) const {
+  // The decoded bytes of block `idx` ("seekable at block granularity": only
+  // blocks a read overlaps are decompressed). The first reader of a block
+  // decompresses it and publishes the result with one compare-and-swap; a
+  // reader that loses the race frees its copy and uses the winner's. A
+  // block that fails to decompress is never published, so it stays
+  // Corruption on every read.
+  Result<const std::string*> DecodedBlock(size_t idx) const {
+    const std::string* bytes = decoded_[idx].load(std::memory_order_acquire);
+    if (bytes != nullptr) return bytes;
+    auto fresh = std::make_unique<std::string>();
+    S2_RETURN_NOT_OK(LzDecompress(Slice(block_data_[idx], block_comp_size_[idx]),
+                                  block_uncomp_end_[idx] - BlockBegin(idx),
+                                  fresh.get()));
+    S2_COUNTER("s2_lz_blocks_decompressed_total").Add();
+    if (decoded_[idx].compare_exchange_strong(bytes, fresh.get(),
+                                              std::memory_order_acq_rel,
+                                              std::memory_order_acquire)) {
+      return fresh.release();
+    }
+    return bytes;
+  }
+
+  // Appends the value of `row`, joining a value that straddles a block
+  // boundary from the tail of one block and the head of the next. *block
+  // is the block the previous value ended in (0 at first), so an ascending
+  // read searches for a block only when it crosses into another.
+  Status ReadValue(uint32_t row, size_t* block, std::string* out) const {
     uint32_t pos = DecodeFixed32(offsets_ + row * size_t{4});
     uint32_t end = DecodeFixed32(offsets_ + (row + size_t{1}) * 4);
     if (end < pos) return Status::Corruption("lz offsets out of order");
     out->reserve(end - pos);
     while (pos < end) {
-      S2_RETURN_NOT_OK(Seek(pos, block));
-      uint32_t take_end = std::min(end, block->end);
-      out->append(block->bytes, pos - block->begin, take_end - pos);
+      size_t idx = *block;
+      if (idx >= block_uncomp_end_.size() || pos < BlockBegin(idx) ||
+          pos >= block_uncomp_end_[idx]) {
+        idx = std::upper_bound(block_uncomp_end_.begin(),
+                               block_uncomp_end_.end(), pos) -
+              block_uncomp_end_.begin();
+        if (idx == block_uncomp_end_.size()) {
+          return Status::Corruption("lz offset past the last block");
+        }
+        *block = idx;
+      }
+      S2_ASSIGN_OR_RETURN(const std::string* bytes, DecodedBlock(idx));
+      uint32_t take_end = std::min(end, block_uncomp_end_[idx]);
+      out->append(*bytes, pos - BlockBegin(idx), take_end - pos);
       pos = take_end;
     }
     return Status::OK();
@@ -349,6 +371,9 @@ class LzStringReader : public ReaderBase<LzStringReader> {
   std::vector<uint32_t> block_uncomp_end_;  // cumulative uncompressed ends
   std::vector<const char*> block_data_;
   std::vector<uint32_t> block_comp_size_;
+  // Decoded block table, one slot per block, null until first read. Freed
+  // with the reader, which lives as long as its Segment.
+  std::unique_ptr<std::atomic<const std::string*>[]> decoded_;
 };
 
 // ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ enum class Encoding : uint8_t {
 const char* EncodingName(Encoding e);
 
 /// Random-access reader over one encoded column block. Implementations own
-/// (share) the underlying byte buffer and keep no mutable state (decode
-/// buffers are call-local), so concurrent reads are safe.
+/// (share) the underlying byte buffer, and concurrent reads are safe. The
+/// only mutable state is the LZ reader's table of decoded blocks, filled on
+/// first read and published atomically (see ValueAt).
 class ColumnReader {
  public:
   virtual ~ColumnReader() = default;
@@ -42,10 +43,11 @@ class ColumnReader {
   }
 
   /// Point read at a row offset ("seek"). O(1) for plain/bitpack/dict,
-  /// O(log runs) for RLE. For LZ each call decompresses the block(s) the
-  /// value lies in, so batch reads go through DecodeRows instead. Returns
-  /// null for an LZ value whose block fails to decompress and for a
-  /// dictionary code past the end of the dictionary.
+  /// O(log runs) for RLE, O(log blocks) plus the value's bytes for LZ: a
+  /// reader decompresses each LZ block at most once in its life and keeps
+  /// the decoded bytes until it is destroyed. Returns null for an LZ value
+  /// whose block fails to decompress and for a dictionary code past the end
+  /// of the dictionary.
   virtual Value ValueAt(uint32_t row) const = 0;
 
   /// Full decode, appending all rows to *out. Corruption when the column
@@ -54,9 +56,9 @@ class ColumnReader {
   virtual Status DecodeAll(ColumnVector* out) const = 0;
 
   /// Selective decode of the given ascending row offsets, appending typed
-  /// values to *out — late materialization after filters. One call
-  /// decompresses each LZ block it touches once (values straddling a block
-  /// boundary are joined across blocks) and walks RLE runs with a forward
+  /// values to *out — late materialization after filters. LZ values read
+  /// through the reader's decoded blocks (values straddling a block
+  /// boundary are joined across blocks); RLE runs are walked with a forward
   /// cursor. Errors as DecodeAll.
   virtual Status DecodeRows(const std::vector<uint32_t>& rows,
                             ColumnVector* out) const = 0;

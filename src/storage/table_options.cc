@@ -34,6 +34,7 @@ void TableOptions::EncodeTo(std::string* dst) const {
   PutVarint64(dst, indexes.size());
   for (const auto& index : indexes) EncodeIntVector(index, dst);
   EncodeIntVector(unique_key, dst);
+  EncodeIntVector(shard_key, dst);
   PutVarint64(dst, segment_rows);
   PutVarint64(dst, flush_threshold);
   PutVarint64(dst, max_sorted_runs);
@@ -59,6 +60,7 @@ Result<TableOptions> TableOptions::DecodeFrom(Slice* input) {
     opts.indexes.push_back(std::move(index));
   }
   S2_ASSIGN_OR_RETURN(opts.unique_key, DecodeIntVector(input));
+  S2_ASSIGN_OR_RETURN(opts.shard_key, DecodeIntVector(input));
   S2_ASSIGN_OR_RETURN(uint64_t segment_rows, GetVarint64(input));
   S2_ASSIGN_OR_RETURN(uint64_t flush_threshold, GetVarint64(input));
   S2_ASSIGN_OR_RETURN(uint64_t max_runs, GetVarint64(input));

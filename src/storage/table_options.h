@@ -38,6 +38,12 @@ struct TableOptions {
   /// 4.1.2). Empty = no uniqueness.
   std::vector<int> unique_key;
 
+  /// Cluster shard key: the columns whose values route a row to its
+  /// partition. Empty = the whole row. Set by Cluster::CreateTable and
+  /// persisted with the table, so a reopened cluster routes as before; a
+  /// partition does not read it.
+  std::vector<int> shard_key;
+
   /// Rows per columnstore segment (the paper's production default is ~1M;
   /// scaled down for laptop-scale experiments).
   uint32_t segment_rows = 64 * 1024;

@@ -439,21 +439,14 @@ TEST_F(ClusterTest, ReopenedClusterReplicatesAfresh) {
   WaitForReplicas();
   cluster_.reset();
 
-  // The reopened master recovers the table; the cluster's shard keys are
-  // not persisted, so write to the one partition directly.
+  // The reopened master recovers the table and its shard key.
   cluster_ = std::make_unique<Cluster>(opts);
   ASSERT_TRUE(cluster_->Start().ok());
   Partition* master = cluster_->partition(0);
-  table = master->GetTable("accounts");
-  ASSERT_TRUE(table.ok());
   for (int64_t i = 20; i < 40; ++i) {
-    auto h = master->Begin();
-    ASSERT_TRUE((*table)
-                    ->InsertRows(h.id, h.read_ts,
-                                 {{Value(i), Value("v"), Value(1.0)}},
-                                 DupPolicy::kError)
-                    .ok());
-    ASSERT_TRUE(master->Commit(h.id).ok());
+    ASSERT_TRUE(
+        cluster_->InsertRows("accounts", {{Value(i), Value("v"), Value(1.0)}})
+            .ok());
   }
   WaitForReplicas();
   std::vector<Cluster::ReplicaState> states = cluster_->ReplicaStates();
@@ -471,6 +464,68 @@ TEST_F(ClusterTest, ReopenedClusterReplicatesAfresh) {
   ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
   EXPECT_EQ(*promoted, 1);
   EXPECT_EQ(TotalRows(), 40u);
+}
+
+TEST_F(ClusterTest, ReopenedClusterRoutesRecoveredTables) {
+  // Each table's shard key is persisted with it (DDL record and snapshot),
+  // so a reopened cluster routes writes to its recovered tables as the
+  // first run did.
+  ClusterOptions opts = Options(/*partitions=*/4, /*nodes=*/2);
+  StartWith(opts);
+  InsertAccounts(20);
+  ASSERT_TRUE(cluster_->UploadAllToBlob().ok());  // recover from snapshots
+  for (int64_t i = 20; i < 25; ++i) {
+    ASSERT_TRUE(
+        cluster_->InsertRows("accounts", {{Value(i), Value("w"), Value(0.0)}})
+            .ok());
+  }
+  auto routed = cluster_->PartitionForRow(
+      "accounts", {Value(int64_t{3}), Value("u3"), Value(30.0)});
+  ASSERT_TRUE(routed.ok());
+  WaitForReplicas();
+  cluster_.reset();
+
+  cluster_ = std::make_unique<Cluster>(opts);
+  ASSERT_TRUE(cluster_->Start().ok());
+  for (int64_t i = 25; i < 40; ++i) {
+    Status s =
+        cluster_->InsertRows("accounts", {{Value(i), Value("v"), Value(1.0)}});
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  EXPECT_EQ(TotalRows(), 40u);
+  // Same key, same partition: the duplicate reaches the row it collides
+  // with, whatever its other columns hold.
+  auto again = cluster_->PartitionForRow(
+      "accounts", {Value(int64_t{3}), Value("other"), Value(0.0)});
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *routed);
+  EXPECT_TRUE(cluster_
+                  ->InsertRows("accounts",
+                               {{Value(int64_t{3}), Value("x"), Value(0.0)}})
+                  .IsAlreadyExists());
+}
+
+TEST_F(ClusterTest, WorkspaceFollowsThePromotedMaster) {
+  // Three nodes so the promoted master (node 1) can re-provision its HA
+  // replica on node 2 and keep acking commits after node 0 dies.
+  Start(/*partitions=*/1, /*nodes=*/3, /*replicas=*/1);
+  InsertAccounts(10);
+  auto ws = cluster_->CreateWorkspace();
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  WaitForReplicas();
+
+  cluster_->KillNode(0);
+  auto promoted = cluster_->RunFailureDetector();
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  ASSERT_EQ(*promoted, 1);
+  ASSERT_TRUE(cluster_
+                  ->InsertRows("accounts",
+                               {{Value(int64_t{10}), Value("f"), Value(0.0)}})
+                  .ok());
+  WaitForReplicas();
+  EXPECT_EQ(TotalRows(), 11u);
+  EXPECT_EQ(TotalRows(*ws), 11u);
+  EXPECT_EQ(cluster_->WorkspaceLagBytes(*ws), 0u);
 }
 
 TEST_F(ClusterTest, ReplicaVacuumsAFlushCommittedInALaterBatch) {

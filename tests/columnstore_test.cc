@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <memory>
+#include <thread>
 
 #include "columnstore/merger.h"
 #include "columnstore/segment.h"
 #include "columnstore/segment_meta.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "test_util.h"
 
@@ -21,15 +24,36 @@ Row MakeRow(int64_t id, std::string tag, double score) {
   return Row{Value(id), Value(std::move(tag)), Value(score)};
 }
 
-std::shared_ptr<Segment> BuildSegment(const std::vector<Row>& rows) {
+std::string BuildFile(const std::vector<Row>& rows) {
   SegmentBuilder builder(TestSchema());
   for (const Row& row : rows) builder.AddRow(row);
   auto file = builder.Finish();
   EXPECT_TRUE(file.ok()) << file.status().ToString();
+  return file.ok() ? std::move(*file) : std::string();
+}
+
+std::shared_ptr<Segment> BuildSegment(const std::vector<Row>& rows) {
   auto segment =
-      Segment::Open(std::make_shared<const std::string>(std::move(*file)));
+      Segment::Open(std::make_shared<const std::string>(BuildFile(rows)));
   EXPECT_TRUE(segment.ok()) << segment.status().ToString();
   return *segment;
+}
+
+// Rows with unique ~100-byte tags, which a segment encodes as LZ (600 rows
+// fill four 16 KB blocks). The tags' bytes, in row order, are appended to
+// *payload when it is given.
+std::vector<Row> LzRows(int n, std::string* payload = nullptr) {
+  std::vector<Row> rows;
+  for (int i = 0; i < n; ++i) {
+    std::string tag = "tag-" + std::to_string(i) + "-" + std::string(90, 'x');
+    if (payload != nullptr) *payload += tag;
+    rows.push_back(MakeRow(i, std::move(tag), i * 0.5));
+  }
+  return rows;
+}
+
+uint64_t LzBlocksDecompressed() {
+  return S2_COUNTER("s2_lz_blocks_decompressed_total").value();
 }
 
 TEST(SegmentTest, BuildOpenReadRows) {
@@ -51,20 +75,11 @@ TEST(SegmentTest, BuildOpenReadRows) {
 // A column body that fails to decode is Corruption from a row read, not a
 // NULL field: the footer CRC does not cover column bodies.
 TEST(SegmentTest, DamagedLzColumnFailsRowReads) {
-  std::vector<Row> rows;
   std::string payload;
-  for (int i = 0; i < 64; ++i) {
-    std::string tag = "tag-" + std::to_string(i) + "-" + std::string(90, 'x');
-    payload += tag;
-    rows.push_back(MakeRow(i, std::move(tag), i * 0.5));
-  }
-  SegmentBuilder builder(TestSchema());
-  for (const Row& row : rows) builder.AddRow(row);
-  auto file = builder.Finish();
-  ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(ZeroLzBlock(&*file, payload));
+  std::string file = BuildFile(LzRows(64, &payload));
+  ASSERT_TRUE(ZeroLzBlock(&file, payload));
   auto segment =
-      Segment::Open(std::make_shared<const std::string>(std::move(*file)));
+      Segment::Open(std::make_shared<const std::string>(std::move(file)));
   ASSERT_TRUE(segment.ok()) << segment.status().ToString();
   ASSERT_EQ((*(*segment)->column(1))->encoding(), Encoding::kLz);
 
@@ -86,6 +101,128 @@ TEST(SegmentTest, ReadRowsMatchesReadRow) {
   EXPECT_TRUE(segment->ReadRows({}).ok());
   EXPECT_EQ(segment->ReadRows({5, 100}).status().code(),
             StatusCode::kOutOfRange);
+}
+
+TEST(SegmentTest, RereadOfDecodedLzBlockDecompressesNothing) {
+  std::vector<Row> rows = LzRows(600);  // 58,690 bytes of tags: 4 blocks
+  auto segment = BuildSegment(rows);
+  ASSERT_EQ((*segment->column(1))->encoding(), Encoding::kLz);
+
+  uint64_t before = LzBlocksDecompressed();
+  auto row = segment->ReadRow(3);
+  ASSERT_TRUE(row.ok());
+  EXPECT_EQ(*row, rows[3]);
+  EXPECT_EQ(LzBlocksDecompressed() - before, 1u);
+
+  // The same row, and another row of the same block, read decoded bytes.
+  before = LzBlocksDecompressed();
+  EXPECT_EQ(*segment->ReadRow(3), rows[3]);
+  EXPECT_EQ(*segment->ReadRow(10), rows[10]);
+  EXPECT_EQ((*segment->column(1))->ValueAt(7), rows[7][1]);
+  EXPECT_EQ(*segment->ReadRows({0, 5, 20}),
+            (std::vector<Row>{rows[0], rows[5], rows[20]}));
+  EXPECT_EQ(LzBlocksDecompressed() - before, 0u);
+
+  // A row of the last block decompresses that block only.
+  before = LzBlocksDecompressed();
+  EXPECT_EQ(*segment->ReadRow(599), rows[599]);
+  EXPECT_EQ(LzBlocksDecompressed() - before, 1u);
+}
+
+TEST(SegmentTest, ConcurrentFirstTouchOfLzBlocksReadsSameValues) {
+  std::vector<Row> rows = LzRows(600);
+  auto file = std::make_shared<const std::string>(BuildFile(rows));
+
+  for (int round = 0; round < 20; ++round) {
+    auto segment = Segment::Open(file);
+    ASSERT_TRUE(segment.ok());
+    // Open the reader first so the threads race on the blocks, not on
+    // Segment::column's once-flag.
+    const ColumnReader* tags = *(*segment)->column(1);
+    ASSERT_EQ(tags->encoding(), Encoding::kLz);
+    constexpr int kThreads = 4;
+    std::latch start(kThreads);
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        // Each thread walks the rows from a different starting point, so
+        // every block has several first readers.
+        for (size_t i = 0; i < rows.size(); ++i) {
+          uint32_t r = static_cast<uint32_t>((i + t * 150) % rows.size());
+          if (tags->ValueAt(r) != rows[r][1]) ++mismatches[t];
+        }
+        auto read = (*segment)->ReadRows({0, 299, 599});
+        if (!read.ok() ||
+            *read != std::vector<Row>{rows[0], rows[299], rows[599]}) {
+          ++mismatches[t];
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mismatches[t], 0) << "round " << round << " thread " << t;
+    }
+    uint64_t before = LzBlocksDecompressed();
+    ColumnVector all(DataType::kString);
+    ASSERT_TRUE(tags->DecodeAll(&all).ok());
+    EXPECT_EQ(LzBlocksDecompressed() - before, 0u);
+  }
+}
+
+TEST(SegmentTest, ZeroedLzBlockStaysCorruptOnRepeatedReads) {
+  std::string payload;
+  std::vector<Row> rows = LzRows(600, &payload);
+  std::string file = BuildFile(rows);
+  // Zero the first 16 KB block; rows past it live in undamaged blocks.
+  ASSERT_TRUE(ZeroLzBlock(&file, payload.substr(0, 16 * 1024)));
+  auto segment =
+      Segment::Open(std::make_shared<const std::string>(std::move(file)));
+  ASSERT_TRUE(segment.ok());
+  const ColumnReader* tags = *(*segment)->column(1);
+  ASSERT_EQ(tags->encoding(), Encoding::kLz);
+
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    SCOPED_TRACE(attempt);
+    EXPECT_TRUE((*segment)->ReadRow(3).status().IsCorruption());
+    EXPECT_TRUE((*segment)->ReadRows({1, 500}).status().IsCorruption());
+    EXPECT_TRUE(tags->ValueAt(3).is_null());
+    ColumnVector all(DataType::kString);
+    EXPECT_TRUE(tags->DecodeAll(&all).IsCorruption());
+    // Rows of undamaged blocks, and the other columns, still read.
+    EXPECT_EQ(*(*segment)->ReadRow(500), rows[500]);
+    EXPECT_EQ(tags->ValueAt(599), rows[599][1]);
+    for (size_t c : {size_t{0}, size_t{2}}) {
+      ColumnVector values((*(*segment)->column(c))->type());
+      ASSERT_TRUE((*(*segment)->column(c))->DecodeAll(&values).ok());
+      EXPECT_EQ(values.GetValue(3), rows[3][c]);
+    }
+  }
+}
+
+TEST(SegmentTest, DecodeAllAfterPointReadsMatchesFreshReader) {
+  std::vector<Row> rows = LzRows(600);
+  auto file = std::make_shared<const std::string>(BuildFile(rows));
+  auto warm = Segment::Open(file);
+  auto fresh = Segment::Open(file);
+  ASSERT_TRUE(warm.ok() && fresh.ok());
+
+  // Decode some blocks, and values straddling block boundaries, first.
+  const ColumnReader* warm_tags = *(*warm)->column(1);
+  for (uint32_t r : {3u, 168u, 335u, 502u, 599u}) {
+    EXPECT_EQ(warm_tags->ValueAt(r), rows[r][1]);
+  }
+  ColumnVector after_reads(DataType::kString);
+  ASSERT_TRUE(warm_tags->DecodeAll(&after_reads).ok());
+  ColumnVector from_fresh(DataType::kString);
+  ASSERT_TRUE((*(*fresh)->column(1))->DecodeAll(&from_fresh).ok());
+  ASSERT_EQ(after_reads.size(), rows.size());
+  ASSERT_EQ(from_fresh.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(after_reads.StringAt(i), from_fresh.StringAt(i)) << i;
+    EXPECT_EQ(after_reads.GetValue(i), rows[i][1]) << i;
+  }
 }
 
 TEST(SegmentTest, ColumnStatsComputed) {

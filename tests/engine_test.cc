@@ -74,6 +74,31 @@ TEST_F(EngineTest, UnifiedProfileRoundTrip) {
   EXPECT_GT(table->NumSegments(), 0u);
 }
 
+TEST_F(EngineTest, ReopenedDatabaseInsertsIntoRecoveredTables) {
+  DatabaseOptions opts;
+  opts.dir = dir_ + "/reopen";
+  opts.profile = EngineProfile::kUnified;
+  opts.num_partitions = 2;
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 50; ++i) {
+    rows.push_back({Value(i), Value("n" + std::to_string(i)), Value(1.0)});
+  }
+  {
+    auto db = Database::Open(opts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->CreateTable("items", ItemsTable(), {0}).ok());
+    ASSERT_TRUE((*db)->Insert("items", rows).ok());
+  }
+  auto db = Database::Open(opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  Status s = (*db)->Insert("items", {{Value(int64_t{50}), Value("new"),
+                                      Value(2.0)}});
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(CountRows(db->get()), 51u);
+  // The recovered shard key routes a duplicate to the row it collides with.
+  EXPECT_TRUE((*db)->Insert("items", {rows[7]}).IsAlreadyExists());
+}
+
 TEST_F(EngineTest, RowstoreProfileNeverFlushes) {
   auto db = Open(EngineProfile::kOperationalRowstore);
   ASSERT_TRUE(db->CreateTable("items", ItemsTable(), {0}).ok());
