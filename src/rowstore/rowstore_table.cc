@@ -1,5 +1,9 @@
 #include "rowstore/rowstore_table.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
 #include "common/coding.h"
 #include "common/hash.h"
 
@@ -26,6 +30,55 @@ void FreeBelowAnchor(RowVersion* head, Timestamp horizon) {
   }
 }
 
+// Tables and their node-freeing purges draw generations from one counter,
+// so a generation names one table between two such purges.
+std::atomic<uint64_t> next_generation{1};
+
+// The primary node this thread last wrote, or last got from a seek, and the
+// generation of its table then. The node is still allocated exactly while
+// its table is at that generation.
+struct LastRow {
+  uint64_t generation = 0;
+  SkipList::Node* node = nullptr;
+};
+thread_local LastRow last_row;
+
+// The node of `pk` when it is this thread's last row in the table at
+// `generation`, or that row's successor; else null. A write then needs no
+// search: an update of the row a unique-key seek just found, a replica's
+// delete and re-insert of one row, a flush deleting its rows in key order.
+SkipList::Node* NearLastRow(uint64_t generation, Slice pk) {
+  if (last_row.generation != generation) return nullptr;
+  SkipList::Node* node = last_row.node;
+  if (node->key() == pk) return node;
+  node = SkipList::Next(node);
+  return node != nullptr && node->key() == pk ? node : nullptr;
+}
+
+// The newest version in `head`'s chain that is neither aborted nor a
+// delete, or null. Every such version has its entry in each secondary index.
+const RowVersion* NewestLive(const RowVersion* head) {
+  for (const RowVersion* v = head; v != nullptr; v = v->next) {
+    if (!v->deleted &&
+        v->commit_ts.load(std::memory_order_acquire) != kTsAborted) {
+      return v;
+    }
+  }
+  return nullptr;
+}
+
+// True when a and b encode to the same bytes: an int never equals a double,
+// and doubles compare by bits.
+bool SameEncoding(const Value& a, const Value& b) {
+  if (a.is_int()) return b.is_int() && a.as_int() == b.as_int();
+  if (a.is_double()) {
+    return b.is_double() && std::bit_cast<uint64_t>(a.as_double()) ==
+                                std::bit_cast<uint64_t>(b.as_double());
+  }
+  if (a.is_string()) return b.is_string() && a.as_string() == b.as_string();
+  return b.is_null();
+}
+
 }  // namespace
 
 RowStoreTable::RowStoreTable(Schema schema, std::vector<int> pk_cols,
@@ -34,7 +87,8 @@ RowStoreTable::RowStoreTable(Schema schema, std::vector<int> pk_cols,
     : schema_(std::move(schema)),
       pk_cols_(std::move(pk_cols)),
       locks_(locks),
-      horizon_(horizon) {}
+      horizon_(horizon),
+      generation_(next_generation.fetch_add(1)) {}
 
 RowStoreTable::~RowStoreTable() = default;
 
@@ -83,8 +137,12 @@ Status RowStoreTable::WriteVersion(TxnId txn, Timestamp read_ts,
     S2_RETURN_NOT_OK(locks_->Lock(txn, lock_id));
   }
   std::shared_lock<std::shared_mutex> table_lock(table_lock_);
-  bool created = false;
-  SkipList::Node* node = primary_.GetOrInsert(pk, &created);
+  SkipList::Node* node = NearLastRow(generation_, pk);
+  if (node == nullptr) {
+    bool created = false;
+    node = primary_.GetOrInsert(pk, &created);
+  }
+  last_row = {generation_, node};
 
   // Holding the row lock, the newest non-aborted version is either ours or
   // committed. Find the newest non-aborted version.
@@ -132,6 +190,8 @@ Status RowStoreTable::WriteVersion(TxnId txn, Timestamp read_ts,
   // fresh key no one else writes), and readers stop at or above the anchor.
   RowVersion* head = node->versions.load(std::memory_order_relaxed);
   FreeBelowAnchor(head, horizon_->load(std::memory_order_acquire));
+  // Read after the pruning, so it is never a freed version.
+  const RowVersion* indexed = deleted ? nullptr : NewestLive(head);
   auto* version = new RowVersion();
   version->txn_id = txn;
   version->deleted = deleted;
@@ -144,34 +204,28 @@ Status RowStoreTable::WriteVersion(TxnId txn, Timestamp read_ts,
     pending_[txn].push_back(version);
   }
 
-  if (!deleted) IndexRow(version->data, pk);
+  if (!deleted) IndexRow(version->data, node, indexed);
   return Status::OK();
 }
 
-void RowStoreTable::IndexRow(const Row& row, const std::string& pk) {
+void RowStoreTable::IndexRow(const Row& row, SkipList::Node* primary,
+                             const RowVersion* indexed) {
   for (SecondaryIndex& index : secondaries_) {
+    if (indexed != nullptr &&
+        std::all_of(index.cols.begin(), index.cols.end(), [&](int c) {
+          return SameEncoding(row[c], indexed->data[c]);
+        })) {
+      continue;  // the entry `indexed` got is this row's entry too
+    }
     std::string key;
     for (int c : index.cols) row[c].EncodeTo(&key);
-    key.append(pk);
+    Slice pk = primary->key();
+    key.append(pk.data(), pk.size());
     bool created = false;
-    SkipList::Node* node = index.list->GetOrInsert(key, &created);
-    if (created) {
-      // Secondary entries carry the pk values; visibility is re-checked
-      // against the primary chain at seek time, so the entry itself is
-      // immediately visible.
-      auto* version = new RowVersion();
-      version->commit_ts.store(1, std::memory_order_relaxed);
-      Row pk_row;
-      Slice in(pk);
-      while (!in.empty()) {
-        auto value = Value::DecodeFrom(&in);
-        if (!value.ok()) break;
-        pk_row.push_back(std::move(*value));
-      }
-      version->data = std::move(pk_row);
-      version->next = node->versions.load(std::memory_order_relaxed);
-      node->versions.store(version, std::memory_order_release);
-    }
+    SkipList::Node* entry = index.list->GetOrInsert(key, &created);
+    // Visibility is re-checked against the primary chain at seek time, so
+    // the entry is usable as soon as it points at its row.
+    if (created) entry->row.store(primary, std::memory_order_release);
   }
 }
 
@@ -267,28 +321,34 @@ Status RowStoreTable::IndexSeek(
   for (const Value& v : key) v.EncodeTo(&prefix);
 
   std::shared_lock<std::shared_mutex> table_lock(table_lock_);
+  std::string current;
   for (SkipList::Node* node = index.list->Seek(prefix); node != nullptr;
        node = SkipList::Next(node)) {
-    Slice node_key(node->key);
+    Slice node_key = node->key();
     if (node_key.size() < prefix.size() ||
         memcmp(node_key.data(), prefix.data(), prefix.size()) != 0) {
       break;
     }
-    RowVersion* entry = node->versions.load(std::memory_order_acquire);
-    if (entry == nullptr) continue;
-    // Re-check against the primary: the row must be visible and this must
-    // still be its entry (entries are not removed on update/delete). One
-    // row has at most one current entry, so a prefix seek yields it once.
-    std::string pk_encoded;
-    for (const Value& v : entry->data) v.EncodeTo(&pk_encoded);
-    SkipList::Node* primary_node = primary_.Find(pk_encoded);
-    if (primary_node == nullptr) continue;
-    RowVersion* v = VisibleVersion(primary_node, txn, read_ts);
+    // Null while the entry's writer has linked it but not yet published
+    // its row. The pointer stays valid under the shared table lock: Purge
+    // frees primary nodes only under the exclusive lock, and rebuilds every
+    // secondary list whenever it frees one.
+    SkipList::Node* row = node->row.load(std::memory_order_acquire);
+    if (row == nullptr) continue;
+    RowVersion* v = VisibleVersion(row, txn, read_ts);
     if (v == nullptr || v->deleted) continue;
-    std::string current_key;
-    for (int c : index.cols) v->data[c].EncodeTo(&current_key);
-    current_key.append(pk_encoded);
-    if (current_key == node->key && !cb(v->data)) break;
+    // This must still be the row's entry (entries are not removed on update
+    // or delete): its key is the visible version's index columns followed
+    // by the row's pk. One row has at most one current entry, so a prefix
+    // seek yields it once.
+    current.clear();
+    for (int c : index.cols) v->data[c].EncodeTo(&current);
+    if (node_key.size() != current.size() + row->key().size() ||
+        memcmp(node_key.data(), current.data(), current.size()) != 0) {
+      continue;
+    }
+    last_row = {generation_, row};
+    if (!cb(v->data)) break;
   }
   return Status::OK();
 }
@@ -371,16 +431,25 @@ size_t RowStoreTable::Purge(Timestamp oldest_active) {
     return v->deleted && ts <= kTsMax && ts <= oldest_active &&
            v->next == nullptr;
   });
+  if (purged == 0) return 0;
+  generation_ = next_generation.fetch_add(1);  // the freed nodes' hints die
+  if (secondaries_.empty()) return purged;
   // Rebuild secondary indexes: stale entries (updated/deleted rows) and
-  // entries pointing at purged rows are dropped wholesale.
-  if (!secondaries_.empty() && purged > 0) {
-    for (SecondaryIndex& index : secondaries_) {
-      index.list = std::make_unique<SkipList>();
-    }
-    for (SkipList::Node* node = primary_.First(); node != nullptr;
-         node = SkipList::Next(node)) {
-      RowVersion* v = node->versions.load(std::memory_order_relaxed);
-      if (v != nullptr && !v->deleted) IndexRow(v->data, node->key);
+  // entries pointing at freed primary nodes are dropped wholesale. Every
+  // surviving live version gets its entry back, not only each chain's head:
+  // a snapshot older than the head may still read an older version, and a
+  // write skips the insert of a key that such a version already indexes.
+  for (SecondaryIndex& index : secondaries_) {
+    index.list = std::make_unique<SkipList>();
+  }
+  for (SkipList::Node* node = primary_.First(); node != nullptr;
+       node = SkipList::Next(node)) {
+    const RowVersion* newer = nullptr;
+    for (const RowVersion* v =
+             NewestLive(node->versions.load(std::memory_order_relaxed));
+         v != nullptr; v = NewestLive(v->next)) {
+      IndexRow(v->data, node, newer);
+      newer = v;
     }
   }
   return purged;

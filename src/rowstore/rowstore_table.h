@@ -27,7 +27,7 @@ namespace s2 {
 ///    pk. A wait that would close a lock cycle fails at once with
 ///    Aborted("deadlock"); callers abort and may retry the transaction.
 ///  - Optional secondary skiplist indexes map encoded secondary key + pk to
-///    the primary key for seeks.
+///    the row's primary skiplist node, so a seek makes one skiplist search.
 ///  - Snapshot isolation: a reader sees versions with commit_ts <= read_ts
 ///    plus its own uncommitted writes; first-committer-wins on write-write
 ///    conflicts.
@@ -124,6 +124,13 @@ class RowStoreTable {
   /// Number of skiplist nodes (live + logically deleted, pre-purge).
   size_t num_nodes() const { return primary_.num_nodes(); }
 
+  /// Number of entries in secondary index `index_id`, stale ones included.
+  /// For tests.
+  size_t num_index_nodes(int index_id) const {
+    std::shared_lock<std::shared_mutex> table_lock(table_lock_);
+    return secondaries_[index_id].list->num_nodes();
+  }
+
   /// commit_ts of each version of the row with primary key `pk`, newest
   /// first; empty when absent. For tests: no write to the row may run
   /// meanwhile.
@@ -143,9 +150,11 @@ class RowStoreTable {
   Status RestoreSnapshot(Slice snapshot, Timestamp commit_ts);
 
  private:
+  /// An entry's key is enc(sec cols) + enc(pk); its `row` points at the
+  /// row's primary node.
   struct SecondaryIndex {
     std::vector<int> cols;
-    std::unique_ptr<SkipList> list;  // key: enc(sec cols) + enc(pk)
+    std::unique_ptr<SkipList> list;
   };
 
   std::string PkFromRow(const Row& row) const;
@@ -155,7 +164,11 @@ class RowStoreTable {
                       Row data, bool deleted, bool must_exist,
                       bool must_not_exist, bool system = false,
                       bool at_latest = false, bool fresh_pk = false);
-  void IndexRow(const Row& row, const std::string& pk);
+  /// Adds `row`'s entry, pointing at its primary node, to each secondary
+  /// index whose columns `indexed` (an older live version of the row that
+  /// has its entries; may be null) does not already hold.
+  void IndexRow(const Row& row, SkipList::Node* primary,
+                const RowVersion* indexed);
 
   Schema schema_;
   std::vector<int> pk_cols_;
@@ -163,6 +176,9 @@ class RowStoreTable {
   const std::atomic<Timestamp>* horizon_;
   SkipList primary_;
   std::vector<SecondaryIndex> secondaries_;
+  /// Changes whenever Purge frees primary nodes; written only under the
+  /// exclusive table lock.
+  uint64_t generation_;
 
   /// Readers/writers take shared; Purge takes exclusive.
   mutable std::shared_mutex table_lock_;

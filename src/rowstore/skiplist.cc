@@ -1,6 +1,7 @@
 #include "rowstore/skiplist.h"
 
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 namespace s2 {
@@ -18,13 +19,16 @@ SkipList::~SkipList() {
 }
 
 SkipList::Node* SkipList::NewNode(Slice key, int height) {
-  size_t size = sizeof(Node) + sizeof(std::atomic<Node*>) * (height - 1);
-  void* mem = ::operator new(size);
+  void* mem = ::operator new(KeyOffset(height) + key.size());
   Node* node = new (mem) Node{};
-  node->key = key.ToString();
+  node->key_size = static_cast<uint32_t>(key.size());
   node->height = height;
   for (int i = 0; i < height; ++i) {
     new (&node->next[i]) std::atomic<Node*>(nullptr);
+  }
+  if (!key.empty()) {
+    memcpy(static_cast<char*>(mem) + KeyOffset(height), key.data(),
+           key.size());
   }
   return node;
 }
@@ -62,13 +66,18 @@ SkipList::Node* SkipList::FindGreaterOrEqual(Slice key, Node** prev,
   int start = max_height_.load(std::memory_order_relaxed);
   if (search_height != nullptr) *search_height = start;
   int level = start - 1;
+  // The node that ended the level above is known to be >= key: when the
+  // walk below reaches it again, it goes down without comparing.
+  Node* last_bigger = nullptr;
   for (;;) {
     Node* next = x->Next(level);
-    if (next != nullptr && Slice(next->key).Compare(key) < 0) {
+    if (next != nullptr && next != last_bigger &&
+        next->key().Compare(key) < 0) {
       x = next;
     } else {
       if (prev != nullptr) prev[level] = x;
       if (level == 0) return next;
+      last_bigger = next;
       --level;
     }
   }
@@ -79,7 +88,7 @@ SkipList::Node* SkipList::GetOrInsert(Slice key, bool* created) {
   for (;;) {
     int searched = 0;
     Node* found = FindGreaterOrEqual(key, prev, &searched);
-    if (found != nullptr && Slice(found->key) == key) {
+    if (found != nullptr && found->key() == key) {
       *created = false;
       return found;
     }
@@ -99,7 +108,7 @@ SkipList::Node* SkipList::GetOrInsert(Slice key, bool* created) {
     // exist).
     node->next[0].store(prev[0]->Next(0), std::memory_order_relaxed);
     Node* expected = node->next[0].load(std::memory_order_relaxed);
-    if (expected != nullptr && Slice(expected->key).Compare(key) <= 0) {
+    if (expected != nullptr && expected->key().Compare(key) <= 0) {
       DeleteNode(node);
       continue;  // a racing insert got in; re-search
     }
@@ -112,12 +121,12 @@ SkipList::Node* SkipList::GetOrInsert(Slice key, bool* created) {
     for (int level = 1; level < height; ++level) {
       for (;;) {
         Node* next = prev[level]->Next(level);
-        if (next != nullptr && Slice(next->key).Compare(key) < 0) {
+        if (next != nullptr && next->key().Compare(key) < 0) {
           // Predecessor moved; re-find at this level.
           Node* x = prev[level];
           while (true) {
             Node* n2 = x->Next(level);
-            if (n2 == nullptr || Slice(n2->key).Compare(key) >= 0) break;
+            if (n2 == nullptr || n2->key().Compare(key) >= 0) break;
             x = n2;
           }
           prev[level] = x;
@@ -138,7 +147,7 @@ SkipList::Node* SkipList::GetOrInsert(Slice key, bool* created) {
 
 SkipList::Node* SkipList::Find(Slice key) const {
   Node* node = FindGreaterOrEqual(key, nullptr);
-  if (node != nullptr && Slice(node->key) == key) return node;
+  if (node != nullptr && node->key() == key) return node;
   return nullptr;
 }
 

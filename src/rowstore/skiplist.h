@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "common/rng.h"
 #include "common/slice.h"
@@ -36,19 +35,31 @@ struct RowVersion {
 ///    unlinked concurrently).
 ///  - Purge() physically unlinks and frees nodes and requires external
 ///    exclusion against all concurrent access (the rowstore table takes
-///    its exclusive lock). No caller may keep a Node* across that
-///    exclusion: the rowstore holds node pointers only under its shared
-///    lock.
+///    its exclusive lock). No caller may use a Node* kept across that
+///    exclusion: the rowstore uses node pointers under its shared lock,
+///    and checks the one it keeps longer (a thread's last row) against a
+///    generation that every node-freeing purge changes.
 class SkipList {
  public:
   static constexpr int kMaxHeight = 14;
 
+  /// One allocation: the fields, `height` next pointers, then the key
+  /// bytes (LevelDB's inline-key layout), so a search reads each key it
+  /// compares from the node it already loaded.
   struct Node {
-    std::string key;
+    /// Primary lists: the row's newest-first version chain.
     std::atomic<RowVersion*> versions{nullptr};
-    int height;
+    /// Secondary lists: the row's node in the primary list, published with
+    /// a release store after the entry is linked; null until then.
+    std::atomic<Node*> row{nullptr};
+    uint32_t key_size = 0;
+    int height = 0;
     std::atomic<Node*> next[1];  // [height] pointers, allocated inline
 
+    Slice key() const {
+      return Slice(reinterpret_cast<const char*>(this) + KeyOffset(height),
+                   key_size);
+    }
     Node* Next(int level) const {
       return next[level].load(std::memory_order_acquire);
     }
@@ -110,6 +121,9 @@ class SkipList {
   }
 
  private:
+  static size_t KeyOffset(int height) {
+    return sizeof(Node) + sizeof(std::atomic<Node*>) * (height - 1);
+  }
   static Node* NewNode(Slice key, int height);
   static void DeleteNode(Node* node);
   int RandomHeight();
