@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "common/coding.h"
 
@@ -84,6 +85,20 @@ void Value::EncodeTo(std::string* dst) const {
     dst->push_back(kTagString);
     PutLengthPrefixed(dst, as_string());
   }
+}
+
+// EncodeTo's tag is the variant alternative and its payload the value, a
+// double's bits included; a change to EncodeTo must change this too.
+bool Value::SameEncoding(const Value& other) const {
+  if (v_.index() != other.v_.index()) return false;
+  if (is_double()) {
+    uint64_t a, b;
+    double da = as_double(), db = other.as_double();
+    memcpy(&a, &da, sizeof(a));
+    memcpy(&b, &db, sizeof(b));
+    return a == b;
+  }
+  return v_ == other.v_;
 }
 
 Result<Value> Value::DecodeFrom(Slice* input) {

@@ -75,6 +75,9 @@ class Value {
 
   /// Binary serialization (tag byte + payload).
   void EncodeTo(std::string* dst) const;
+  /// True when EncodeTo writes the same bytes for this and `other`: an int
+  /// never matches a double, and doubles match by bits (-0.0 is not 0.0).
+  bool SameEncoding(const Value& other) const;
   static Result<Value> DecodeFrom(Slice* input);
 
   std::string ToString() const;

@@ -1,7 +1,6 @@
 #include "rowstore/rowstore_table.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "common/coding.h"
@@ -30,31 +29,6 @@ void FreeBelowAnchor(RowVersion* head, Timestamp horizon) {
   }
 }
 
-// Tables and their node-freeing purges draw generations from one counter,
-// so a generation names one table between two such purges.
-std::atomic<uint64_t> next_generation{1};
-
-// The primary node this thread last wrote, or last got from a seek, and the
-// generation of its table then. The node is still allocated exactly while
-// its table is at that generation.
-struct LastRow {
-  uint64_t generation = 0;
-  SkipList::Node* node = nullptr;
-};
-thread_local LastRow last_row;
-
-// The node of `pk` when it is this thread's last row in the table at
-// `generation`, or that row's successor; else null. A write then needs no
-// search: an update of the row a unique-key seek just found, a replica's
-// delete and re-insert of one row, a flush deleting its rows in key order.
-SkipList::Node* NearLastRow(uint64_t generation, Slice pk) {
-  if (last_row.generation != generation) return nullptr;
-  SkipList::Node* node = last_row.node;
-  if (node->key() == pk) return node;
-  node = SkipList::Next(node);
-  return node != nullptr && node->key() == pk ? node : nullptr;
-}
-
 // The newest version in `head`'s chain that is neither aborted nor a
 // delete, or null. Every such version has its entry in each secondary index.
 const RowVersion* NewestLive(const RowVersion* head) {
@@ -67,18 +41,6 @@ const RowVersion* NewestLive(const RowVersion* head) {
   return nullptr;
 }
 
-// True when a and b encode to the same bytes: an int never equals a double,
-// and doubles compare by bits.
-bool SameEncoding(const Value& a, const Value& b) {
-  if (a.is_int()) return b.is_int() && a.as_int() == b.as_int();
-  if (a.is_double()) {
-    return b.is_double() && std::bit_cast<uint64_t>(a.as_double()) ==
-                                std::bit_cast<uint64_t>(b.as_double());
-  }
-  if (a.is_string()) return b.is_string() && a.as_string() == b.as_string();
-  return b.is_null();
-}
-
 }  // namespace
 
 RowStoreTable::RowStoreTable(Schema schema, std::vector<int> pk_cols,
@@ -87,8 +49,7 @@ RowStoreTable::RowStoreTable(Schema schema, std::vector<int> pk_cols,
     : schema_(std::move(schema)),
       pk_cols_(std::move(pk_cols)),
       locks_(locks),
-      horizon_(horizon),
-      generation_(next_generation.fetch_add(1)) {}
+      horizon_(horizon) {}
 
 RowStoreTable::~RowStoreTable() = default;
 
@@ -137,12 +98,8 @@ Status RowStoreTable::WriteVersion(TxnId txn, Timestamp read_ts,
     S2_RETURN_NOT_OK(locks_->Lock(txn, lock_id));
   }
   std::shared_lock<std::shared_mutex> table_lock(table_lock_);
-  SkipList::Node* node = NearLastRow(generation_, pk);
-  if (node == nullptr) {
-    bool created = false;
-    node = primary_.GetOrInsert(pk, &created);
-  }
-  last_row = {generation_, node};
+  bool created = false;
+  SkipList::Node* node = primary_.GetOrInsert(pk, &created);
 
   // Holding the row lock, the newest non-aborted version is either ours or
   // committed. Find the newest non-aborted version.
@@ -213,7 +170,7 @@ void RowStoreTable::IndexRow(const Row& row, SkipList::Node* primary,
   for (SecondaryIndex& index : secondaries_) {
     if (indexed != nullptr &&
         std::all_of(index.cols.begin(), index.cols.end(), [&](int c) {
-          return SameEncoding(row[c], indexed->data[c]);
+          return row[c].SameEncoding(indexed->data[c]);
         })) {
       continue;  // the entry `indexed` got is this row's entry too
     }
@@ -347,7 +304,6 @@ Status RowStoreTable::IndexSeek(
         memcmp(node_key.data(), current.data(), current.size()) != 0) {
       continue;
     }
-    last_row = {generation_, row};
     if (!cb(v->data)) break;
   }
   return Status::OK();
@@ -431,9 +387,7 @@ size_t RowStoreTable::Purge(Timestamp oldest_active) {
     return v->deleted && ts <= kTsMax && ts <= oldest_active &&
            v->next == nullptr;
   });
-  if (purged == 0) return 0;
-  generation_ = next_generation.fetch_add(1);  // the freed nodes' hints die
-  if (secondaries_.empty()) return purged;
+  if (purged == 0 || secondaries_.empty()) return purged;
   // Rebuild secondary indexes: stale entries (updated/deleted rows) and
   // entries pointing at freed primary nodes are dropped wholesale. Every
   // surviving live version gets its entry back, not only each chain's head:

@@ -176,9 +176,6 @@ class RowStoreTable {
   const std::atomic<Timestamp>* horizon_;
   SkipList primary_;
   std::vector<SecondaryIndex> secondaries_;
-  /// Changes whenever Purge frees primary nodes; written only under the
-  /// exclusive table lock.
-  uint64_t generation_;
 
   /// Readers/writers take shared; Purge takes exclusive.
   mutable std::shared_mutex table_lock_;

@@ -66,18 +66,13 @@ SkipList::Node* SkipList::FindGreaterOrEqual(Slice key, Node** prev,
   int start = max_height_.load(std::memory_order_relaxed);
   if (search_height != nullptr) *search_height = start;
   int level = start - 1;
-  // The node that ended the level above is known to be >= key: when the
-  // walk below reaches it again, it goes down without comparing.
-  Node* last_bigger = nullptr;
   for (;;) {
     Node* next = x->Next(level);
-    if (next != nullptr && next != last_bigger &&
-        next->key().Compare(key) < 0) {
+    if (next != nullptr && next->key().Compare(key) < 0) {
       x = next;
     } else {
       if (prev != nullptr) prev[level] = x;
       if (level == 0) return next;
-      last_bigger = next;
       --level;
     }
   }

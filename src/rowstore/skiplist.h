@@ -37,8 +37,8 @@ struct RowVersion {
 ///    exclusion against all concurrent access (the rowstore table takes
 ///    its exclusive lock). No caller may use a Node* kept across that
 ///    exclusion: the rowstore uses node pointers under its shared lock,
-///    and checks the one it keeps longer (a thread's last row) against a
-///    generation that every node-freeing purge changes.
+///    and rebuilds its secondary lists, whose entries point at primary
+///    nodes, whenever a purge frees any.
 class SkipList {
  public:
   static constexpr int kMaxHeight = 14;

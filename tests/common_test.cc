@@ -367,6 +367,23 @@ TEST(ValueTest, EncodeDecodeRoundTrip) {
   EXPECT_TRUE(in.empty());
 }
 
+TEST(ValueTest, SameEncodingMatchesEncodeTo) {
+  const Row values = {Value::Null(),   Value(int64_t{0}), Value(int64_t{1}),
+                      Value(0.0),      Value(-0.0),       Value(1.0),
+                      Value(""),       Value("1"),        Value("a"),
+                      Value(int64_t{-1})};
+  for (const Value& a : values) {
+    std::string ea;
+    a.EncodeTo(&ea);
+    for (const Value& b : values) {
+      std::string eb;
+      b.EncodeTo(&eb);
+      EXPECT_EQ(a.SameEncoding(b), ea == eb)
+          << a.ToString() << " vs " << b.ToString();
+    }
+  }
+}
+
 TEST(ValueTest, EncodeKeyDistinguishesTuples) {
   EXPECT_NE(EncodeKey(Row{Value("ab"), Value("c")}),
             EncodeKey(Row{Value("a"), Value("bc")}));

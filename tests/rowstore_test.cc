@@ -626,22 +626,26 @@ TEST_F(RowStoreTest, ConcurrentSeeksFindEachCommittedRowOnce) {
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w] {
-      for (int i = 0; i < kRows; ++i) {
-        const int64_t id = w * kRows + i;
-        const TxnId txn = 1000 + 2 * id;
-        ASSERT_TRUE(table.Insert(txn, published.load(), MakeRow(id, "p", i))
-                        .ok());
-        commit(txn, id);
-        if (i > 0) {
-          // Move the previous row to a new key under the same prefix.
-          const TxnId update = txn + 1;
-          ASSERT_TRUE(table
-                          .Update(update, published.load(), {Value(id - 1)},
-                                  MakeRow(id - 1, "p", -i))
-                          .ok());
-          commit(update, -1);
+      // A failed ASSERT returns from the inner lambda only, so the seekers
+      // still see this writer done and stop.
+      [&] {
+        for (int i = 0; i < kRows; ++i) {
+          const int64_t id = w * kRows + i;
+          const TxnId txn = 1000 + 2 * id;
+          ASSERT_TRUE(
+              table.Insert(txn, published.load(), MakeRow(id, "p", i)).ok());
+          commit(txn, id);
+          if (i > 0) {
+            // Move the previous row to a new key under the same prefix.
+            const TxnId update = txn + 1;
+            ASSERT_TRUE(table
+                            .Update(update, published.load(), {Value(id - 1)},
+                                    MakeRow(id - 1, "p", -i))
+                            .ok());
+            commit(update, -1);
+          }
         }
-      }
+      }();
       writers_done.fetch_add(1);
     });
   }
