@@ -1,11 +1,12 @@
 // Continuous monitoring and the flight recorder:
-//   * a database runs with the monitor sampling every metric into ring
-//     time-series and evaluating watchdog rules,
+//   * every database owns a monitor; each TickOnce() here samples every
+//     metric into ring time-series and evaluates the two standard
+//     watchdog rules (replication_lag, upload_queue_age),
 //   * every query is profiled and retained as a slow query
 //     (slow_query_ns = 1),
 //   * one call dumps the whole debugging bundle — metrics, metric history,
 //     watchdog states, event journal, system tables, slow-query profiles
-//     and their Chrome trace.
+//     and their Chrome trace. manifest.json lists every file written.
 //
 //   ./build/examples/flight_recorder_demo [bundle-dir]
 //
@@ -20,7 +21,6 @@
 #include "blob/blob_store.h"
 #include "common/env.h"
 #include "engine/database.h"
-#include "engine/system_tables.h"
 #include "query/plan.h"
 
 using namespace s2;
@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   options.dir = dir + "/db";
   options.blob = &blob;
   options.num_partitions = 2;
-  options.enable_monitor = true;
   options.slow_query_ns = 1;  // profile and retain every query
   auto db = Database::Open(options);
   if (!db.ok()) {
@@ -82,10 +81,7 @@ int main(int argc, char** argv) {
     (*db)->monitor()->TickOnce();
   }
 
-  printf("\nwatchdogs:\n%s\n",
-         SystemTables((*db)->cluster(), (*db)->monitor()).Watchdogs()
-             .ToText()
-             .c_str());
+  printf("\nwatchdogs: %s\n\n", (*db)->monitor()->WatchdogsJson().c_str());
 
   CHECK_OK((*db)->DumpFlightRecorder(bundle_dir));
   printf("flight-recorder bundle written to %s/\n", bundle_dir.c_str());

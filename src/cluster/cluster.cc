@@ -545,25 +545,4 @@ uint64_t Cluster::MaxUploadQueueAgeNs() const {
   return max_age;
 }
 
-double Cluster::MaintenanceBacklog() const {
-  double backlog = 0.0;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (int p = 0; p < options_.num_partitions; ++p) {
-    for (const std::string& name : masters_[p]->TableNames()) {
-      auto table = masters_[p]->GetTable(name);
-      if (!table.ok()) continue;
-      const TableOptions& opts = (*table)->options();
-      if (opts.flush_threshold > 0) {
-        backlog += static_cast<double>((*table)->RowstoreRows()) /
-                   static_cast<double>(opts.flush_threshold);
-      }
-      size_t runs = (*table)->DebugRuns().size();
-      if (runs > opts.max_sorted_runs) {
-        backlog += static_cast<double>(runs - opts.max_sorted_runs);
-      }
-    }
-  }
-  return backlog;
-}
-
 }  // namespace s2

@@ -204,11 +204,6 @@ class Cluster {
   /// watchdog rule.
   uint64_t MaxUploadQueueAgeNs() const;
 
-  /// Summed flush/merge pressure over every master table: rowstore rows as
-  /// a fraction of the flush threshold, plus sorted runs in excess of the
-  /// merge limit. Stays below ~1 per table when maintenance keeps up.
-  double MaintenanceBacklog() const;
-
   /// The cluster-wide executor (scatter queries, parallel scans,
   /// maintenance, uploads).
   Executor* executor() { return executor_.get(); }

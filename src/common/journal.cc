@@ -54,10 +54,6 @@ void EventJournal::Append(const std::string& category, const std::string& name,
   ring_[ev.seq % capacity_] = std::move(ev);
 }
 
-std::vector<JournalEvent> EventJournal::Snapshot() const {
-  return Tail(capacity_);
-}
-
 std::vector<JournalEvent> EventJournal::Tail(size_t n) const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t oldest = next_seq_ >= ring_.size() ? next_seq_ - ring_.size() : 0;
@@ -78,13 +74,6 @@ uint64_t EventJournal::dropped() const {
 uint64_t EventJournal::next_seq() const {
   std::lock_guard<std::mutex> lock(mu_);
   return next_seq_;
-}
-
-void EventJournal::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  next_seq_ = 0;
-  dropped_ = 0;
 }
 
 }  // namespace s2

@@ -52,18 +52,13 @@ class EventJournal {
   void Append(const std::string& category, const std::string& name,
               const std::string& detail, uint64_t ts_ns = 0);
 
-  /// Events currently in the ring, oldest first.
-  std::vector<JournalEvent> Snapshot() const;
-  /// The newest `n` events, oldest first.
+  /// The newest `n` events still in the ring, oldest first.
   std::vector<JournalEvent> Tail(size_t n) const;
 
-  /// Entries overwritten by ring wrap since construction / last Clear.
+  /// Entries overwritten by ring wrap since construction.
   uint64_t dropped() const;
-  /// Next sequence number to be assigned (== total appends since Clear).
+  /// Next sequence number to be assigned (== total appends).
   uint64_t next_seq() const;
-
-  /// Empties the ring and resets seq/dropped.
-  void Clear();
 
  private:
   const size_t capacity_;

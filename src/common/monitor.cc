@@ -1,6 +1,5 @@
 #include "common/monitor.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <utility>
@@ -67,7 +66,7 @@ void MonitorService::SampleLocked(uint64_t now_ns) {
 
 void MonitorService::EvaluateRules(uint64_t now_ns) {
   // Copy the observers out so evaluation holds no monitor lock: observe()
-  // callbacks read cluster/registry state and the monitor's own series.
+  // callbacks read cluster and registry state.
   struct Pending {
     size_t index;
     std::function<double()> observe;
@@ -127,59 +126,12 @@ uint64_t MonitorService::ticks() const {
   return ticks_;
 }
 
-std::vector<std::string> MonitorService::SeriesNames() const {
-  std::lock_guard<std::mutex> lock(series_mu_);
-  std::vector<std::string> names;
-  names.reserve(series_.size());
-  for (const auto& [name, ring] : series_) names.push_back(name);
-  return names;
-}
-
 std::vector<MonitorPoint> MonitorService::Series(
     const std::string& name) const {
   std::lock_guard<std::mutex> lock(series_mu_);
   auto it = series_.find(name);
   if (it == series_.end()) return {};
   return std::vector<MonitorPoint>(it->second.begin(), it->second.end());
-}
-
-double MonitorService::LatestOr(const std::string& name,
-                                double fallback) const {
-  std::lock_guard<std::mutex> lock(series_mu_);
-  auto it = series_.find(name);
-  if (it == series_.end() || it->second.empty()) return fallback;
-  return it->second.back().value;
-}
-
-double MonitorService::RatePerSec(const std::string& name,
-                                  size_t window) const {
-  std::lock_guard<std::mutex> lock(series_mu_);
-  auto it = series_.find(name);
-  if (it == series_.end() || it->second.size() < 2) return 0.0;
-  const std::deque<MonitorPoint>& ring = it->second;
-  size_t n = std::min(window < 2 ? size_t{2} : window, ring.size());
-  const MonitorPoint& first = ring[ring.size() - n];
-  const MonitorPoint& last = ring.back();
-  if (last.ts_ns <= first.ts_ns) return 0.0;
-  double dt_sec =
-      static_cast<double>(last.ts_ns - first.ts_ns) / 1e9;
-  return (last.value - first.value) / dt_sec;
-}
-
-double MonitorService::SeriesMedian(const std::string& name) const {
-  std::vector<double> values;
-  {
-    std::lock_guard<std::mutex> lock(series_mu_);
-    auto it = series_.find(name);
-    if (it == series_.end()) return 0.0;
-    for (const MonitorPoint& p : it->second) {
-      if (p.value != 0.0) values.push_back(p.value);
-    }
-  }
-  if (values.empty()) return 0.0;
-  size_t mid = values.size() / 2;
-  std::nth_element(values.begin(), values.begin() + mid, values.end());
-  return values[mid];
 }
 
 std::vector<WatchdogStatus> MonitorService::RuleStatuses() const {

@@ -23,9 +23,8 @@ struct MonitorPoint {
 enum class WatchdogCmp { kAbove, kBelow };
 
 /// A health rule evaluated on every monitor tick. `observe` returns the
-/// current value of the watched quantity (it may read cluster state,
-/// registry metrics, or the monitor's own time-series for rate/drift
-/// rules); the rule fires when the value breaches `threshold` for
+/// current value of the watched quantity (it may read cluster state or
+/// registry metrics); the rule fires when the value breaches `threshold` for
 /// `for_ticks` consecutive ticks, and clears on the first non-breaching
 /// tick. Fire and clear transitions are journaled with the rule name,
 /// threshold, observed value, and (on clear) the firing duration.
@@ -38,8 +37,7 @@ struct WatchdogRule {
   int for_ticks = 1;
 };
 
-/// Current state of one rule, for the monitor.watchdogs system table and
-/// the flight-recorder bundle.
+/// Current state of one rule, as rendered in watchdogs.json.
 struct WatchdogStatus {
   std::string name;
   double threshold = 0.0;
@@ -51,11 +49,10 @@ struct WatchdogStatus {
   uint64_t fire_count = 0;      // lifetime fire transitions
 };
 
-/// Default thresholds for the standard rule set the engine installs (see
-/// Database::Open); embedded in DatabaseOptions so tests and deployments
-/// tune them without touching rule code. The values are deliberately loose
-/// for the tiny data sizes in tests — rules should fire on injected
-/// pathologies, not healthy load.
+/// Default thresholds for the standard rule set every Database installs
+/// (see Database::Open); embedded in DatabaseOptions so tests and
+/// deployments tune them without touching rule code. Rules should fire on
+/// injected pathologies, not healthy load.
 struct WatchdogThresholds {
   /// replication_lag: max bytes any replica (HA sink, workspace, or the
   /// blob log-tail upload) trails the primary's durable LSN.
@@ -63,17 +60,6 @@ struct WatchdogThresholds {
   /// upload_queue_age: age of the oldest data file still waiting for blob
   /// upload, on the env clock.
   uint64_t upload_queue_age_ns = 5'000'000'000;
-  /// cache_thrash: evictions/sec divided by (hits/sec + 1) over the recent
-  /// sample window — sustained re-faulting of the working set.
-  double cache_thrash_ratio = 0.5;
-  /// executor_saturation: sampled executor queue depth.
-  double executor_queue_depth = 256.0;
-  /// maintenance_backlog: summed flush/merge pressure score across tables
-  /// (rowstore bytes over flush threshold + sorted runs over merge limit).
-  double maintenance_backlog = 8.0;
-  /// commit_p99_drift: current commit p99 divided by its own recent
-  /// median (dimensionless multiple).
-  double commit_p99_drift = 8.0;
   /// Debounce applied to the standard rules.
   int for_ticks = 2;
 };
@@ -95,8 +81,7 @@ struct MonitorOptions {
 ///
 /// Lock order: series state is guarded by series_mu_, rule state by
 /// rules_mu_, and rules are evaluated holding neither — observe()
-/// callbacks may therefore read the monitor's own series (RatePerSec,
-/// SeriesMedian) or take subsystem locks without deadlock.
+/// callbacks may therefore take subsystem locks without deadlock.
 class MonitorService {
  public:
   explicit MonitorService(MonitorOptions options = MonitorOptions());
@@ -112,19 +97,8 @@ class MonitorService {
 
   uint64_t ticks() const;
 
-  // --- series queries ---
-  std::vector<std::string> SeriesNames() const;
   /// Points of one series, oldest first (empty when unknown).
   std::vector<MonitorPoint> Series(const std::string& name) const;
-  /// Last recorded value, or `fallback` when the series is empty.
-  double LatestOr(const std::string& name, double fallback) const;
-  /// Per-second rate of change over up to the last `window` points of a
-  /// (cumulative) series, using sample timestamps; 0 with <2 points or no
-  /// elapsed time. Rate/drift rules are built on these.
-  double RatePerSec(const std::string& name, size_t window = 10) const;
-  /// Median of the non-zero values of a series (drift baseline); 0 when
-  /// all values are zero.
-  double SeriesMedian(const std::string& name) const;
 
   std::vector<WatchdogStatus> RuleStatuses() const;
   /// True if any rule is currently firing.

@@ -1,6 +1,5 @@
 #include "engine/database.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/flight_recorder.h"
@@ -10,7 +9,9 @@
 
 namespace s2 {
 
-Database::Database(DatabaseOptions options) : options_(std::move(options)) {}
+Database::Database(DatabaseOptions options)
+    : options_(std::move(options)),
+      monitor_(MonitorOptions{.env = options_.env}) {}
 
 Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   std::unique_ptr<Database> db(new Database(std::move(options)));
@@ -29,23 +30,13 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   copts.env = db->options_.env;
   db->cluster_ = std::make_unique<Cluster>(copts);
   S2_RETURN_NOT_OK(db->cluster_->Start());
-  if (db->options_.enable_monitor) {
-    MonitorOptions mopts;
-    mopts.env = db->options_.env;
-    db->monitor_ = std::make_unique<MonitorService>(mopts);
-    db->InstallStandardWatchdogs();
-  }
-  return db;
-}
 
-void Database::InstallStandardWatchdogs() {
-  Cluster* cluster = cluster_.get();
-  MonitorService* monitor = monitor_.get();
-  const WatchdogThresholds& t = options_.watchdog;
-
+  // The standard watchdog rules; see WatchdogThresholds.
+  Cluster* cluster = db->cluster_.get();
+  const WatchdogThresholds& t = db->options_.watchdog;
   // Replication consumers (HA replicas, workspaces, blob log tail)
   // trailing the primary's durable log position.
-  monitor->AddRule(
+  db->monitor_.AddRule(
       {"replication_lag",
        [cluster] { return static_cast<double>(cluster->ReplicationLagBytes()); },
        static_cast<double>(t.replication_lag_bytes), WatchdogCmp::kAbove,
@@ -53,44 +44,12 @@ void Database::InstallStandardWatchdogs() {
 
   // Data files stuck in the blob upload queue (env clock, so fault
   // injection on the blob store shows up deterministically in tests).
-  monitor->AddRule(
+  db->monitor_.AddRule(
       {"upload_queue_age",
        [cluster] { return static_cast<double>(cluster->MaxUploadQueueAgeNs()); },
        static_cast<double>(t.upload_queue_age_ns), WatchdogCmp::kAbove,
        t.for_ticks});
-
-  // Cache thrash: sustained evictions relative to hits means the working
-  // set no longer fits the local-disk cache budget.
-  monitor->AddRule(
-      {"cache_thrash",
-       [monitor] {
-         double evict = monitor->RatePerSec("s2_cache_evictions_total");
-         double hits = monitor->RatePerSec("s2_cache_local_hits_total");
-         return evict / (hits + 1.0);
-       },
-       t.cache_thrash_ratio, WatchdogCmp::kAbove, t.for_ticks});
-
-  // Executor-pool saturation: sampled shared-pool queue depth.
-  monitor->AddRule({"executor_saturation",
-                    [monitor] {
-                      return monitor->LatestOr("s2_exec_queue_depth", 0.0);
-                    },
-                    t.executor_queue_depth, WatchdogCmp::kAbove, t.for_ticks});
-
-  // Flush/merge falling behind ingest across the cluster's tables.
-  monitor->AddRule({"maintenance_backlog",
-                    [cluster] { return cluster->MaintenanceBacklog(); },
-                    t.maintenance_backlog, WatchdogCmp::kAbove, t.for_ticks});
-
-  // Commit p99 drifting away from its own recent median.
-  monitor->AddRule({"commit_p99_drift",
-                    [monitor] {
-                      double median = monitor->SeriesMedian("s2_txn_commit_ns.p99");
-                      if (median <= 0.0) return 0.0;
-                      return monitor->LatestOr("s2_txn_commit_ns.p99", 0.0) /
-                             median;
-                    },
-                    t.commit_p99_drift, WatchdogCmp::kAbove, t.for_ticks});
+  return db;
 }
 
 Status Database::CreateTable(const std::string& name, TableOptions options,
@@ -168,46 +127,31 @@ Status Database::DumpFlightRecorder(const std::string& dir) {
   FlightRecorderOptions opts;
   opts.dir = dir;
   opts.env = options_.env;
-  opts.monitor = monitor_.get();
+  opts.monitor = &monitor_;
 
-  SystemTables tables(cluster_.get(), monitor_.get());
+  SystemTables tables(cluster_.get());
   opts.extra_files.emplace_back("system_tables.json", tables.ToJson());
 
   // The slow-query ring, newest last: one JSON array of {seq, wall_ns,
-  // profile-tree} objects.
+  // profile-tree} objects, and the same trees as a Chrome trace.
   std::string slow = "[";
   bool first = true;
+  ChromeTraceBuilder trace;
+  int pid = 1;
   for (const SlowQuery& q : SlowQueries()) {
     if (!first) slow += ",";
     first = false;
     slow += "{\"seq\":" + std::to_string(q.seq) +
             ",\"wall_ns\":" + std::to_string(q.wall_ns) +
             ",\"profile\":" + (q.tree ? q.tree->ToJson() : "{}") + "}";
+    if (!q.tree) continue;
+    trace.AddProfileTree(*q.tree->root(), pid++,
+                         "slow_query#" + std::to_string(q.seq));
   }
   slow += "]";
   opts.extra_files.emplace_back("slow_queries.json", std::move(slow));
-
-  opts.extra_files.emplace_back("engine_trace.json", ExportChromeTrace());
+  opts.extra_files.emplace_back("engine_trace.json", trace.Finish());
   return s2::DumpFlightRecorder(opts);
-}
-
-std::string Database::ExportChromeTrace() const {
-  ChromeTraceBuilder builder;
-  int pid = 1;
-  for (const SlowQuery& q : SlowQueries()) {
-    if (!q.tree) continue;
-    builder.AddProfileTree(*q.tree->root(), pid++,
-                           "slow_query#" + std::to_string(q.seq));
-  }
-  return builder.Finish();
-}
-
-std::string Database::DumpMetrics() {
-  return MetricsRegistry::Global()->Dump();
-}
-
-std::string Database::DumpMetricsJson() {
-  return MetricsRegistry::Global()->DumpJson();
 }
 
 }  // namespace s2

@@ -59,12 +59,7 @@ struct DatabaseOptions {
   uint64_t slow_query_ns = 0;
   /// Bounded retention for the slow-query ring (oldest dropped first).
   size_t slow_query_capacity = 32;
-  /// Creates a MonitorService wired to the cluster's health signals and
-  /// installs the standard watchdog rules (replication lag, upload queue
-  /// age, cache thrash, executor saturation, maintenance backlog, commit
-  /// p99 drift). Tests drive it with Database::monitor()->TickOnce().
-  bool enable_monitor = false;
-  /// Thresholds for the standard watchdog rules.
+  /// Thresholds for the standard watchdog rules (see Database::monitor).
   WatchdogThresholds watchdog;
 };
 
@@ -140,26 +135,18 @@ class Database {
   Cluster* cluster() { return cluster_.get(); }
   EngineProfile profile() const { return options_.profile; }
 
-  /// The continuous-monitoring service, or null when
-  /// DatabaseOptions::enable_monitor is off.
-  MonitorService* monitor() { return monitor_.get(); }
+  /// The continuous-monitoring service, wired to the cluster's health
+  /// signals with the standard watchdog rules (replication lag, upload
+  /// queue age). It has no thread: it samples and evaluates only when
+  /// someone calls TickOnce().
+  MonitorService* monitor() { return &monitor_; }
 
   /// Dumps one flight-recorder bundle to `dir`: the common core (metrics,
   /// monitor history, watchdog states, journal tail) plus the engine's
-  /// view — system_tables.json, the slowest retained query profiles as
-  /// slow_queries.json, and their Chrome trace as engine_trace.json.
+  /// view — system_tables.json, the retained slow-query profiles as
+  /// slow_queries.json, and their Chrome trace (one process per query) as
+  /// engine_trace.json.
   Status DumpFlightRecorder(const std::string& dir);
-
-  /// Chrome trace_event JSON (Perfetto-loadable) of the retained
-  /// slow-query profile trees, one process per query; see
-  /// ChromeTraceBuilder for the pid/tid layout.
-  std::string ExportChromeTrace() const;
-
-  /// Prometheus-style text dump of the process-wide metrics registry
-  /// (latency histograms, counters, gauges from every engine layer).
-  static std::string DumpMetrics();
-  /// Same data as one JSON object; embedded in bench harness output.
-  static std::string DumpMetricsJson();
 
  private:
   explicit Database(DatabaseOptions options);
@@ -169,15 +156,11 @@ class Database {
   Result<QueryProfile> RunProfiled(const std::function<PlanPtr()>& factory,
                                    int workspace);
 
-  /// Installs the standard watchdog rules on monitor_ (see
-  /// WatchdogThresholds); called from Open() after the cluster starts.
-  void InstallStandardWatchdogs();
-
   DatabaseOptions options_;
   std::unique_ptr<Cluster> cluster_;
-  /// Declared after cluster_ so it is destroyed (and its loop stopped)
-  /// first: watchdog observe() callbacks read cluster state.
-  std::unique_ptr<MonitorService> monitor_;
+  /// Declared after cluster_ so it is destroyed first: watchdog observe()
+  /// callbacks read cluster state.
+  MonitorService monitor_;
 
   mutable std::mutex slow_mu_;
   std::deque<SlowQuery> slow_ring_;  // guarded by slow_mu_

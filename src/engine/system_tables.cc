@@ -1,10 +1,8 @@
 #include "engine/system_tables.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/json.h"
-#include "common/monitor.h"
 #include "storage/partition.h"
 #include "storage/unified_table.h"
 
@@ -13,12 +11,6 @@ namespace s2 {
 namespace {
 
 std::string U64(uint64_t v) { return std::to_string(v); }
-
-std::string Dbl(double v) {
-  char buf[64];
-  snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -144,43 +136,8 @@ SystemTableDump SystemTables::Replicas() const {
   return dump;
 }
 
-SystemTableDump SystemTables::History() const {
-  SystemTableDump dump;
-  dump.name = "monitor.history";
-  dump.columns = {"series", "ts_ns", "value"};
-  if (monitor_ == nullptr) return dump;
-  for (const std::string& series : monitor_->SeriesNames()) {
-    for (const MonitorPoint& p : monitor_->Series(series)) {
-      dump.rows.push_back({series, U64(p.ts_ns), Dbl(p.value)});
-    }
-  }
-  return dump;
-}
-
-SystemTableDump SystemTables::Watchdogs() const {
-  SystemTableDump dump;
-  dump.name = "monitor.watchdogs";
-  dump.columns = {"rule",   "cmp",          "threshold",      "observed",
-                  "firing", "breach_ticks", "fired_since_ns", "fire_count"};
-  if (monitor_ == nullptr) return dump;
-  for (const WatchdogStatus& st : monitor_->RuleStatuses()) {
-    dump.rows.push_back(
-        {st.name, st.cmp == WatchdogCmp::kAbove ? "above" : "below",
-         Dbl(st.threshold), Dbl(st.last_observed), st.firing ? "1" : "0",
-         std::to_string(st.breach_ticks), U64(st.fired_since_ns),
-         U64(st.fire_count)});
-  }
-  return dump;
-}
-
 std::vector<SystemTableDump> SystemTables::All() const {
-  std::vector<SystemTableDump> all = {Segments(), Tables(), Cache(),
-                                      Replicas()};
-  if (monitor_ != nullptr) {
-    all.push_back(History());
-    all.push_back(Watchdogs());
-  }
-  return all;
+  return {Segments(), Tables(), Cache(), Replicas()};
 }
 
 std::string SystemTables::ToText() const {

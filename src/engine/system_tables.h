@@ -22,19 +22,13 @@ struct SystemTableDump {
   std::string ToJson() const;
 };
 
-class MonitorService;
-
 /// Live introspection over a cluster's internal state, rendered as system
 /// tables (the reproduction's information_schema): segment catalog, per-
 /// partition LSM/rowstore state, data-file cache residency, and replica
 /// log positions. Each call takes a fresh snapshot; nothing is cached.
 class SystemTables {
  public:
-  /// `monitor` (optional, not owned) adds the monitor.history and
-  /// monitor.watchdogs tables.
-  explicit SystemTables(Cluster* cluster,
-                        const MonitorService* monitor = nullptr)
-      : cluster_(cluster), monitor_(monitor) {}
+  explicit SystemTables(Cluster* cluster) : cluster_(cluster) {}
 
   /// One row per columnstore segment across all partitions and tables:
   /// rows, deleted bits, liveness, local-cache residency (on-disk vs
@@ -53,16 +47,7 @@ class SystemTables {
   /// position and liveness.
   SystemTableDump Replicas() const;
 
-  /// One row per sampled (series, point): the MonitorService's ring
-  /// time-series flattened for querying. Empty when no monitor is wired.
-  SystemTableDump History() const;
-
-  /// One row per watchdog rule with its live state. Empty when no monitor
-  /// is wired.
-  SystemTableDump Watchdogs() const;
-
-  /// The four core tables, plus the two monitor tables when a monitor is
-  /// wired.
+  /// The four tables above.
   std::vector<SystemTableDump> All() const;
 
   /// Every table, concatenated (text / one JSON object keyed by name).
@@ -71,7 +56,6 @@ class SystemTables {
 
  private:
   Cluster* cluster_;
-  const MonitorService* monitor_;
 };
 
 }  // namespace s2

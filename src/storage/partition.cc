@@ -196,10 +196,9 @@ Status Partition::WriteSnapshot() {
   if (options_.blob != nullptr) {
     // Snapshots go straight to blob storage (paper Section 3.1: replicas
     // fetch them from there instead of taking their own).
-    std::string crc_payload = payload;  // blob copy reuses the local format
     S2_RETURN_NOT_OK(options_.blob->Put(
         options_.blob_prefix + "snap/" + SnapshotStore::FileName(lsn),
-        crc_payload));
+        payload));
     S2_RETURN_NOT_OK(UploadToBlob());
   }
   return Status::OK();

@@ -375,9 +375,9 @@ TEST_F(EngineTest, RowAndUniqueKeyLockCycleAbortsOneAtOnce) {
 }
 
 // Acceptance for the metrics layer: after a write + flush + checkpoint +
-// workspace-read workload, DumpMetrics reports non-empty counters and sane
-// latency quantiles for log commit, flush, blob put/get, and cache
-// hit/miss.
+// workspace-read workload, the registry's dumps report non-empty counters
+// and sane latency quantiles for log commit, flush, blob put/get, and
+// cache hit/miss.
 TEST_F(EngineTest, DumpMetricsCoversEngineLayers) {
   MetricsRegistry::Global()->ResetForTest();
   MemBlobStore blob;
@@ -441,17 +441,37 @@ TEST_F(EngineTest, DumpMetricsCoversEngineLayers) {
   }
 
   // The text dump carries every layer's metrics.
-  std::string text = Database::DumpMetrics();
+  std::string text = reg->Dump();
   for (const char* name :
        {"s2_log_commit_ns", "s2_log_commit_total", "s2_flush_ns",
         "s2_blob_put_ns", "s2_blob_get_ns", "s2_cache_misses_total",
         "s2_txn_commit_ns", "s2_exec_tasks_total"}) {
     EXPECT_NE(text.find(name), std::string::npos) << name << "\n" << text;
   }
-  std::string json = Database::DumpMetricsJson();
+  std::string json = reg->DumpJson();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"s2_log_commit_ns\""), std::string::npos);
+}
+
+// Every database owns a monitor with the standard rules, so any bundle
+// carries the monitor's files.
+TEST_F(EngineTest, DefaultDatabaseBundlesMonitorState) {
+  auto db = Open(EngineProfile::kUnified);
+  ASSERT_NE(db->monitor(), nullptr);
+  EXPECT_EQ(db->monitor()->ticks(), 0u) << "the monitor only ticks on demand";
+  db->monitor()->TickOnce();
+
+  std::string bundle = dir_ + "/bundle";
+  ASSERT_TRUE(db->DumpFlightRecorder(bundle).ok());
+  Env* env = Env::Default();
+  auto history = env->ReadFileToString(bundle + "/monitor_history.json");
+  ASSERT_TRUE(history.ok());
+  EXPECT_NE(history->find("\"ticks\":1"), std::string::npos);
+  auto watchdogs = env->ReadFileToString(bundle + "/watchdogs.json");
+  ASSERT_TRUE(watchdogs.ok());
+  EXPECT_NE(watchdogs->find("\"rule\":\"replication_lag\""),
+            std::string::npos);
 }
 
 }  // namespace

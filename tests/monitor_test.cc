@@ -15,7 +15,6 @@
 #include "common/profile.h"
 #include "common/trace_export.h"
 #include "engine/database.h"
-#include "engine/system_tables.h"
 #include "query/plan.h"
 #include "test_util.h"
 
@@ -72,26 +71,7 @@ TEST(MonitorServiceTest, SamplesRegistryIntoBoundedRings) {
   EXPECT_EQ(points[0].ts_ns, 1'200'000'000u);
   EXPECT_EQ(points[2].ts_ns, 1'400'000'000u);
   EXPECT_GE(points[0].value, 7.0);
-  EXPECT_EQ(monitor.LatestOr("s2_test_mon_sampled_total", -1.0),
-            points[2].value);
-  EXPECT_EQ(monitor.LatestOr("s2_no_such_series", -1.0), -1.0);
-}
-
-TEST(MonitorServiceTest, RatePerSecUsesInjectedTimestamps) {
-  FaultInjectionEnv fenv;
-  fenv.FreezeClockAt(0);
-  MonitorOptions opts;
-  opts.env = &fenv;
-  MonitorService monitor(opts);
-
-  Counter& counter = S2_COUNTER("s2_test_mon_rate_total");
-  for (int i = 0; i < 4; ++i) {
-    counter.Add(10);
-    monitor.TickOnce();
-    fenv.AdvanceClock(1'000'000'000);  // 1s per tick
-  }
-  // 30 increments between the first and last retained sample over 3s.
-  EXPECT_NEAR(monitor.RatePerSec("s2_test_mon_rate_total"), 10.0, 0.01);
+  EXPECT_TRUE(monitor.Series("s2_no_such_series").empty());
 }
 
 TEST(MonitorServiceTest, WatchdogDebouncesFiresAndClears) {
@@ -134,7 +114,8 @@ TEST(MonitorServiceTest, WatchdogDebouncesFiresAndClears) {
 
   // Both transitions were journaled with rule name and observed values.
   bool saw_fired = false, saw_cleared = false;
-  for (const JournalEvent& ev : EventJournal::Global()->Snapshot()) {
+  for (const JournalEvent& ev :
+       EventJournal::Global()->Tail(EventJournal::kDefaultCapacity)) {
     if (ev.seq < journal_start || ev.category != "watchdog") continue;
     if (ev.name == "rule_fired" &&
         ev.detail.find("rule=test_rule") != std::string::npos) {
@@ -163,8 +144,8 @@ TEST(EventJournalTest, RingKeepsNewestAndCountsDrops) {
   }
   EXPECT_EQ(journal.next_seq(), 10u);
   EXPECT_EQ(journal.dropped(), 6u);
-  std::vector<JournalEvent> events = journal.Snapshot();
-  ASSERT_EQ(events.size(), 4u);
+  std::vector<JournalEvent> events = journal.Tail(10);
+  ASSERT_EQ(events.size(), 4u) << "a tail holds only what the ring kept";
   EXPECT_EQ(events.front().name, "e6");
   EXPECT_EQ(events.back().name, "e9");
   EXPECT_EQ(events.front().seq, 6u);
@@ -250,7 +231,6 @@ TEST_F(MonitorIntegrationTest, BlobStallFiresReplicationAndUploadWatchdogs) {
   opts.env = &fenv;
   opts.num_partitions = 1;
   opts.ha_replicas = 0;
-  opts.enable_monitor = true;
   opts.watchdog.replication_lag_bytes = 1024;
   opts.watchdog.upload_queue_age_ns = 2'000'000'000;  // 2s on the env clock
   opts.watchdog.for_ticks = 2;
@@ -301,7 +281,8 @@ TEST_F(MonitorIntegrationTest, BlobStallFiresReplicationAndUploadWatchdogs) {
   EXPECT_TRUE(age_firing);
 
   int fired_events = 0;
-  for (const JournalEvent& ev : EventJournal::Global()->Snapshot()) {
+  for (const JournalEvent& ev :
+       EventJournal::Global()->Tail(EventJournal::kDefaultCapacity)) {
     if (ev.seq >= journal_start && ev.category == "watchdog" &&
         ev.name == "rule_fired") {
       ++fired_events;
@@ -319,7 +300,8 @@ TEST_F(MonitorIntegrationTest, BlobStallFiresReplicationAndUploadWatchdogs) {
   EXPECT_FALSE(monitor->AnyFiring());
 
   bool saw_clear = false;
-  for (const JournalEvent& ev : EventJournal::Global()->Snapshot()) {
+  for (const JournalEvent& ev :
+       EventJournal::Global()->Tail(EventJournal::kDefaultCapacity)) {
     if (ev.seq >= journal_start && ev.category == "watchdog" &&
         ev.name == "rule_cleared") {
       saw_clear = true;
@@ -338,7 +320,6 @@ TEST_F(MonitorIntegrationTest, FlightRecorderBundleIsComplete) {
   opts.dir = dir_ + "/db";
   opts.blob = &blob;
   opts.num_partitions = 2;
-  opts.enable_monitor = true;
   opts.slow_query_ns = 1;  // profile + retain every query
   auto db_or = Database::Open(std::move(opts));
   ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
@@ -384,12 +365,10 @@ TEST_F(MonitorIntegrationTest, FlightRecorderBundleIsComplete) {
   ASSERT_TRUE(manifest.ok());
   EXPECT_EQ(manifest->find(files_json), 0u) << *manifest;
 
-  // History has >= 2 series with >= 3 points each (acceptance criterion).
-  int series_with_3 = 0;
-  for (const std::string& name : db->monitor()->SeriesNames()) {
-    if (db->monitor()->Series(name).size() >= 3) ++series_with_3;
-  }
-  EXPECT_GE(series_with_3, 2);
+  // Each tick sampled every registry metric: a counter and a histogram
+  // quantile both hold one point per tick.
+  EXPECT_EQ(db->monitor()->Series("s2_flush_total").size(), 3u);
+  EXPECT_EQ(db->monitor()->Series("s2_txn_commit_ns.p99").size(), 3u);
   auto history = env->ReadFileToString(bundle + "/monitor_history.json");
   ASSERT_TRUE(history.ok());
   EXPECT_NE(history->find("\"ticks\":3"), std::string::npos);
@@ -408,17 +387,26 @@ TEST_F(MonitorIntegrationTest, FlightRecorderBundleIsComplete) {
   EXPECT_EQ(std::count(trace->begin(), trace->end(), '{'),
             std::count(trace->begin(), trace->end(), '}'));
 
-  // System tables include the monitor tables.
+  // Monitor state is rendered once, in its own files: the system tables
+  // do not repeat it.
   auto tables = env->ReadFileToString(bundle + "/system_tables.json");
   ASSERT_TRUE(tables.ok());
-  EXPECT_NE(tables->find("\"monitor.history\""), std::string::npos);
-  EXPECT_NE(tables->find("\"monitor.watchdogs\""), std::string::npos);
+  EXPECT_EQ(tables->find("\"monitor."), std::string::npos) << *tables;
 
-  SystemTables sys(db->cluster(), db->monitor());
-  SystemTableDump history_table = sys.History();
-  EXPECT_GE(history_table.rows.size(), 6u);
-  SystemTableDump watchdogs = sys.Watchdogs();
-  EXPECT_EQ(watchdogs.rows.size(), 6u) << "six standard rules installed";
+  std::vector<std::string> rules;
+  for (const WatchdogStatus& st : db->monitor()->RuleStatuses()) {
+    rules.push_back(st.name);
+  }
+  EXPECT_EQ(rules, (std::vector<std::string>{"replication_lag",
+                                             "upload_queue_age"}))
+      << "the standard rule set";
+  auto watchdogs = env->ReadFileToString(bundle + "/watchdogs.json");
+  ASSERT_TRUE(watchdogs.ok());
+  for (const std::string& rule : rules) {
+    EXPECT_NE(watchdogs->find("\"rule\":" + JsonQuote(rule)),
+              std::string::npos)
+        << rule;
+  }
 }
 
 }  // namespace
