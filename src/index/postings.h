@@ -11,10 +11,11 @@
 namespace s2 {
 
 /// Encodes a strictly-increasing list of row offsets (a postings list) with
-/// delta varints plus a group skip table. The skip table is what makes the
-/// format support *forward seeking* (paper Section 4.1): during a
-/// multi-index merge, sections of a long postings list are skipped when the
-/// other lists guarantee no match there.
+/// delta varints in groups of 64 plus a skip table, one entry per group
+/// after the first. The skip table is what makes the format support
+/// *forward seeking* (paper Section 4.1): during a multi-index merge,
+/// sections of a long postings list are skipped when the other lists
+/// guarantee no match there.
 void EncodePostings(const std::vector<uint32_t>& rows, std::string* dst);
 
 /// Streaming cursor over an encoded postings list.
@@ -36,19 +37,22 @@ class PostingsIterator {
   /// Uses the skip table to jump whole groups.
   void SeekTo(uint32_t target);
 
-  /// Bytes this list occupies (for slicing concatenated lists).
-  size_t encoded_size() const { return encoded_size_; }
+  /// Bytes this list occupies (for slicing concatenated lists). Walks the
+  /// last group, so a lookup that only drains the list never pays for it.
+  size_t encoded_size() const;
 
  private:
   static constexpr uint32_t kGroupSize = 64;
 
+  /// Byte offset of a group's first delta in deltas_.
+  uint32_t GroupOffset(uint32_t group) const;
   void LoadGroup(uint32_t group);
 
+  const char* start_ = nullptr;  // the list's first byte
   Slice deltas_;           // full delta region
   const char* skip_ = nullptr;  // skip table: (first_row, byte_offset) pairs
   uint32_t count_ = 0;
   uint32_t num_groups_ = 0;
-  size_t encoded_size_ = 0;
 
   uint32_t group_ = 0;     // current group index
   uint32_t in_group_ = 0;  // position within group

@@ -1,9 +1,7 @@
 #include "storage/unified_table.h"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/coding.h"
@@ -19,13 +17,6 @@ namespace s2 {
 namespace {
 
 constexpr char kFlagSystemRows = 1;
-
-/// Tuple hash for multi-column index entries.
-uint64_t TupleHash(const Row& row, const std::vector<int>& cols) {
-  uint64_t h = 0xa17e5eed;
-  for (int c : cols) h = HashCombine(h, row[c].Hash());
-  return h;
-}
 
 }  // namespace
 
@@ -47,38 +38,30 @@ UnifiedTable::UnifiedTable(std::string name, TableOptions options,
       txns_->gc_horizon());
 
   // Column-level indexes: one per distinct indexed column (secondary
-  // indexes and the unique key share per-column structures, Section 4.1.1).
-  std::vector<int> indexed_cols;
-  auto add_col = [&](int c) {
-    if (std::find(indexed_cols.begin(), indexed_cols.end(), c) ==
-        indexed_cols.end()) {
-      indexed_cols.push_back(c);
+  // indexes and the unique key share per-column structures, Section
+  // 4.1.1); then tuple-level ones for multi-column indexes and the unique
+  // key.
+  int num_tuple_indexes = 0;
+  auto add_index = [&](const std::vector<int>& cols) {
+    for (const IndexState& index : indexes_) {
+      if (index.cols == cols) return;
     }
+    IndexState state;
+    state.cols = cols;
+    state.block = cols.size() == 1
+                      ? InvertedIndexBuilder::BlockName(cols[0])
+                      : "tup." + std::to_string(num_tuple_indexes++);
+    state.global = std::make_unique<GlobalIndex>();
+    indexes_.push_back(std::move(state));
   };
   for (const auto& index : options_.indexes) {
-    for (int c : index) add_col(c);
+    for (int c : index) add_index({c});
   }
-  for (int c : options_.unique_key) add_col(c);
-  for (int c : indexed_cols) {
-    IndexState state;
-    state.cols = {c};
-    state.global = std::make_unique<GlobalIndex>();
-    column_indexes_.push_back(std::move(state));
+  for (int c : options_.unique_key) add_index({c});
+  for (const auto& index : options_.indexes) {
+    if (index.size() >= 2) add_index(index);
   }
-
-  // Tuple-level global indexes for multi-column indexes and the unique key.
-  auto add_tuple = [&](const std::vector<int>& cols_vec) {
-    if (cols_vec.size() < 2) return;
-    for (const IndexState& t : tuple_indexes_) {
-      if (t.cols == cols_vec) return;
-    }
-    IndexState state;
-    state.cols = cols_vec;
-    state.global = std::make_unique<GlobalIndex>();
-    tuple_indexes_.push_back(std::move(state));
-  };
-  for (const auto& index : options_.indexes) add_tuple(index);
-  add_tuple(options_.unique_key);
+  if (options_.unique_key.size() >= 2) add_index(options_.unique_key);
 
   // Rowstore-side secondary indexes mirror the declared indexes so point
   // reads seek in level 0 too.
@@ -448,123 +431,136 @@ Result<std::vector<SegmentSnapshot>> UnifiedTable::GetSegments(
   return out;
 }
 
-GlobalIndex* UnifiedTable::ColumnIndex(int col) const {
-  for (const IndexState& state : column_indexes_) {
-    if (state.cols[0] == col) return state.global.get();
+const UnifiedTable::IndexState* UnifiedTable::FindIndex(
+    std::span<const int> cols) const {
+  for (const IndexState& index : indexes_) {
+    if (std::equal(index.cols.begin(), index.cols.end(), cols.begin(),
+                   cols.end())) {
+      return &index;
+    }
   }
   return nullptr;
 }
 
 size_t UnifiedTable::IndexProbeTables(int col) const {
-  GlobalIndex* global = ColumnIndex(col);
-  return global == nullptr ? 0 : global->num_tables();
+  const IndexState* index = FindIndex({&col, 1});
+  return index == nullptr ? 0 : index->global->num_tables();
 }
 
 Result<bool> UnifiedTable::LookupSegmentsByCols(
     const std::vector<int>& cols, const Row& values, Timestamp read_ts,
     const std::function<bool(const Segment&, uint64_t, uint32_t)>& cb) {
-  struct SegmentCandidate {
-    SegmentSnapshot snapshot;
-    std::vector<uint32_t> offsets;  // postings offsets, aligned with cols
+  // One probe per global index consulted: the index on exactly `cols` (a
+  // column's own, or the tuple entry of a multi-column index or unique
+  // key) when there is one, else one per column. A probe's term is its
+  // columns' value encodings concatenated, as InvertedIndexBuilder builds
+  // them.
+  struct Probe {
+    const IndexState* index;
+    std::string term;
   };
-  std::unordered_map<uint64_t, SegmentCandidate> candidates;
+  std::vector<Probe> probes;
+  if (const IndexState* exact = FindIndex(cols)) {
+    probes.push_back(Probe{exact, {}});
+    for (const Value& value : values) value.EncodeTo(&probes[0].term);
+  } else {
+    for (size_t i = 0; i < cols.size(); ++i) {
+      const IndexState* index = FindIndex({&cols[i], 1});
+      if (index == nullptr) {
+        return Status::InvalidArgument("column has no secondary index");
+      }
+      probes.push_back(Probe{index, {}});
+      values[i].EncodeTo(&probes.back().term);
+    }
+  }
+  // A row with a NULL in an indexed column has no entry to find.
+  if (probes.empty() ||
+      std::any_of(values.begin(), values.end(),
+                  [](const Value& value) { return value.is_null(); })) {
+    return false;
+  }
+
+  // matches[k] lists probe k's (segment, entry offset) pairs. Once the
+  // probes are done, every list holds the same segments in the same order,
+  // so position j of each is one candidate segment.
+  using Match = std::pair<uint64_t, uint32_t>;
+  std::vector<std::vector<Match>> matches(probes.size());
+  std::vector<SegmentSnapshot> snapshots;
   {
     // The probes and the catalog filter share one meta_mu_ hold: installs
     // add and drop segments under it, so a lookup sees one whole or not at
     // all. Postings are read after it is released.
     std::lock_guard<std::mutex> lock(meta_mu_);
-    // When a tuple-level index exists for these exact columns, use it to
-    // skip segments lacking a full-tuple match (Section 4.1.1).
-    std::unordered_set<uint64_t> tuple_segments;
-    bool have_tuple = false;
-    if (cols.size() >= 2) {
-      for (IndexState& state : tuple_indexes_) {
-        if (state.cols == cols) {
-          have_tuple = true;
-          uint64_t h = 0xa17e5eed;
-          for (size_t i = 0; i < cols.size(); ++i) {
-            h = HashCombine(h, values[i].Hash());
-          }
-          state.global->Lookup(h, [&](const IndexEntry& e) {
-            tuple_segments.insert(e.segment_id);
+    for (size_t k = 0; k < probes.size(); ++k) {
+      probes[k].index->global->Lookup(
+          TermHash(probes[k].term), [&](const IndexEntry& e) {
+            matches[k].emplace_back(e.segment_id, e.postings_offset);
           });
-        }
-      }
     }
-    // Per-column matches grouped by segment. Column 0 proposes the
-    // candidates; every later column must match them too, so a segment it
-    // alone names is never a candidate.
-    for (size_t i = 0; i < cols.size(); ++i) {
-      GlobalIndex* global = ColumnIndex(cols[i]);
-      if (global == nullptr) {
-        return Status::InvalidArgument("column has no secondary index");
-      }
-      std::unordered_set<uint64_t> seen;
-      global->Lookup(values[i].Hash(), [&](const IndexEntry& e) {
-        if (have_tuple && tuple_segments.count(e.segment_id) == 0) return;
-        if (i == 0) {
-          std::vector<uint32_t>& offsets = candidates[e.segment_id].offsets;
-          offsets.assign(cols.size(), 0);
-          offsets[0] = e.postings_offset;
-          return;
+    if (probes.size() > 1) {
+      // Keep the segments every probe names, aligned across the lists.
+      for (auto& list : matches) std::sort(list.begin(), list.end());
+      std::vector<size_t> pos(probes.size(), 0);
+      size_t kept = 0;
+      for (const Match& first : matches[0]) {
+        bool in_all = true;
+        for (size_t k = 1; k < probes.size() && in_all; ++k) {
+          const std::vector<Match>& list = matches[k];
+          while (pos[k] < list.size() && list[pos[k]].first < first.first) {
+            ++pos[k];
+          }
+          in_all = pos[k] < list.size() && list[pos[k]].first == first.first;
         }
-        auto it = candidates.find(e.segment_id);
-        if (it == candidates.end()) return;
-        it->second.offsets[i] = e.postings_offset;
-        seen.insert(e.segment_id);
-      });
-      if (i == 0) continue;
-      for (auto it = candidates.begin(); it != candidates.end();) {
-        it = seen.count(it->first) > 0 ? std::next(it) : candidates.erase(it);
+        if (!in_all) continue;
+        matches[0][kept] = first;
+        for (size_t k = 1; k < probes.size(); ++k) {
+          matches[k][kept] = matches[k][pos[k]++];
+        }
+        ++kept;
       }
+      for (auto& list : matches) list.resize(kept);
     }
     // Keep the candidates the catalog shows at read_ts.
-    for (auto it = candidates.begin(); it != candidates.end();) {
-      auto seg = segments_.find(it->first);
+    size_t kept = 0;
+    for (size_t j = 0; j < matches[0].size(); ++j) {
+      auto seg = segments_.find(matches[0][j].first);
       if (seg == segments_.end() || !VisibleAt(seg->second, read_ts)) {
-        it = candidates.erase(it);
         continue;
       }
       S2_ASSIGN_OR_RETURN(std::shared_ptr<Segment> segment,
                           OpenSegmentLocked(&seg->second));
-      it->second.snapshot = SegmentSnapshot{
-          it->first, std::move(segment), DeletesAt(seg->second, read_ts)};
-      ++it;
+      snapshots.push_back(SegmentSnapshot{seg->first, std::move(segment),
+                                          DeletesAt(seg->second, read_ts)});
+      for (auto& list : matches) list[kept] = list[j];
+      ++kept;
     }
   }
 
   bool found_any = false;
-  for (auto& [id, cand] : candidates) {
-    // Intersect the per-column postings lists, each read straight at its
-    // global-index offset (hash collisions rejected by the value check
-    // inside PostingsAt).
-    std::vector<PostingsIterator> its;
-    bool missing = false;
-    for (size_t i = 0; i < cols.size(); ++i) {
-      auto block = cand.snapshot.segment->aux_block(
-          InvertedIndexBuilder::BlockName(cols[i]));
-      if (!block.ok()) {
-        missing = true;
-        break;
-      }
-      S2_ASSIGN_OR_RETURN(
-          PostingsIterator it,
-          InvertedIndexReader::PostingsAt(*block, cand.offsets[i], values[i]));
-      if (!it.Valid()) {
-        missing = true;
-        break;
-      }
+  std::vector<PostingsIterator> its;
+  std::vector<uint32_t> rows;
+  for (size_t j = 0; j < snapshots.size(); ++j) {
+    const SegmentSnapshot& snap = snapshots[j];
+    // Each probe's postings list, read straight at its global-index offset
+    // (hash collisions rejected by the term check inside PostingsAt), then
+    // intersected when there are several.
+    its.clear();
+    for (size_t k = 0; k < probes.size(); ++k) {
+      auto block = snap.segment->aux_block(probes[k].index->block);
+      if (!block.ok()) break;
+      S2_ASSIGN_OR_RETURN(PostingsIterator it,
+                          InvertedIndexReader::PostingsAt(
+                              *block, matches[k][j].second, probes[k].term));
+      if (!it.Valid()) break;
       its.push_back(std::move(it));
     }
-    if (missing) continue;
-    std::vector<uint32_t> rows;
+    if (its.size() < probes.size()) continue;
+    rows.clear();
     S2_RETURN_NOT_OK(IntersectPostings(std::move(its), &rows));
     for (uint32_t off : rows) {
-      if (cand.snapshot.deletes != nullptr && cand.snapshot.deletes->Get(off)) {
-        continue;
-      }
+      if (snap.deletes != nullptr && snap.deletes->Get(off)) continue;
       found_any = true;
-      if (!cb(*cand.snapshot.segment, id, off)) return true;
+      if (!cb(*snap.segment, snap.id, off)) return true;
     }
   }
   return found_any;
@@ -706,23 +702,13 @@ Result<std::pair<std::string, SegmentMeta>> UnifiedTable::BuildSegment(
   SegmentBuilder builder(options_.schema);
   for (const Row& row : rows) builder.AddRow(row);
 
-  // Per-segment inverted indexes for every indexed column (built once at
-  // segment creation; the segment is immutable afterwards).
-  for (const IndexState& state : column_indexes_) {
-    int col = state.cols[0];
-    builder.AddAuxBlock(InvertedIndexBuilder::BlockName(col),
-                        InvertedIndexBuilder::Build(builder.column_data(col)));
-  }
-  // Tuple hashes for multi-column indexes (segment-skipping aux data).
-  for (size_t t = 0; t < tuple_indexes_.size(); ++t) {
-    std::unordered_set<uint64_t> distinct;
-    for (const Row& row : rows) {
-      distinct.insert(TupleHash(row, tuple_indexes_[t].cols));
-    }
-    std::string block;
-    PutVarint64(&block, distinct.size());
-    for (uint64_t h : distinct) PutFixed64(&block, h);
-    builder.AddAuxBlock("tup." + std::to_string(t), std::move(block));
+  // Per-segment inverted indexes, one per column and per column tuple
+  // (built once at segment creation; the segment is immutable afterwards).
+  std::vector<const ColumnVector*> columns;
+  for (const IndexState& index : indexes_) {
+    columns.clear();
+    for (int c : index.cols) columns.push_back(&builder.column_data(c));
+    builder.AddAuxBlock(index.block, InvertedIndexBuilder::Build(columns));
   }
 
   S2_ASSIGN_OR_RETURN(std::string file, builder.Finish());
@@ -742,33 +728,18 @@ Result<std::pair<std::string, SegmentMeta>> UnifiedTable::BuildSegment(
 
 Status UnifiedTable::AddSegmentToIndexes(
     uint64_t segment_id, const std::shared_ptr<Segment>& segment) {
-  for (IndexState& state : column_indexes_) {
-    int col = state.cols[0];
-    auto block = segment->aux_block(InvertedIndexBuilder::BlockName(col));
+  std::vector<IndexEntry> entries;
+  for (IndexState& index : indexes_) {
+    auto block = segment->aux_block(index.block);
     if (!block.ok()) continue;
     S2_ASSIGN_OR_RETURN(InvertedIndexReader reader,
                         InvertedIndexReader::Open(*block));
-    std::vector<IndexEntry> entries;
-    reader.ForEachTerm([&](const Value& value, uint32_t offset) {
-      entries.push_back(IndexEntry{value.Hash(), segment_id, offset});
-    });
-    state.global->AddSegment(segment_id, entries);
-  }
-  for (size_t t = 0; t < tuple_indexes_.size(); ++t) {
-    auto block = segment->aux_block("tup." + std::to_string(t));
-    if (!block.ok()) continue;
-    Slice in = *block;
-    S2_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(&in));
-    if (in.size() < count * 8) {
-      return Status::Corruption("truncated tuple hash block");
-    }
-    std::vector<IndexEntry> entries;
-    entries.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      entries.push_back(
-          IndexEntry{DecodeFixed64(in.data() + i * 8), segment_id, 0});
-    }
-    tuple_indexes_[t].global->AddSegment(segment_id, entries);
+    entries.clear();
+    entries.reserve(reader.num_terms());
+    S2_RETURN_NOT_OK(reader.ForEachTerm([&](Slice term, uint32_t offset) {
+      entries.push_back(IndexEntry{TermHash(term), segment_id, offset});
+    }));
+    index.global->AddSegment(segment_id, entries);
   }
   return Status::OK();
 }
@@ -1099,12 +1070,7 @@ void UnifiedTable::Vacuum(Timestamp oldest_active) {
     }
   }
   if (removed.empty()) return;
-  for (IndexState& state : column_indexes_) {
-    state.global->RemoveSegments(removed);
-  }
-  for (IndexState& state : tuple_indexes_) {
-    state.global->RemoveSegments(removed);
-  }
+  for (IndexState& index : indexes_) index.global->RemoveSegments(removed);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -208,8 +209,12 @@ class UnifiedTable {
         delete_history;
   };
 
+  /// A global index and the aux block its entries point into: one per
+  /// indexed column, and one per multi-column index or unique key (the
+  /// tuple entry, whose term is the tuple's value encodings concatenated).
   struct IndexState {
     std::vector<int> cols;  // single column, or a tuple for multi-col
+    std::string block;      // aux-block name of the per-segment index
     std::unique_ptr<GlobalIndex> global;
   };
 
@@ -230,8 +235,9 @@ class UnifiedTable {
     return entry.created_ts <= ts &&
            (entry.dropped_ts == kTsMax || ts < entry.dropped_ts);
   }
-  /// The per-column global index of `col`, or null when it has none.
-  GlobalIndex* ColumnIndex(int col) const;
+  /// The index on exactly `cols` (one column, or a tuple), or null when
+  /// there is none.
+  const IndexState* FindIndex(std::span<const int> cols) const;
 
   Result<std::shared_ptr<Segment>> OpenSegmentLocked(SegmentEntry* entry);
   std::shared_ptr<const BitVector> DeletesAt(const SegmentEntry& entry,
@@ -319,8 +325,7 @@ class UnifiedTable {
   std::atomic<int64_t> next_rowid_{1};
   std::atomic<uint64_t> next_segment_id_{1};
 
-  std::vector<IndexState> column_indexes_;  // one per distinct indexed col
-  std::vector<IndexState> tuple_indexes_;   // multi-col indexes + unique key
+  std::vector<IndexState> indexes_;  // columns first, then tuples
   std::vector<std::vector<int>> rowstore_index_cols_;  // rowstore index map
 
   /// Replayed segment changes staged per transaction; installed with the

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -464,6 +465,80 @@ TEST_F(ClusterTest, ReopenedClusterReplicatesAfresh) {
   ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
   EXPECT_EQ(*promoted, 1);
   EXPECT_EQ(TotalRows(), 40u);
+}
+
+// An HA replica registers the tuple entries of the segments it replays: once
+// promoted, it answers two-column lookups and duplicate checks from them.
+TEST_F(ClusterTest, PromotedReplicaAnswersTwoColumnKeyLookups) {
+  // Three nodes so the promoted master can re-provision its HA replica and
+  // keep acking commits.
+  Start(/*partitions=*/1, /*nodes=*/3, /*replicas=*/1);
+  TableOptions opts;
+  opts.schema = Schema({{"w", DataType::kInt64},
+                        {"o", DataType::kInt64},
+                        {"note", DataType::kString}});
+  opts.indexes = {{0, 1}};
+  opts.unique_key = {0, 1};
+  opts.segment_rows = 64;
+  opts.flush_threshold = 64;
+  ASSERT_TRUE(cluster_->CreateTable("orders", opts, {0}).ok());
+  // Row i is (i % 4, i / 4): every w has a row in every segment, and
+  // (2, 50) matches rows one column at a time but no row as a pair.
+  constexpr int64_t kRows = 202;
+  auto row_of = [](int64_t i) -> Row {
+    return {Value(i % 4), Value(i / 4), Value("n" + std::to_string(i))};
+  };
+  auto master_table = cluster_->partition(0)->GetTable("orders");
+  ASSERT_TRUE(master_table.ok());
+  for (int64_t lo = 0; lo < kRows; lo += 64) {
+    std::vector<Row> rows;
+    for (int64_t i = lo; i < std::min(lo + 64, kRows); ++i) {
+      rows.push_back(row_of(i));
+    }
+    ASSERT_TRUE(cluster_->InsertRows("orders", rows).ok());
+    if (rows.size() == 64) {
+      ASSERT_TRUE((*master_table)->FlushRowstore().ok());
+    }
+  }
+  WaitForReplicas();
+  cluster_->KillNode(0);
+  auto promoted = cluster_->RunFailureDetector();
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  ASSERT_EQ(*promoted, 1);
+
+  Partition* master = cluster_->partition(0);
+  auto table = master->GetTable("orders");
+  ASSERT_TRUE(table.ok());
+  ASSERT_EQ((*table)->NumSegments(), 3u);
+  auto lookup = [&](const Row& key) {
+    std::vector<std::string> notes;
+    auto h = master->Begin();
+    Status s = (*table)->LookupByIndex(
+        h.id, h.read_ts, {0, 1}, key,
+        [&](const Row& row, const RowLocation&) {
+          notes.push_back(row[2].ToString());
+          return true;
+        });
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    master->EndRead(h.id);
+    return notes;
+  };
+  for (int64_t i = 0; i < kRows; ++i) {
+    Row row = row_of(i);
+    EXPECT_EQ(lookup({row[0], row[1]}),
+              std::vector<std::string>{row[2].ToString()})
+        << i;
+  }
+  EXPECT_TRUE(lookup({Value(int64_t{2}), Value(int64_t{50})}).empty());
+  for (int64_t i : {0, 100, 201}) {
+    Row dup = row_of(i);
+    dup[2] = Value("dup");
+    EXPECT_TRUE(cluster_->InsertRows("orders", {dup}).IsAlreadyExists()) << i;
+  }
+  EXPECT_TRUE(cluster_
+                  ->InsertRows("orders", {{Value(int64_t{2}),
+                                           Value(int64_t{50}), Value("new")}})
+                  .ok());
 }
 
 TEST_F(ClusterTest, ReopenedClusterRoutesRecoveredTables) {

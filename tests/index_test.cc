@@ -3,6 +3,8 @@
 #include "test_util.h"
 
 #include <algorithm>
+#include <cstring>
+#include <map>
 #include <set>
 
 #include "common/coding.h"
@@ -101,6 +103,51 @@ TEST(PostingsTest, EncodedSizeAllowsConcatenation) {
   EXPECT_EQ(Drain(*second), (std::vector<uint32_t>{10, 20}));
 }
 
+// Lists on either side of the 64-row group boundaries drain exactly, reach
+// every SeekTo target, and report the bytes EncodePostings wrote. The first
+// group has no skip entry, so a one-row list is its count and one delta.
+TEST(PostingsTest, GroupBoundarySizes) {
+  for (uint32_t n : {0u, 1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u}) {
+    SCOPED_TRACE("rows=" + std::to_string(n));
+    std::vector<uint32_t> rows;
+    for (uint32_t i = 0; i < n; ++i) rows.push_back(5 + i * 3);
+    std::string buf = "prefix";
+    EncodePostings(rows, &buf);
+    const size_t written = buf.size() - 6;
+    buf += "trailing bytes";
+    Slice list(buf.data() + 6, buf.size() - 6);
+    auto it = PostingsIterator::Open(list);
+    ASSERT_TRUE(it.ok());
+    EXPECT_EQ(it->count(), n);
+    EXPECT_EQ(it->encoded_size(), written);
+    EXPECT_EQ(Drain(*it), rows);
+    if (n == 1) {
+      EXPECT_EQ(written, 2u);
+    }
+    const uint32_t last = n == 0 ? 0 : rows.back();
+    for (uint32_t target = 0; target <= last + 1; ++target) {
+      auto seek = PostingsIterator::Open(list);
+      ASSERT_TRUE(seek.ok());
+      seek->SeekTo(target);
+      auto expect = std::lower_bound(rows.begin(), rows.end(), target);
+      if (expect == rows.end()) {
+        EXPECT_FALSE(seek->Valid()) << "target " << target;
+      } else {
+        ASSERT_TRUE(seek->Valid()) << "target " << target;
+        EXPECT_EQ(seek->row(), *expect) << "target " << target;
+      }
+    }
+    // Forward seeks from one iterator reach every row in turn.
+    auto walk = PostingsIterator::Open(list);
+    ASSERT_TRUE(walk.ok());
+    for (uint32_t row : rows) {
+      walk->SeekTo(row);
+      ASSERT_TRUE(walk->Valid());
+      EXPECT_EQ(walk->row(), row);
+    }
+  }
+}
+
 TEST(PostingsTest, IntersectLeapfrog) {
   std::string a, b, c;
   EncodePostings({1, 3, 5, 7, 9, 100, 200}, &a);
@@ -153,6 +200,24 @@ TEST(PostingsTest, IntersectRandomAgainstBruteForce) {
   }
 }
 
+// A term as the index stores it: the values' encodings concatenated.
+std::string Term(std::initializer_list<Value> values) {
+  std::string term;
+  for (const Value& value : values) value.EncodeTo(&term);
+  return term;
+}
+
+// Each term's entry offset, from the block's directory.
+std::map<std::string, uint32_t> EntryOffsets(const InvertedIndexReader& reader) {
+  std::map<std::string, uint32_t> offsets;
+  EXPECT_TRUE(reader
+                  .ForEachTerm([&](Slice term, uint32_t offset) {
+                    offsets[term.ToString()] = offset;
+                  })
+                  .ok());
+  return offsets;
+}
+
 TEST(InvertedIndexTest, BuildLookup) {
   ColumnVector col(DataType::kString);
   col.AppendString("apple");
@@ -162,7 +227,7 @@ TEST(InvertedIndexTest, BuildLookup) {
   col.AppendString("cherry");
   col.AppendString("apple");
 
-  std::string block = InvertedIndexBuilder::Build(col);
+  std::string block = InvertedIndexBuilder::Build({&col});
   auto reader = InvertedIndexReader::Open(block);
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(reader->num_terms(), 3u);
@@ -175,27 +240,34 @@ TEST(InvertedIndexTest, BuildLookup) {
   auto missing = reader->Lookup(Value("durian"));
   ASSERT_TRUE(missing.ok());
   EXPECT_FALSE(missing->Valid());
+  auto past_last = reader->Lookup(Value("zucchini"));
+  ASSERT_TRUE(past_last.ok());
+  EXPECT_FALSE(past_last->Valid());
 }
 
-TEST(InvertedIndexTest, TermsReportHashAndOffset) {
+// Every directory offset opens its own term's postings; a different term
+// there (a simulated hash collision) yields an invalid iterator.
+TEST(InvertedIndexTest, EntryOffsetsOpenTheirTermsPostings) {
   ColumnVector col(DataType::kInt64);
   for (int i = 0; i < 100; ++i) col.AppendInt(i % 5);
-  std::vector<InvertedIndexBuilder::TermInfo> terms;
-  std::string block = InvertedIndexBuilder::BuildWithTerms(col, &terms);
-  ASSERT_EQ(terms.size(), 5u);
+  std::string block = InvertedIndexBuilder::Build({&col});
   auto reader = InvertedIndexReader::Open(block);
   ASSERT_TRUE(reader.ok());
-  for (const auto& term : terms) {
-    EXPECT_EQ(term.doc_count, 20u);
+  const std::map<std::string, uint32_t> offsets = EntryOffsets(*reader);
+  ASSERT_EQ(offsets.size(), 5u);
+  for (const auto& [term, offset] : offsets) {
+    auto postings = InvertedIndexReader::PostingsAt(block, offset, term);
+    ASSERT_TRUE(postings.ok());
+    EXPECT_EQ(postings->count(), 20u);
   }
-  // PostingsAt with the correct value works; with a wrong value (hash
-  // collision simulation) it must return an invalid iterator.
-  auto good = InvertedIndexReader::PostingsAt(
-      block, terms[0].postings_offset, Value(int64_t{0}));
+  const std::string zero = Term({Value(int64_t{0})});
+  auto good = InvertedIndexReader::PostingsAt(block, offsets.at(zero), zero);
   ASSERT_TRUE(good.ok());
-  EXPECT_EQ(good->count(), 20u);
+  EXPECT_EQ(Drain(*good), (std::vector<uint32_t>{0, 5, 10, 15, 20, 25, 30,
+                                                 35, 40, 45, 50, 55, 60, 65,
+                                                 70, 75, 80, 85, 90, 95}));
   auto collided = InvertedIndexReader::PostingsAt(
-      block, terms[0].postings_offset, Value(int64_t{999}));
+      block, offsets.at(zero), Term({Value(int64_t{999})}));
   ASSERT_TRUE(collided.ok());
   EXPECT_FALSE(collided->Valid());
 }
@@ -211,38 +283,82 @@ TEST(InvertedIndexTest, PostingsAtMatchesDirectoryLookup) {
       col.AppendString("term-" + std::to_string(i * 7 % 23));
     }
   }
-  std::vector<InvertedIndexBuilder::TermInfo> terms;
-  std::string block = InvertedIndexBuilder::BuildWithTerms(col, &terms);
+  std::string block = InvertedIndexBuilder::Build({&col});
   auto reader = InvertedIndexReader::Open(block);
   ASSERT_TRUE(reader.ok());
-  ASSERT_EQ(reader->num_terms(), terms.size());
-  ASSERT_GT(terms.size(), 1u);
+  ASSERT_EQ(reader->num_terms(), 23u);
   size_t visited = 0;
-  reader->ForEachTerm([&](const Value& value, uint32_t offset) {
-    ++visited;
-    auto direct = InvertedIndexReader::PostingsAt(block, offset, value);
-    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-    ASSERT_TRUE(direct->Valid());
-    auto looked_up = reader->Lookup(value);
-    ASSERT_TRUE(looked_up.ok());
-    EXPECT_EQ(Drain(*direct), Drain(*looked_up)) << value.ToString();
-    // A different value at the same offset is a collision, not a match.
-    auto wrong = InvertedIndexReader::PostingsAt(block, offset,
-                                                 Value("absent-term"));
-    ASSERT_TRUE(wrong.ok());
-    EXPECT_FALSE(wrong->Valid());
-  });
-  EXPECT_EQ(visited, terms.size());
+  ASSERT_TRUE(reader
+                  ->ForEachTerm([&](Slice term, uint32_t offset) {
+                    ++visited;
+                    auto direct =
+                        InvertedIndexReader::PostingsAt(block, offset, term);
+                    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+                    ASSERT_TRUE(direct->Valid());
+                    Slice in = term;
+                    auto value = Value::DecodeFrom(&in);
+                    ASSERT_TRUE(value.ok());
+                    auto looked_up = reader->Lookup(*value);
+                    ASSERT_TRUE(looked_up.ok());
+                    EXPECT_EQ(Drain(*direct), Drain(*looked_up))
+                        << value->ToString();
+                    // A different term at the same offset is a collision,
+                    // not a match.
+                    auto wrong = InvertedIndexReader::PostingsAt(
+                        block, offset, Term({Value("absent-term")}));
+                    ASSERT_TRUE(wrong.ok());
+                    EXPECT_FALSE(wrong->Valid());
+                  })
+                  .ok());
+  EXPECT_EQ(visited, reader->num_terms());
 }
 
-// A damaged block is Corruption from the directory-free read, not a crash.
+// A tuple block indexes each row under its values' encodings concatenated.
+// A global entry that points at another tuple's entry, or a probe with
+// another tuple's term, yields no row; a tuple with a NULL is not indexed.
+TEST(InvertedIndexTest, TupleBlockRejectsOtherTuples) {
+  ColumnVector w(DataType::kInt64);
+  ColumnVector name(DataType::kString);
+  const std::vector<std::pair<int64_t, const char*>> rows = {
+      {1, "a"}, {1, "b"}, {2, "a"}, {1, "a"}, {3, nullptr}, {12, "a"}};
+  for (const auto& [wv, nv] : rows) {
+    w.AppendInt(wv);
+    if (nv == nullptr) {
+      name.AppendNull();
+    } else {
+      name.AppendString(nv);
+    }
+  }
+  std::string block = InvertedIndexBuilder::Build({&w, &name});
+  auto reader = InvertedIndexReader::Open(block);
+  ASSERT_TRUE(reader.ok());
+  const std::map<std::string, uint32_t> offsets = EntryOffsets(*reader);
+  ASSERT_EQ(offsets.size(), 4u) << "(3, NULL) must not be indexed";
+  EXPECT_EQ(offsets.count(Term({Value(int64_t{3}), Value::Null()})), 0u);
+  const std::string w1a = Term({Value(int64_t{1}), Value("a")});
+  const std::string w1b = Term({Value(int64_t{1}), Value("b")});
+  const std::string w2a = Term({Value(int64_t{2}), Value("a")});
+  auto own = InvertedIndexReader::PostingsAt(block, offsets.at(w1a), w1a);
+  ASSERT_TRUE(own.ok());
+  EXPECT_EQ(Drain(*own), (std::vector<uint32_t>{0, 3}));
+  // A colliding global entry: (1, a)'s hash pointing at (2, a)'s entry.
+  auto other_offset =
+      InvertedIndexReader::PostingsAt(block, offsets.at(w2a), w1a);
+  ASSERT_TRUE(other_offset.ok());
+  EXPECT_FALSE(other_offset->Valid());
+  // Another tuple's term at (1, a)'s entry.
+  auto other_term = InvertedIndexReader::PostingsAt(block, offsets.at(w1a), w1b);
+  ASSERT_TRUE(other_term.ok());
+  EXPECT_FALSE(other_term->Valid());
+}
+
+// A damaged block is Corruption from the directory-free read and from
+// Open, not a crash.
 TEST(InvertedIndexTest, PostingsAtRejectsDamagedBlock) {
   ColumnVector col(DataType::kInt64);
   for (int i = 0; i < 50; ++i) col.AppendInt(i % 4);
-  std::vector<InvertedIndexBuilder::TermInfo> terms;
-  std::string block = InvertedIndexBuilder::BuildWithTerms(col, &terms);
-  ASSERT_EQ(terms.size(), 4u);
-  const Value zero(int64_t{0});
+  std::string block = InvertedIndexBuilder::Build({&col});
+  const std::string zero = Term({Value(int64_t{0})});
 
   // Shorter than the trailer.
   EXPECT_TRUE(InvertedIndexReader::PostingsAt(Slice(block.data(), 3), 0, zero)
@@ -263,6 +379,19 @@ TEST(InvertedIndexTest, PostingsAtRejectsDamagedBlock) {
   EXPECT_TRUE(InvertedIndexReader::PostingsAt(block, entries_size + 100, zero)
                   .status()
                   .IsCorruption());
+  // A directory offset past the entries region.
+  ASSERT_TRUE(InvertedIndexReader::Open(block).ok());
+  for (uint32_t bad : {entries_size, entries_size + 1000}) {
+    std::string damaged = block;
+    memcpy(damaged.data() + entries_size + 4, &bad, 4);  // second term
+    EXPECT_TRUE(InvertedIndexReader::Open(damaged).status().IsCorruption())
+        << bad;
+  }
+  // A directory that is not a whole number of offsets.
+  std::string misaligned = block.substr(0, block.size() - 4);
+  misaligned.push_back('\0');
+  PutFixed32(&misaligned, entries_size);
+  EXPECT_TRUE(InvertedIndexReader::Open(misaligned).status().IsCorruption());
 }
 
 TEST(HashTableTest, BuildLookupMultiEntry) {

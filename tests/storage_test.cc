@@ -45,6 +45,21 @@ TableOptions SmallTableOptions() {
   return opts;
 }
 
+// SmallTableOptions with a two-column unique key, (id, tag): its lookups
+// and duplicate checks go through the tuple index.
+TableOptions TwoColumnKeyOptions() {
+  TableOptions opts = SmallTableOptions();
+  opts.indexes = {{0, 1}};
+  opts.unique_key = {0, 1};
+  return opts;
+}
+
+// The two-column key of the row that InsertRange and RaceWithInstalls
+// write for `id`.
+Row TwoColumnKey(int64_t id) {
+  return {Value(id), Value("t" + std::to_string(id % 7))};
+}
+
 class StorageTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -132,6 +147,21 @@ class StorageTest : public ::testing::Test {
   std::map<int64_t, Row> AllRows(UnifiedTable* table) {
     std::map<int64_t, Row> out;
     for (Row& row : VisibleRows(table)) out[row[0].as_int()] = std::move(row);
+    return out;
+  }
+
+  // Rows a latest-state lookup on `cols` returns, with their locations.
+  std::vector<std::pair<Row, RowLocation>> LookupLatest(
+      UnifiedTable* table, const std::vector<int>& cols, const Row& key) {
+    auto h = partition_->Begin();
+    std::vector<std::pair<Row, RowLocation>> out;
+    Status s = table->LookupByIndex(h.id, h.read_ts, cols, key,
+                                    [&](const Row& row, const RowLocation& loc) {
+                                      out.emplace_back(row, loc);
+                                      return true;
+                                    });
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    partition_->EndRead(h.id);
     return out;
   }
 
@@ -1099,6 +1129,42 @@ TEST_F(StorageTest, DuplicateInsertsRacingInstallsAreRejected) {
   EXPECT_GT(probes, 0);
 }
 
+// The two races above on a table whose unique key has two columns: the
+// lookups and duplicate checks go through the tuple index.
+TEST_F(StorageTest, TwoColumnKeyLookupsRacingInstallsFindEveryRow) {
+  UnifiedTable* table = MakeTable(TwoColumnKeyOptions());
+  auto [missed, probes] =
+      RaceWithInstalls(partition_.get(), table, [&](int64_t key) {
+        auto h = partition_->Begin();
+        int found = 0;
+        Status s = table->LookupByIndex(h.id, kTsMax, {0, 1},
+                                        TwoColumnKey(key),
+                                        [&](const Row&, const RowLocation&) {
+                                          ++found;
+                                          return true;
+                                        });
+        partition_->EndRead(h.id);
+        return s.ok() && found >= 1;
+      });
+  EXPECT_EQ(missed, 0) << "of " << probes << " lookups";
+  EXPECT_GT(probes, 0);
+}
+
+TEST_F(StorageTest, TwoColumnKeyDuplicateInsertsRacingInstallsAreRejected) {
+  UnifiedTable* table = MakeTable(TwoColumnKeyOptions());
+  auto [admitted, probes] =
+      RaceWithInstalls(partition_.get(), table, [&](int64_t key) {
+        Row row = TwoColumnKey(key);
+        row.push_back(Value(0.0));
+        auto h = partition_->Begin();
+        Status s = table->InsertRows(h.id, h.read_ts, {row}).status();
+        partition_->Abort(h.id);
+        return s.IsAlreadyExists();
+      });
+  EXPECT_EQ(admitted, 0) << "of " << probes << " inserts";
+  EXPECT_GT(probes, 0);
+}
+
 // A unique-key check needs only a row's location, so a duplicate found in
 // a segment reads no row; a lookup reads the one row it returns.
 TEST_F(StorageTest, UniqueKeyCheckReadsNoSegmentRow) {
@@ -1131,6 +1197,125 @@ TEST_F(StorageTest, UniqueKeyCheckReadsNoSegmentRow) {
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0][0], Value(int64_t{5}));
   EXPECT_EQ(rows_read.value(), before + 1);
+}
+
+// The two-column twin of UniqueKeyCheckReadsNoSegmentRow: the duplicate
+// check reads no segment row, and a key whose columns match rows only one
+// at a time finds nothing.
+TEST_F(StorageTest, TwoColumnKeyCheckReadsNoSegmentRow) {
+  UnifiedTable* table = MakeTable(TwoColumnKeyOptions());
+  InsertRange(table, 0, 64);
+  ASSERT_TRUE(table->FlushRowstore().ok());
+  ASSERT_EQ(table->RowstoreRows(), 0u);
+  Counter& rows_read = S2_COUNTER("s2_segment_rows_read_total");
+
+  auto h = partition_->Begin();
+  uint64_t before = rows_read.value();
+  auto r = table->InsertRows(h.id, h.read_ts, {MakeRow(5, "t5", 0)},
+                             DupPolicy::kError);
+  EXPECT_TRUE(r.status().IsAlreadyExists());
+  EXPECT_EQ(rows_read.value(), before);
+  partition_->Abort(h.id);
+
+  before = rows_read.value();
+  auto found = LookupLatest(table, {0, 1}, TwoColumnKey(5));
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_FALSE(found[0].second.in_rowstore);
+  EXPECT_EQ(found[0].first[0], Value(int64_t{5}));
+  EXPECT_EQ(rows_read.value(), before + 1);
+  // id 5 and tag "t6" each have rows, but no row has both.
+  before = rows_read.value();
+  EXPECT_TRUE(
+      LookupLatest(table, {0, 1}, {Value(int64_t{5}), Value("t6")}).empty());
+  EXPECT_EQ(rows_read.value(), before);
+}
+
+// A row that UpdateByKey moved to level 0 is found once by its two-column
+// key, before and after the next flush; a deleted row is not found.
+TEST_F(StorageTest, TwoColumnKeyFindsMovedRowOnceAndNoDeletedRow) {
+  UnifiedTable* table = MakeTable(TwoColumnKeyOptions());
+  InsertRange(table, 0, 64);
+  ASSERT_TRUE(table->FlushRowstore().ok());
+  Txn([&](TxnManager::TxnHandle h) {
+    return table->UpdateByKey(h.id, h.read_ts, TwoColumnKey(7),
+                              MakeRow(7, "t0", 99.0));
+  });
+  Txn([&](TxnManager::TxnHandle h) {
+    return table->DeleteByKey(h.id, h.read_ts, TwoColumnKey(9));
+  });
+  ASSERT_GT(table->stats().rows_moved.load(), 0u);
+
+  auto moved = LookupLatest(table, {0, 1}, TwoColumnKey(7));
+  ASSERT_EQ(moved.size(), 1u);
+  EXPECT_TRUE(moved[0].second.in_rowstore);
+  EXPECT_EQ(moved[0].first[2], Value(99.0));
+  EXPECT_TRUE(LookupLatest(table, {0, 1}, TwoColumnKey(9)).empty());
+
+  // Refill level 0 and flush, so the moved row's new version lands in a
+  // segment next to its deleted old one.
+  InsertRange(table, 64, 126);
+  ASSERT_TRUE(table->FlushRowstore().ok());
+  table->Vacuum(partition_->txns()->oldest_active());
+  moved = LookupLatest(table, {0, 1}, TwoColumnKey(7));
+  ASSERT_EQ(moved.size(), 1u);
+  EXPECT_EQ(moved[0].first[2], Value(99.0));
+  EXPECT_TRUE(LookupLatest(table, {0, 1}, TwoColumnKey(9)).empty());
+  for (int64_t id : {0, 8, 63, 64, 125}) {
+    EXPECT_EQ(LookupLatest(table, {0, 1}, TwoColumnKey(id)).size(), 1u) << id;
+  }
+}
+
+// A row with a NULL in a tuple's column has no tuple entry, and a lookup
+// with a NULL component returns nothing from segments.
+TEST_F(StorageTest, TwoColumnLookupWithNullFindsNoSegmentRow) {
+  TableOptions opts = SmallTableOptions();
+  opts.indexes = {{0, 1}};
+  UnifiedTable* table = MakeTable(opts);
+  for (int64_t i = 0; i < 64; ++i) {
+    Txn([&](TxnManager::TxnHandle h) {
+      Row row = MakeRow(i, "x", i * 0.5);
+      if (i % 2 == 0) row[1] = Value::Null();
+      return table->InsertRows(h.id, h.read_ts, {row}).status();
+    });
+  }
+  ASSERT_TRUE(table->FlushRowstore().ok());
+  ASSERT_EQ(table->RowstoreRows(), 0u);
+  EXPECT_TRUE(
+      LookupLatest(table, {0, 1}, {Value(int64_t{4}), Value::Null()}).empty());
+  EXPECT_TRUE(LookupLatest(table, {1}, {Value::Null()}).empty());
+  EXPECT_EQ(LookupLatest(table, {0, 1}, {Value(int64_t{5}), Value("x")}).size(),
+            1u);
+  EXPECT_TRUE(
+      LookupLatest(table, {0, 1}, {Value(int64_t{4}), Value("x")}).empty());
+}
+
+// After a reopen, the tuple entries are registered from the segment files:
+// two-column lookups find every row once and duplicates are rejected.
+TEST_F(StorageTest, TwoColumnKeyLookupsAndDuplicateChecksAfterReopen) {
+  UnifiedTable* table = MakeTable(TwoColumnKeyOptions());
+  for (int64_t lo = 0; lo < 320; lo += 64) {
+    InsertRange(table, lo, lo + 64);
+    ASSERT_TRUE(table->FlushRowstore().ok());
+  }
+  ASSERT_TRUE(table->MaybeMergeRuns().ok());
+  InsertRange(table, 320, 330);  // some rows stay in level 0
+  Reopen();
+  auto recovered = partition_->GetTable("t");
+  ASSERT_TRUE(recovered.ok());
+  table = *recovered;
+  ASSERT_GT(table->NumSegments(), 0u);
+  for (int64_t id = 0; id < 330; ++id) {
+    ASSERT_EQ(LookupLatest(table, {0, 1}, TwoColumnKey(id)).size(), 1u) << id;
+  }
+  for (int64_t id : {3, 200, 325}) {
+    auto h = partition_->Begin();
+    Row row = TwoColumnKey(id);
+    row.push_back(Value(0.0));
+    EXPECT_TRUE(
+        table->InsertRows(h.id, h.read_ts, {row}).status().IsAlreadyExists())
+        << id;
+    partition_->Abort(h.id);
+  }
 }
 
 // A segment whose LZ column body fails to decompress (outside the footer
