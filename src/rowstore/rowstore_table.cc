@@ -5,6 +5,7 @@
 
 #include "common/coding.h"
 #include "common/hash.h"
+#include "common/metrics.h"
 
 namespace s2 {
 
@@ -54,6 +55,9 @@ RowStoreTable::RowStoreTable(Schema schema, std::vector<int> pk_cols,
 RowStoreTable::~RowStoreTable() = default;
 
 void RowStoreTable::AddSecondaryIndex(std::vector<int> cols) {
+  for (const SecondaryIndex& index : secondaries_) {
+    if (index.cols == cols) return;
+  }
   SecondaryIndex index;
   index.cols = std::move(cols);
   index.list = std::make_unique<SkipList>();
@@ -64,6 +68,25 @@ std::string RowStoreTable::PkFromRow(const Row& row) const {
   std::string key;
   for (int c : pk_cols_) row[c].EncodeTo(&key);
   return key;
+}
+
+const RowStoreTable::SecondaryIndex* RowStoreTable::LeadingIndex(
+    const std::vector<int>& cols) const {
+  const SecondaryIndex* best = nullptr;
+  for (const SecondaryIndex& index : secondaries_) {
+    if (index.cols.size() >= cols.size() &&
+        std::equal(cols.begin(), cols.end(), index.cols.begin()) &&
+        (best == nullptr || index.cols.size() < best->cols.size())) {
+      best = &index;
+    }
+  }
+  return best;
+}
+
+size_t RowStoreTable::num_index_nodes(const std::vector<int>& cols) const {
+  std::shared_lock<std::shared_mutex> table_lock(table_lock_);
+  const SecondaryIndex* index = LeadingIndex(cols);
+  return index == nullptr ? 0 : index->list->num_nodes();
 }
 
 RowVersion* RowStoreTable::VisibleVersion(const SkipList::Node* node,
@@ -78,15 +101,13 @@ RowVersion* RowStoreTable::VisibleVersion(const SkipList::Node* node,
   return nullptr;
 }
 
-Status RowStoreTable::WriteVersion(TxnId txn, Timestamp read_ts,
+Status RowStoreTable::WriteVersion(WriteOp op, TxnId txn, Timestamp read_ts,
                                    const std::string& pk, Row data,
-                                   bool deleted, bool must_exist,
-                                   bool must_not_exist, bool system,
-                                   bool at_latest, bool fresh_pk) {
+                                   bool fresh_pk) {
   // The row lock first: a lock wait must not hold the table lock that
   // Purge waits for. The table's address tells its lock ids from others'.
   const uint64_t lock_id = Hash64(pk, reinterpret_cast<uintptr_t>(this));
-  if (system) {
+  if (op == WriteOp::kMove) {
     // A move transaction never waits. Its pk is the moved-row id, so the
     // holder is moving or has moved the row; and it runs on its user
     // transaction's thread, so its wait would hide from the lock table a
@@ -101,50 +122,34 @@ Status RowStoreTable::WriteVersion(TxnId txn, Timestamp read_ts,
   bool created = false;
   SkipList::Node* node = primary_.GetOrInsert(pk, &created);
 
-  // Holding the row lock, the newest non-aborted version is either ours or
-  // committed. Find the newest non-aborted version.
-  RowVersion* newest = nullptr;
+  // Holding the row lock, every version above our own newest is committed
+  // or aborted. Newest first, down to our own write or the snapshot: a
+  // version another transaction committed after read_ts is a conflicting
+  // write (first-committer-wins), unless it is a move copy, which carries
+  // unchanged content (paper Section 4.2).
+  RowVersion* newest = nullptr;  // the newest non-aborted version
   for (RowVersion* v = node->versions.load(std::memory_order_acquire);
        v != nullptr; v = v->next) {
-    if (v->commit_ts.load(std::memory_order_acquire) != kTsAborted) {
-      newest = v;
-      break;
-    }
-  }
-  if (newest != nullptr && newest->txn_id != txn) {
-    Timestamp ts = newest->commit_ts.load(std::memory_order_acquire);
-    bool conflicts = ts != kTsUncommitted && ts > read_ts;
-    if (at_latest) {
-      // Move-transaction aware conflict rule: only a *non-system* version
-      // committed after the snapshot is a real conflicting write; a newer
-      // move copy carries unchanged logical content (paper Section 4.2).
-      conflicts = false;
-      for (RowVersion* v = node->versions.load(std::memory_order_acquire);
-           v != nullptr; v = v->next) {
-        Timestamp vts = v->commit_ts.load(std::memory_order_acquire);
-        if (vts == kTsAborted || vts == kTsUncommitted) continue;
-        if (vts <= read_ts) break;
-        if (!v->system) {
-          conflicts = true;
-          break;
-        }
-      }
-    }
-    if (conflicts) {
-      // Someone committed this row after our snapshot: first-committer-wins.
+    Timestamp ts = v->commit_ts.load(std::memory_order_acquire);
+    if (ts == kTsAborted) continue;
+    if (newest == nullptr) newest = v;
+    if (v->txn_id == txn || ts <= read_ts) break;
+    if (ts != kTsUncommitted && !v->system) {
       return Status::Aborted("write-write conflict");
     }
   }
-  bool exists = newest != nullptr && !newest->deleted;
-  if (must_not_exist && exists) {
+  const bool insert = op == WriteOp::kInsert || op == WriteOp::kMove;
+  const bool exists = newest != nullptr && !newest->deleted;
+  if (insert && exists) {
     return Status::AlreadyExists("duplicate primary key");
   }
-  if (must_exist && !exists) {
+  if (!insert && !exists) {
     return Status::NotFound("no row with given primary key");
   }
 
   // GC on write: no other writer can touch this chain (the row lock, or a
   // fresh key no one else writes), and readers stop at or above the anchor.
+  const bool deleted = op == WriteOp::kDelete;
   RowVersion* head = node->versions.load(std::memory_order_relaxed);
   FreeBelowAnchor(head, horizon_->load(std::memory_order_acquire));
   // Read after the pruning, so it is never a freed version.
@@ -152,7 +157,7 @@ Status RowStoreTable::WriteVersion(TxnId txn, Timestamp read_ts,
   auto* version = new RowVersion();
   version->txn_id = txn;
   version->deleted = deleted;
-  version->system = system;
+  version->system = op == WriteOp::kMove;
   version->data = std::move(data);
   version->next = head;
   node->versions.store(version, std::memory_order_release);
@@ -191,49 +196,19 @@ Status RowStoreTable::Insert(TxnId txn, Timestamp read_ts, const Row& row,
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument("row arity mismatch");
   }
-  return WriteVersion(txn, read_ts, PkFromRow(row), row, /*deleted=*/false,
-                      /*must_exist=*/false, /*must_not_exist=*/true,
-                      /*system=*/false, /*at_latest=*/false, fresh_pk);
+  return WriteVersion(WriteOp::kInsert, txn, read_ts, PkFromRow(row), row,
+                      fresh_pk);
 }
 
 Status RowStoreTable::InsertMoved(TxnId txn, const Row& row) {
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument("row arity mismatch");
   }
-  return WriteVersion(txn, kTsMax, PkFromRow(row), row, /*deleted=*/false,
-                      /*must_exist=*/false, /*must_not_exist=*/true,
-                      /*system=*/true, /*at_latest=*/true);
-}
-
-Status RowStoreTable::DeleteLatest(TxnId txn, Timestamp read_ts,
-                                   const Row& pk) {
-  std::string key;
-  for (const Value& v : pk) v.EncodeTo(&key);
-  return WriteVersion(txn, read_ts, key, Row(), /*deleted=*/true,
-                      /*must_exist=*/true, /*must_not_exist=*/false,
-                      /*system=*/false, /*at_latest=*/true);
-}
-
-Status RowStoreTable::UpdateLatest(TxnId txn, Timestamp read_ts, const Row& pk,
-                                   const Row& new_row) {
-  if (new_row.size() != schema_.num_columns()) {
-    return Status::InvalidArgument("row arity mismatch");
-  }
-  std::string key;
-  for (const Value& v : pk) v.EncodeTo(&key);
-  if (PkFromRow(new_row) != key) {
-    return Status::InvalidArgument("update must not change the primary key");
-  }
-  return WriteVersion(txn, read_ts, key, new_row, /*deleted=*/false,
-                      /*must_exist=*/true, /*must_not_exist=*/false,
-                      /*system=*/false, /*at_latest=*/true);
+  return WriteVersion(WriteOp::kMove, txn, kTsMax, PkFromRow(row), row);
 }
 
 Status RowStoreTable::Delete(TxnId txn, Timestamp read_ts, const Row& pk) {
-  std::string key;
-  for (const Value& v : pk) v.EncodeTo(&key);
-  return WriteVersion(txn, read_ts, key, Row(), /*deleted=*/true,
-                      /*must_exist=*/true, /*must_not_exist=*/false);
+  return WriteVersion(WriteOp::kDelete, txn, read_ts, EncodeKey(pk), Row());
 }
 
 Status RowStoreTable::Update(TxnId txn, Timestamp read_ts, const Row& pk,
@@ -241,45 +216,46 @@ Status RowStoreTable::Update(TxnId txn, Timestamp read_ts, const Row& pk,
   if (new_row.size() != schema_.num_columns()) {
     return Status::InvalidArgument("row arity mismatch");
   }
-  std::string key;
-  for (const Value& v : pk) v.EncodeTo(&key);
+  std::string key = EncodeKey(pk);
   if (PkFromRow(new_row) != key) {
     return Status::InvalidArgument("update must not change the primary key");
   }
-  return WriteVersion(txn, read_ts, key, new_row, /*deleted=*/false,
-                      /*must_exist=*/true, /*must_not_exist=*/false);
+  return WriteVersion(WriteOp::kUpdate, txn, read_ts, key, new_row);
 }
 
 Result<Row> RowStoreTable::Get(TxnId txn, Timestamp read_ts,
                                const Row& pk) const {
   std::shared_lock<std::shared_mutex> table_lock(table_lock_);
-  std::string key;
-  for (const Value& v : pk) v.EncodeTo(&key);
-  SkipList::Node* node = primary_.Find(key);
+  SkipList::Node* node = primary_.Find(EncodeKey(pk));
   if (node == nullptr) return Status::NotFound("no row");
   RowVersion* v = VisibleVersion(node, txn, read_ts);
   if (v == nullptr || v->deleted) return Status::NotFound("no visible row");
   return v->data;
 }
 
-Status RowStoreTable::IndexSeek(
-    int index_id, TxnId txn, Timestamp read_ts, const Row& key,
-    const std::function<bool(const Row&)>& cb) const {
-  if (index_id < 0 || index_id >= static_cast<int>(secondaries_.size())) {
-    return Status::InvalidArgument("bad secondary index id");
+Status RowStoreTable::Lookup(TxnId txn, Timestamp read_ts,
+                             const std::vector<int>& cols, const Row& values,
+                             const std::function<bool(const Row&)>& cb) const {
+  if (cols.size() != values.size()) {
+    return Status::InvalidArgument("index key arity mismatch");
   }
-  const SecondaryIndex& index = secondaries_[index_id];
-  if (key.size() > index.cols.size()) {
-    return Status::InvalidArgument("index key longer than the index");
+  const SecondaryIndex* index = LeadingIndex(cols);
+  if (index == nullptr) {
+    S2_COUNTER("s2_rowstore_scan_lookups_total").Add();
+    Scan(txn, read_ts, [&](const Row& row) {
+      for (size_t i = 0; i < cols.size(); ++i) {
+        if (row[cols[i]] != values[i]) return true;
+      }
+      return cb(row);
+    });
+    return Status::OK();
   }
   // Value encodings are prefix-free, so the encoded key is a byte prefix of
   // exactly the entries whose leading columns equal it.
-  std::string prefix;
-  for (const Value& v : key) v.EncodeTo(&prefix);
-
+  const std::string prefix = EncodeKey(values);
   std::shared_lock<std::shared_mutex> table_lock(table_lock_);
   std::string current;
-  for (SkipList::Node* node = index.list->Seek(prefix); node != nullptr;
+  for (SkipList::Node* node = index->list->Seek(prefix); node != nullptr;
        node = SkipList::Next(node)) {
     Slice node_key = node->key();
     if (node_key.size() < prefix.size() ||
@@ -299,7 +275,7 @@ Status RowStoreTable::IndexSeek(
     // by the row's pk. One row has at most one current entry, so a prefix
     // seek yields it once.
     current.clear();
-    for (int c : index.cols) v->data[c].EncodeTo(&current);
+    for (int c : index->cols) v->data[c].EncodeTo(&current);
     if (node_key.size() != current.size() + row->key().size() ||
         memcmp(node_key.data(), current.data(), current.size()) != 0) {
       continue;
@@ -339,10 +315,8 @@ void RowStoreTable::CommitTxn(TxnId txn, Timestamp commit_ts) {
 
 std::vector<Timestamp> RowStoreTable::VersionStamps(const Row& pk) const {
   std::shared_lock<std::shared_mutex> table_lock(table_lock_);
-  std::string key;
-  for (const Value& v : pk) v.EncodeTo(&key);
   std::vector<Timestamp> stamps;
-  SkipList::Node* node = primary_.Find(key);
+  SkipList::Node* node = primary_.Find(EncodeKey(pk));
   if (node == nullptr) return stamps;
   for (RowVersion* v = node->versions.load(std::memory_order_acquire);
        v != nullptr; v = v->next) {

@@ -30,7 +30,7 @@ namespace s2 {
 ///    the row's primary skiplist node, so a seek makes one skiplist search.
 ///  - Snapshot isolation: a reader sees versions with commit_ts <= read_ts
 ///    plus its own uncommitted writes; first-committer-wins on write-write
-///    conflicts.
+///    conflicts, where a move copy is not a write (see the write rule).
 ///
 /// Commit protocol: callers stage writes under a TxnId, then CommitTxn
 /// stamps each version the transaction wrote, and only those, with the
@@ -60,35 +60,29 @@ class RowStoreTable {
   const Schema& schema() const { return schema_; }
   const std::vector<int>& pk_cols() const { return pk_cols_; }
 
-  /// Adds a secondary index over `cols`. Must be called before any writes.
+  /// Adds a secondary index over `cols`, unless one over exactly `cols`
+  /// exists. Must be called before any writes.
   void AddSecondaryIndex(std::vector<int> cols);
 
-  /// Inserts a row. AlreadyExists if a live version of the key is visible
-  /// at read_ts or a committed-later writer won the key (Aborted).
+  /// Every write takes the row's lock and then applies one conflict rule
+  /// (paper Section 4.2): a version another transaction committed after
+  /// `read_ts` aborts the write with Aborted("write-write conflict"), unless
+  /// it is a move copy (InsertMoved), whose content is the row's unchanged.
+
+  /// Inserts a row. AlreadyExists if the key has a live version.
   /// `fresh_pk`: no other transaction can write this primary key before
   /// txn ends (a newly allocated row id), so no row lock is taken.
   Status Insert(TxnId txn, Timestamp read_ts, const Row& row,
                 bool fresh_pk = false);
 
   /// Move-transaction insert (paper Section 4.2): installs a `system` copy
-  /// of a segment row. Checked against the *latest* committed state:
-  /// AlreadyExists, without waiting, when a live copy is present or the
-  /// row is locked (another mover or writer beat us), letting the caller
-  /// fall through to mutating that copy.
+  /// of a segment row. AlreadyExists, without waiting, when a live copy is
+  /// present or the row is locked (another mover or writer beat us),
+  /// letting the caller fall through to mutating that copy.
   Status InsertMoved(TxnId txn, const Row& row);
 
-  /// Deletes/updates against the *latest* committed row state instead of a
-  /// snapshot. Used by the unified table after a move transaction: the
-  /// moved copy commits after the user's snapshot, but represents unchanged
-  /// logical content, so it must not trigger a conflict. A committed
-  /// non-system version newer than read_ts still aborts
-  /// (first-committer-wins against real writes).
-  Status DeleteLatest(TxnId txn, Timestamp read_ts, const Row& pk);
-  Status UpdateLatest(TxnId txn, Timestamp read_ts, const Row& pk,
-                      const Row& new_row);
-
-  /// Deletes the row with the given primary-key values. NotFound if no
-  /// visible live version exists.
+  /// Deletes the row with the given primary-key values. NotFound if it has
+  /// no live version.
   Status Delete(TxnId txn, Timestamp read_ts, const Row& pk);
 
   /// Replaces the row with the given primary key. NotFound when absent.
@@ -99,12 +93,13 @@ class RowStoreTable {
   /// Point read by primary key at a snapshot.
   Result<Row> Get(TxnId txn, Timestamp read_ts, const Row& pk) const;
 
-  /// Seek by secondary index `index_id` (in AddSecondaryIndex call order):
-  /// invokes cb for every visible row whose leading index columns equal
-  /// `key`, which may hold fewer values than the index has columns. cb
-  /// returns false to stop.
-  Status IndexSeek(int index_id, TxnId txn, Timestamp read_ts, const Row& key,
-                   const std::function<bool(const Row&)>& cb) const;
+  /// Invokes cb for every visible row whose columns `cols` equal `values`;
+  /// cb returns false to stop. Seeks the shortest secondary index whose
+  /// leading columns are `cols`; when none leads with them, scans the whole
+  /// table (counted in s2_rowstore_scan_lookups_total).
+  Status Lookup(TxnId txn, Timestamp read_ts, const std::vector<int>& cols,
+                const Row& values,
+                const std::function<bool(const Row&)>& cb) const;
 
   /// Full scan of visible rows in primary-key order. cb returns false to
   /// stop early.
@@ -124,12 +119,9 @@ class RowStoreTable {
   /// Number of skiplist nodes (live + logically deleted, pre-purge).
   size_t num_nodes() const { return primary_.num_nodes(); }
 
-  /// Number of entries in secondary index `index_id`, stale ones included.
-  /// For tests.
-  size_t num_index_nodes(int index_id) const {
-    std::shared_lock<std::shared_mutex> table_lock(table_lock_);
-    return secondaries_[index_id].list->num_nodes();
-  }
+  /// Number of entries, stale ones included, in the secondary index that a
+  /// Lookup on `cols` seeks. For tests.
+  size_t num_index_nodes(const std::vector<int>& cols) const;
 
   /// commit_ts of each version of the row with primary key `pk`, newest
   /// first; empty when absent. For tests: no write to the row may run
@@ -157,13 +149,16 @@ class RowStoreTable {
     std::unique_ptr<SkipList> list;
   };
 
+  /// What a write does to its row. kMove inserts a move copy.
+  enum class WriteOp { kInsert, kMove, kUpdate, kDelete };
+
   std::string PkFromRow(const Row& row) const;
   static RowVersion* VisibleVersion(const SkipList::Node* node, TxnId txn,
                                     Timestamp read_ts);
-  Status WriteVersion(TxnId txn, Timestamp read_ts, const std::string& pk,
-                      Row data, bool deleted, bool must_exist,
-                      bool must_not_exist, bool system = false,
-                      bool at_latest = false, bool fresh_pk = false);
+  Status WriteVersion(WriteOp op, TxnId txn, Timestamp read_ts,
+                      const std::string& pk, Row data, bool fresh_pk = false);
+  /// The shortest secondary index whose leading columns are `cols`, or null.
+  const SecondaryIndex* LeadingIndex(const std::vector<int>& cols) const;
   /// Adds `row`'s entry, pointing at its primary node, to each secondary
   /// index whose columns `indexed` (an older live version of the row that
   /// has its entries; may be null) does not already hold.

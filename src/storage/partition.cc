@@ -112,7 +112,11 @@ Status Partition::Commit(TxnId txn) {
   S2_HISTOGRAM("s2_txn_commit_ns").Record(commit_timer.ElapsedNs());
   ProfileCollector::CountHere("commit_wait_ns",
                               static_cast<int64_t>(commit_timer.ElapsedNs()));
-  if (options_.auto_maintain) {
+  // One committer at a time maintains. The others return at once: queued
+  // behind its flush, they would find level 0 already flushed or flush
+  // only the few rows committed meanwhile.
+  if (options_.auto_maintain &&
+      !auto_maintaining_.exchange(true, std::memory_order_acquire)) {
     std::vector<UnifiedTable*> to_flush;
     {
       std::lock_guard<std::mutex> lock(tables_mu_);
@@ -121,6 +125,7 @@ Status Partition::Commit(TxnId txn) {
       }
     }
     (void)MaintainTables(to_flush, /*best_effort=*/true);
+    auto_maintaining_.store(false, std::memory_order_release);
   }
   return Status::OK();
 }

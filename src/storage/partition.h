@@ -1,6 +1,7 @@
 #ifndef S2_STORAGE_PARTITION_H_
 #define S2_STORAGE_PARTITION_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -75,7 +76,9 @@ class Partition {
   // --- transactions spanning this partition's tables ---
   TxnManager::TxnHandle Begin();
   /// Durability then visibility: log commit (replicated) first, then stamp
-  /// row versions. On log failure the transaction stays open.
+  /// row versions. On log failure the transaction stays open. Then, with
+  /// auto_maintain and unless another committer is at it, flushes and
+  /// merges the tables at or over their flush threshold.
   Status Commit(TxnId txn);
   void Abort(TxnId txn);
   /// Ends a read-only transaction without logging.
@@ -145,6 +148,9 @@ class Partition {
 
   mutable std::mutex tables_mu_;
   std::map<std::string, std::unique_ptr<UnifiedTable>> tables_;
+
+  /// Held by the one committer running post-commit maintenance.
+  std::atomic<bool> auto_maintaining_{false};
 
   mutable std::mutex upload_mu_;
   Lsn log_uploaded_ = 0;  // log bytes below this are in blob storage

@@ -63,19 +63,13 @@ UnifiedTable::UnifiedTable(std::string name, TableOptions options,
   }
   if (options_.unique_key.size() >= 2) add_index(options_.unique_key);
 
-  // Rowstore-side secondary indexes mirror the declared indexes so point
-  // reads seek in level 0 too.
-  std::vector<std::vector<int>> rowstore_indexes = options_.indexes;
-  if (!options_.unique_key.empty()) {
-    bool present = false;
-    for (const auto& index : rowstore_indexes) {
-      if (index == options_.unique_key) present = true;
-    }
-    if (!present) rowstore_indexes.push_back(options_.unique_key);
-  }
-  for (const auto& index : rowstore_indexes) {
+  // Rowstore-side secondary indexes mirror the declared indexes and the
+  // unique key, so point reads seek in level 0 too.
+  for (const auto& index : options_.indexes) {
     rowstore_->AddSecondaryIndex(index);
-    rowstore_index_cols_.push_back(index);
+  }
+  if (!options_.unique_key.empty()) {
+    rowstore_->AddSecondaryIndex(options_.unique_key);
   }
 }
 
@@ -191,23 +185,15 @@ Result<size_t> UnifiedTable::InsertRows(TxnId txn, Timestamp read_ts,
 
 Result<bool> UnifiedTable::FindDuplicate(TxnId txn, const Row& key_values,
                                          RowLocation* loc) {
-  // Level 0: seek the rowstore secondary index at latest.
-  int rs_index = -1;
-  for (size_t i = 0; i < rowstore_index_cols_.size(); ++i) {
-    if (rowstore_index_cols_[i] == options_.unique_key) {
-      rs_index = static_cast<int>(i);
-    }
-  }
+  // Level 0 at latest, through the unique key's rowstore index.
   bool found = false;
-  if (rs_index >= 0) {
-    S2_RETURN_NOT_OK(rowstore_->IndexSeek(
-        rs_index, txn, kTsMax, key_values, [&](const Row& row) {
-          loc->in_rowstore = true;
-          loc->rowid = row.back().as_int();
-          found = true;
-          return false;
-        }));
-  }
+  S2_RETURN_NOT_OK(rowstore_->Lookup(txn, kTsMax, options_.unique_key,
+                                     key_values, [&](const Row& row) {
+                                       loc->in_rowstore = true;
+                                       loc->rowid = row.back().as_int();
+                                       found = true;
+                                       return false;
+                                     }));
   if (found) return true;
 
   // Columnstore: probe the global indexes. In the typical no-duplicate
@@ -327,27 +313,7 @@ Status UnifiedTable::AbortOwnTxn(TxnId txn, Status status) {
 
 Status UnifiedTable::DeleteLocated(TxnId txn, Timestamp read_ts,
                                    const RowLocation& loc) {
-  int64_t rowid = loc.rowid;
-  if (!loc.in_rowstore) {
-    S2_RETURN_NOT_OK(MoveRows(loc.segment_id, {loc.row_offset}));
-    rowid = MovedRowId(loc.segment_id, loc.row_offset);
-  }
-  Status st = rowstore_->DeleteLatest(txn, read_ts, {Value(rowid)});
-  if (st.IsNotFound()) {
-    // The caller located this row at its snapshot; it vanished at latest,
-    // so a concurrent transaction deleted it: surface as a conflict.
-    return Status::Aborted("row concurrently deleted");
-  }
-  S2_RETURN_NOT_OK(st);
-  LogRecord rec;
-  rec.txn_id = txn;
-  rec.type = LogRecordType::kDeleteRows;
-  PutLengthPrefixed(&rec.payload, name_);
-  PutVarint64(&rec.payload, 1);
-  PutVarint64(&rec.payload, ZigZagEncode(rowid));
-  log_->Append(rec);
-  stats_.rows_deleted.fetch_add(1);
-  return Status::OK();
+  return WriteLocated(txn, read_ts, loc, nullptr);
 }
 
 Status UnifiedTable::UpdateLocated(TxnId txn, Timestamp read_ts,
@@ -356,17 +322,28 @@ Status UnifiedTable::UpdateLocated(TxnId txn, Timestamp read_ts,
   if (new_row.size() != options_.schema.num_columns()) {
     return Status::InvalidArgument("row arity mismatch for " + name_);
   }
+  return WriteLocated(txn, read_ts, loc, &new_row);
+}
+
+Status UnifiedTable::WriteLocated(TxnId txn, Timestamp read_ts,
+                                  const RowLocation& loc, const Row* new_row) {
   int64_t rowid = loc.rowid;
   if (!loc.in_rowstore) {
     S2_RETURN_NOT_OK(MoveRows(loc.segment_id, {loc.row_offset}));
     rowid = MovedRowId(loc.segment_id, loc.row_offset);
   }
-  Row full = WithRowId(new_row, rowid);
-  Status st = rowstore_->UpdateLatest(txn, read_ts, {Value(rowid)}, full);
+  Row full;
+  if (new_row != nullptr) full = WithRowId(*new_row, rowid);
+  Status st = new_row == nullptr
+                  ? rowstore_->Delete(txn, read_ts, {Value(rowid)})
+                  : rowstore_->Update(txn, read_ts, {Value(rowid)}, full);
   if (st.IsNotFound()) {
+    // The caller located this row at its snapshot; it vanished at latest,
+    // so a concurrent transaction deleted it: surface as a conflict.
     return Status::Aborted("row concurrently deleted");
   }
   S2_RETURN_NOT_OK(st);
+  // An update logs as a delete and an insert of the same rowid.
   LogRecord rec;
   rec.txn_id = txn;
   rec.type = LogRecordType::kDeleteRows;
@@ -374,6 +351,10 @@ Status UnifiedTable::UpdateLocated(TxnId txn, Timestamp read_ts,
   PutVarint64(&rec.payload, 1);
   PutVarint64(&rec.payload, ZigZagEncode(rowid));
   log_->Append(rec);
+  if (new_row == nullptr) {
+    stats_.rows_deleted.fetch_add(1);
+    return Status::OK();
+  }
   LogRecord ins;
   ins.txn_id = txn;
   ins.type = LogRecordType::kInsertRows;
@@ -570,46 +551,17 @@ Status UnifiedTable::LookupByIndex(
     TxnId txn, Timestamp read_ts, const std::vector<int>& index_cols,
     const Row& values,
     const std::function<bool(const Row&, const RowLocation&)>& cb) {
-  if (index_cols.size() != values.size()) {
-    return Status::InvalidArgument("index key arity mismatch");
-  }
-  // Level 0 first: seek the shortest rowstore index whose leading columns
-  // are the lookup's, else scan the whole rowstore.
-  int rs_index = -1;
-  for (size_t i = 0; i < rowstore_index_cols_.size(); ++i) {
-    const std::vector<int>& cols = rowstore_index_cols_[i];
-    if (cols.size() < index_cols.size() ||
-        !std::equal(index_cols.begin(), index_cols.end(), cols.begin())) {
-      continue;
-    }
-    if (rs_index < 0 || cols.size() < rowstore_index_cols_[rs_index].size()) {
-      rs_index = static_cast<int>(i);
-    }
-  }
+  // Level 0 first (it checks the key's arity).
   bool stopped = false;
-  auto emit_rowstore = [&](const Row& full) {
-    Row user(full.begin(), full.end() - 1);
-    RowLocation loc;
-    loc.in_rowstore = true;
-    loc.rowid = full.back().as_int();
-    if (!cb(user, loc)) {
-      stopped = true;
-      return false;
-    }
-    return true;
-  };
-  if (rs_index >= 0) {
-    S2_RETURN_NOT_OK(
-        rowstore_->IndexSeek(rs_index, txn, read_ts, values, emit_rowstore));
-  } else {
-    S2_COUNTER("s2_rowstore_scan_lookups_total").Add();
-    rowstore_->Scan(txn, read_ts, [&](const Row& full) {
-      for (size_t i = 0; i < index_cols.size(); ++i) {
-        if (full[index_cols[i]] != values[i]) return true;
-      }
-      return emit_rowstore(full);
-    });
-  }
+  S2_RETURN_NOT_OK(rowstore_->Lookup(
+      txn, read_ts, index_cols, values, [&](const Row& full) {
+        Row user(full.begin(), full.end() - 1);
+        RowLocation loc;
+        loc.in_rowstore = true;
+        loc.rowid = full.back().as_int();
+        stopped = !cb(user, loc);
+        return !stopped;
+      }));
   if (stopped) return Status::OK();
 
   // Columnstore via the two-level index; only the rows handed to cb are
@@ -697,8 +649,9 @@ std::vector<UnifiedTable::RunDebugInfo> UnifiedTable::DebugRuns() const {
 // Maintenance
 // ---------------------------------------------------------------------------
 
-Result<std::pair<std::string, SegmentMeta>> UnifiedTable::BuildSegment(
-    const std::vector<Row>& rows, uint64_t segment_id, Lsn lsn) {
+Result<std::pair<SegmentMeta, std::shared_ptr<Segment>>>
+UnifiedTable::BuildSegment(const std::vector<Row>& rows, uint64_t segment_id,
+                           Lsn lsn) {
   SegmentBuilder builder(options_.schema);
   for (const Row& row : rows) builder.AddRow(row);
 
@@ -711,19 +664,24 @@ Result<std::pair<std::string, SegmentMeta>> UnifiedTable::BuildSegment(
     builder.AddAuxBlock(index.block, InvertedIndexBuilder::Build(columns));
   }
 
-  S2_ASSIGN_OR_RETURN(std::string file, builder.Finish());
+  S2_ASSIGN_OR_RETURN(std::string bytes, builder.Finish());
+  auto file = std::make_shared<const std::string>(std::move(bytes));
   SegmentMeta meta;
   meta.id = segment_id;
   meta.file_name = SegmentFileName(name_, lsn, segment_id);
   meta.num_rows = static_cast<uint32_t>(rows.size());
-  // Stats are parsed back from the footer when the file is opened; also
-  // keep them in metadata for elimination without opening the file.
-  S2_ASSIGN_OR_RETURN(auto opened,
-                      Segment::Open(std::make_shared<const std::string>(file)));
-  for (size_t c = 0; c < options_.schema.num_columns(); ++c) {
-    meta.stats.push_back(opened->stats(c));
+  S2_RETURN_NOT_OK(files_->Write(meta.file_name, file));
+  auto opened = Segment::Open(std::move(file));
+  if (!opened.ok()) {
+    (void)files_->Remove(meta.file_name);
+    return opened.status();
   }
-  return std::make_pair(std::move(file), std::move(meta));
+  // Stats are parsed back from the footer; also keep them in metadata for
+  // elimination without opening the file.
+  for (size_t c = 0; c < options_.schema.num_columns(); ++c) {
+    meta.stats.push_back((*opened)->stats(c));
+  }
+  return std::make_pair(std::move(meta), std::move(*opened));
 }
 
 Status UnifiedTable::AddSegmentToIndexes(
@@ -824,13 +782,15 @@ Result<size_t> UnifiedTable::FlushRowstore() {
     return size_t{0};
   }
 
-  // Delete each row from level 0 in the flush transaction; rows locked by
-  // concurrent writers or already changed are skipped (they stay for the
-  // next flush).
+  // Delete each row from level 0 in the flush transaction. A row that a
+  // concurrent writer holds is waited for, up to LockTable::kTimeoutMs; it
+  // is skipped (and stays for the next flush) only if a writer changed
+  // it after the flush's snapshot, or if the wait ends in a timeout or a
+  // deadlock.
   std::vector<Row> rows;
   std::vector<int64_t> rowids;
   for (auto& [rowid, row] : candidates) {
-    Status st = rowstore_->DeleteLatest(h.id, h.read_ts, {Value(rowid)});
+    Status st = rowstore_->Delete(h.id, h.read_ts, {Value(rowid)});
     if (!st.ok()) continue;
     rows.push_back(std::move(row));
     rowids.push_back(rowid);
@@ -858,22 +818,14 @@ Result<size_t> UnifiedTable::FlushRowstore() {
   }
 
   // From here on any failure must abort the flush transaction: it holds
-  // row locks (via DeleteLatest) that would otherwise leak forever, making
+  // row locks (via Delete) that would otherwise leak forever, making
   // every later write to those rows time out.
   uint64_t segment_id = next_segment_id_.fetch_add(1);
   Lsn lsn = log_->next_lsn();
-  auto built_or = BuildSegment(rows, segment_id, lsn);
-  if (!built_or.ok()) return AbortOwnTxn(h.id, built_or.status());
-  auto& [file_bytes, meta] = *built_or;
-  auto file = std::make_shared<const std::string>(std::move(file_bytes));
-  Status ws = files_->Write(meta.file_name, file);
-  if (!ws.ok()) return AbortOwnTxn(h.id, ws);
-  auto opened_or = Segment::Open(file);
-  if (!opened_or.ok()) {
-    (void)files_->Remove(meta.file_name);
-    return AbortOwnTxn(h.id, opened_or.status());
-  }
-  std::shared_ptr<Segment> opened = *opened_or;
+  auto built = BuildSegment(rows, segment_id, lsn);
+  if (!built.ok()) return AbortOwnTxn(h.id, built.status());
+  auto& [meta, opened] = *built;
+  const size_t bytes = opened->file_size();
 
   LogRecord rec;
   rec.txn_id = h.id;
@@ -903,13 +855,13 @@ Result<size_t> UnifiedTable::FlushRowstore() {
   txns_->FinishCommit(h.id, cts);
   stats_.flushes.Add();
   S2_COUNTER("s2_flush_rows_total").Add(rows.size());
-  S2_COUNTER("s2_flush_bytes_total").Add(file->size());
+  S2_COUNTER("s2_flush_bytes_total").Add(bytes);
   S2_JOURNAL("storage", "flush",
              "table=" + name_ + " rows=" + std::to_string(rows.size()) +
-                 " bytes=" + std::to_string(file->size()));
+                 " bytes=" + std::to_string(bytes));
   S2_HISTOGRAM("s2_flush_ns").Record(flush_timer.ElapsedNs());
   flush_span.Count("rows", static_cast<int64_t>(rows.size()));
-  flush_span.Count("bytes", static_cast<int64_t>(file->size()));
+  flush_span.Count("bytes", static_cast<int64_t>(bytes));
   // Reclaim the flushed nodes once no active snapshot can still see them;
   // this is what keeps the write-optimized level 0 small.
   rowstore_->Purge(txns_->oldest_active());
@@ -968,19 +920,10 @@ Result<bool> UnifiedTable::MaybeMergeRuns() {
   };
   for (const std::vector<Row>& chunk : chunks) {
     uint64_t segment_id = next_segment_id_.fetch_add(1);
-    auto built_or = BuildSegment(chunk, segment_id, lsn);
-    if (!built_or.ok()) return abort_merge(built_or.status());
-    auto& [file_bytes, meta] = *built_or;
-    auto file = std::make_shared<const std::string>(std::move(file_bytes));
-    Status ws = files_->Write(meta.file_name, file);
-    if (!ws.ok()) return abort_merge(ws);
-    auto opened_or = Segment::Open(file);
-    if (!opened_or.ok()) {
-      (void)files_->Remove(meta.file_name);
-      return abort_merge(opened_or.status());
-    }
-    change.metas.push_back(std::move(meta));
-    change.opened.push_back(std::move(*opened_or));
+    auto built = BuildSegment(chunk, segment_id, lsn);
+    if (!built.ok()) return abort_merge(built.status());
+    change.metas.push_back(std::move(built->first));
+    change.opened.push_back(std::move(built->second));
   }
   const size_t segments_in = change.old_ids.size();
   const size_t segments_out = change.metas.size();
@@ -1224,7 +1167,7 @@ Status UnifiedTable::ReplayDelete(TxnId txn, Slice payload) {
   for (uint64_t i = 0; i < count; ++i) {
     S2_ASSIGN_OR_RETURN(uint64_t z, GetVarint64(&payload));
     int64_t rowid = ZigZagDecode(z);
-    S2_RETURN_NOT_OK(rowstore_->DeleteLatest(txn, kTsMax, {Value(rowid)}));
+    S2_RETURN_NOT_OK(rowstore_->Delete(txn, kTsMax, {Value(rowid)}));
   }
   return Status::OK();
 }
@@ -1233,12 +1176,8 @@ Status UnifiedTable::ReplaySegmentFlush(TxnId txn, Slice payload) {
   SegmentChange change;
   S2_ASSIGN_OR_RETURN(SegmentMeta meta, SegmentMeta::DecodeFrom(&payload));
   change.metas.push_back(std::move(meta));
-  S2_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(&payload));
-  for (uint64_t i = 0; i < count; ++i) {
-    S2_ASSIGN_OR_RETURN(uint64_t z, GetVarint64(&payload));
-    int64_t rowid = ZigZagDecode(z);
-    S2_RETURN_NOT_OK(rowstore_->DeleteLatest(txn, kTsMax, {Value(rowid)}));
-  }
+  // The flushed rowids follow the meta, laid out as a delete record's.
+  S2_RETURN_NOT_OK(ReplayDelete(txn, payload));
   std::lock_guard<std::mutex> lock(meta_mu_);
   staged_[txn].push_back(std::move(change));
   return Status::OK();

@@ -81,7 +81,8 @@ class UnifiedTable {
                             DupPolicy policy = DupPolicy::kError);
 
   /// Deletes/updates one located row. Rows in segments are first moved to
-  /// the rowstore by an autonomous move transaction (Section 4.2).
+  /// the rowstore by an autonomous move transaction (Section 4.2), whose
+  /// copy does not conflict with the caller's snapshot.
   Status DeleteLocated(TxnId txn, Timestamp read_ts, const RowLocation& loc);
   Status UpdateLocated(TxnId txn, Timestamp read_ts, const RowLocation& loc,
                        const Row& new_row);
@@ -95,12 +96,11 @@ class UnifiedTable {
   // Reads
   // ------------------------------------------------------------------
 
-  /// Point/seek read through the secondary index machinery: rowstore index
-  /// seek + global index -> per-segment postings. Level 0 seeks a declared
-  /// index (or the unique key) whose leading columns are `index_cols`; a
-  /// column set that leads none scans all of level 0 (counted in
-  /// s2_rowstore_scan_lookups_total). Segments consult the per-column
-  /// indexes of `index_cols` independently. cb returns false to stop.
+  /// Point/seek read through the secondary index machinery: level 0's
+  /// RowStoreTable::Lookup (which picks its index, or scans) + global index
+  /// -> per-segment postings. Segments consult the tuple index on exactly
+  /// `index_cols` when there is one, else each column's index. cb returns
+  /// false to stop.
   Status LookupByIndex(TxnId txn, Timestamp read_ts,
                        const std::vector<int>& index_cols, const Row& values,
                        const std::function<bool(const Row&,
@@ -252,6 +252,11 @@ class UnifiedTable {
   /// snapshot. Returns `status`.
   Status AbortOwnTxn(TxnId txn, Status status);
 
+  /// DeleteLocated (`new_row` null) and UpdateLocated after their checks:
+  /// moves a segment row to level 0, writes it there and logs the write.
+  Status WriteLocated(TxnId txn, Timestamp read_ts, const RowLocation& loc,
+                      const Row* new_row);
+
   /// Moves segment rows (ascending `offsets`) into the rowstore in an
   /// autonomous transaction that commits immediately (logical table content
   /// unchanged). The caller then mutates the moved copies under their own
@@ -299,9 +304,11 @@ class UnifiedTable {
   void AddSegmentLocked(SegmentMeta meta, Timestamp created_ts,
                         std::shared_ptr<Segment> opened);
 
-  /// Builds file bytes + aux index blocks for `rows` (already sorted), and
-  /// the metadata. Returns (file bytes, meta).
-  Result<std::pair<std::string, SegmentMeta>> BuildSegment(
+  /// Builds the segment of `rows` (already sorted) with its aux index
+  /// blocks, writes its data file and opens it. Returns the meta and the
+  /// open segment, which shares the written bytes. Leaves no file behind
+  /// on failure.
+  Result<std::pair<SegmentMeta, std::shared_ptr<Segment>>> BuildSegment(
       const std::vector<Row>& rows, uint64_t segment_id, Lsn lsn);
 
   /// Rebuilds global-index entries for a segment from its aux blocks.
@@ -326,7 +333,6 @@ class UnifiedTable {
   std::atomic<uint64_t> next_segment_id_{1};
 
   std::vector<IndexState> indexes_;  // columns first, then tuples
-  std::vector<std::vector<int>> rowstore_index_cols_;  // rowstore index map
 
   /// Replayed segment changes staged per transaction; installed with the
   /// commit timestamp in StampCommit.

@@ -199,6 +199,37 @@ TEST_F(RowStoreTest, WriteWriteConflictAborts) {
   Abort(2);
 }
 
+// The one write rule: a version that another transaction committed after
+// the writer's snapshot aborts an Update or Delete, unless it is a move copy
+// (InsertMoved), whose content is the row's unchanged.
+TEST_F(RowStoreTest, MoveCopyAfterSnapshotDoesNotAbortWriters) {
+  const Row pk1 = {Value(int64_t{1})};
+  const Row pk2 = {Value(int64_t{2})};
+  ASSERT_TRUE(table_.InsertMoved(1, MakeRow(1, "moved", 0)).ok());
+  ASSERT_TRUE(table_.InsertMoved(1, MakeRow(2, "moved", 0)).ok());
+  Commit(1, 6);
+  // Snapshot 5 is older than the move copies.
+  ASSERT_TRUE(
+      Commit1(2, 7, table_.Update(2, 5, pk1, MakeRow(1, "updated", 0))).ok());
+  ASSERT_TRUE(Commit1(3, 7, table_.Delete(3, 5, pk2)).ok());
+  EXPECT_EQ((*table_.Get(9, 7, pk1))[1], Value("updated"));
+  EXPECT_TRUE(table_.Get(9, 7, pk2).status().IsNotFound());
+
+  // Snapshot 6 is older than txn 2's update and txn 3's delete.
+  Status update = table_.Update(4, 6, pk1, MakeRow(1, "late", 0));
+  EXPECT_TRUE(update.IsAborted()) << update.ToString();
+  EXPECT_EQ(update.message(), "write-write conflict");
+  Abort(4);
+  Status del = table_.Delete(5, 6, pk1);
+  EXPECT_TRUE(del.IsAborted()) << del.ToString();
+  EXPECT_EQ(del.message(), "write-write conflict");
+  Abort(5);
+  Status reinsert = table_.Insert(6, 6, MakeRow(2, "late", 0));
+  EXPECT_TRUE(reinsert.IsAborted()) << reinsert.ToString();
+  Abort(6);
+  EXPECT_EQ((*table_.Get(9, kTsMax, pk1))[1], Value("updated"));
+}
+
 TEST_F(RowStoreTest, RowLockBlocksConcurrentWriter) {
   ASSERT_TRUE(Commit1(1, 5, table_.Insert(1, 0, MakeRow(1, "base", 0))).ok());
   // Txn 2 locks the row by updating it, holds the lock (no commit yet).
@@ -280,7 +311,7 @@ TEST_F(RowStoreTest, SecondaryIndexSeek) {
 
   std::vector<int64_t> ids;
   ASSERT_TRUE(table
-                  .IndexSeek(0, 9, 5, {Value("bob")},
+                  .Lookup(9, 5, {1}, {Value("bob")},
                              [&](const Row& row) {
                                ids.push_back(row[0].as_int());
                                return true;
@@ -293,7 +324,7 @@ TEST_F(RowStoreTest, SecondaryIndexSeek) {
   Commit(&table, 2, 6);
   ids.clear();
   ASSERT_TRUE(table
-                  .IndexSeek(0, 9, 6, {Value("bob")},
+                  .Lookup(9, 6, {1}, {Value("bob")},
                              [&](const Row& row) {
                                ids.push_back(row[0].as_int());
                                return true;
@@ -302,7 +333,7 @@ TEST_F(RowStoreTest, SecondaryIndexSeek) {
   EXPECT_EQ(ids, (std::vector<int64_t>{3}));
   ids.clear();
   ASSERT_TRUE(table
-                  .IndexSeek(0, 9, 6, {Value("carol")},
+                  .Lookup(9, 6, {1}, {Value("carol")},
                              [&](const Row& row) {
                                ids.push_back(row[0].as_int());
                                return true;
@@ -311,9 +342,10 @@ TEST_F(RowStoreTest, SecondaryIndexSeek) {
   EXPECT_EQ(ids, (std::vector<int64_t>{1}));
 }
 
-// A key shorter than the index seeks its leading columns. An update that
+// A lookup on an index's leading columns seeks that index. An update that
 // moves a row to another key leaves its old entry behind; the row is still
-// yielded once, through its current entry.
+// yielded once, through its current entry. A column list that no index
+// leads with scans the table instead and finds the same rows.
 TEST_F(RowStoreTest, SecondaryIndexPrefixSeek) {
   RowStoreTable table(TestSchema(), {0}, &locks_, &horizon_);
   table.AddSecondaryIndex({1, 2});  // by (name, score)
@@ -325,27 +357,40 @@ TEST_F(RowStoreTest, SecondaryIndexPrefixSeek) {
       table.Update(2, 5, {Value(int64_t{1})}, MakeRow(1, "bob", 9)).ok());
   Commit(&table, 2, 6);
 
-  auto seek = [&](const Row& key, Timestamp ts) {
+  auto lookup = [&](const std::vector<int>& cols, const Row& key,
+                    Timestamp ts) {
     std::vector<int64_t> ids;
     EXPECT_TRUE(table
-                    .IndexSeek(0, 9, ts, key,
-                               [&](const Row& row) {
-                                 ids.push_back(row[0].as_int());
-                                 return true;
-                               })
+                    .Lookup(9, ts, cols, key,
+                            [&](const Row& row) {
+                              ids.push_back(row[0].as_int());
+                              return true;
+                            })
                     .ok());
     std::sort(ids.begin(), ids.end());
     return ids;
   };
-  EXPECT_EQ(seek({Value("bob")}, 6), (std::vector<int64_t>{1, 2}));
-  EXPECT_EQ(seek({Value("bob")}, 5), (std::vector<int64_t>{1, 2}));
-  EXPECT_EQ(seek({Value("bob"), Value(9.0)}, 6), (std::vector<int64_t>{1}));
-  EXPECT_EQ(seek({Value("bob"), Value(1.0)}, 6), (std::vector<int64_t>{}));
-  EXPECT_EQ(seek({Value("bob"), Value(1.0)}, 5), (std::vector<int64_t>{1}));
-  EXPECT_EQ(seek({}, 6), (std::vector<int64_t>{1, 2, 3}));
+  Counter& scans = S2_COUNTER("s2_rowstore_scan_lookups_total");
+  const uint64_t scans_before = scans.value();
+  EXPECT_EQ(lookup({1}, {Value("bob")}, 6), (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(lookup({1}, {Value("bob")}, 5), (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(lookup({1, 2}, {Value("bob"), Value(9.0)}, 6),
+            (std::vector<int64_t>{1}));
+  EXPECT_EQ(lookup({1, 2}, {Value("bob"), Value(1.0)}, 6),
+            (std::vector<int64_t>{}));
+  EXPECT_EQ(lookup({1, 2}, {Value("bob"), Value(1.0)}, 5),
+            (std::vector<int64_t>{1}));
+  EXPECT_EQ(lookup({}, {}, 6), (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(scans.value(), scans_before) << "every lookup above seeks";
+
+  EXPECT_EQ(lookup({2}, {Value(9.0)}, 6), (std::vector<int64_t>{1}));
+  EXPECT_EQ(lookup({2}, {Value(9.0)}, 5), (std::vector<int64_t>{}));
+  EXPECT_EQ(lookup({2, 1}, {Value(2.0), Value("bob")}, 6),
+            (std::vector<int64_t>{2}));
+  EXPECT_EQ(scans.value(), scans_before + 3);
   EXPECT_TRUE(table
-                  .IndexSeek(0, 9, 6, {Value("bob"), Value(1.0), Value(1.0)},
-                             [](const Row&) { return true; })
+                  .Lookup(9, 6, {1}, {Value("bob"), Value(1.0)},
+                          [](const Row&) { return true; })
                   .IsInvalidArgument());
 }
 
@@ -359,14 +404,14 @@ TEST_F(RowStoreTest, UnchangedIndexKeyAddsNoEntry) {
   table.AddSecondaryIndex({1});     // by name
   table.AddSecondaryIndex({1, 2});  // by (name, score)
   const Row pk = {Value(int64_t{1})};
-  auto seek = [&](int index, const Row& key, Timestamp ts) {
+  auto seek = [&](const std::vector<int>& cols, const Row& key, Timestamp ts) {
     std::vector<double> scores;
     EXPECT_TRUE(table
-                    .IndexSeek(index, 9, ts, key,
-                               [&](const Row& row) {
-                                 scores.push_back(row[2].as_double());
-                                 return true;
-                               })
+                    .Lookup(9, ts, cols, key,
+                            [&](const Row& row) {
+                              scores.push_back(row[2].as_double());
+                              return true;
+                            })
                     .ok());
     return scores;
   };
@@ -374,37 +419,37 @@ TEST_F(RowStoreTest, UnchangedIndexKeyAddsNoEntry) {
   Commit(&table, 1, 5);
   ASSERT_TRUE(table.Update(2, 5, pk, MakeRow(1, "bob", 2)).ok());
   Commit(&table, 2, 6);
-  EXPECT_EQ(table.num_index_nodes(0), 1u);
-  EXPECT_EQ(table.num_index_nodes(1), 2u);
-  EXPECT_EQ(seek(0, {Value("bob")}, 5), (std::vector<double>{1}));
-  EXPECT_EQ(seek(0, {Value("bob")}, 6), (std::vector<double>{2}));
+  EXPECT_EQ(table.num_index_nodes({1}), 1u);
+  EXPECT_EQ(table.num_index_nodes({1, 2}), 2u);
+  EXPECT_EQ(seek({1}, {Value("bob")}, 5), (std::vector<double>{1}));
+  EXPECT_EQ(seek({1}, {Value("bob")}, 6), (std::vector<double>{2}));
 
   ASSERT_TRUE(table.Update(3, 6, pk, MakeRow(1, "carl", 2)).ok());
   Commit(&table, 3, 7);
-  EXPECT_EQ(table.num_index_nodes(0), 2u);
-  EXPECT_EQ(seek(0, {Value("bob")}, 7), (std::vector<double>{}));
-  EXPECT_EQ(seek(0, {Value("carl")}, 7), (std::vector<double>{2}));
-  EXPECT_EQ(seek(0, {Value("bob")}, 6), (std::vector<double>{2}));
-  EXPECT_EQ(seek(0, {}, 7), (std::vector<double>{2}));
+  EXPECT_EQ(table.num_index_nodes({1}), 2u);
+  EXPECT_EQ(seek({1}, {Value("bob")}, 7), (std::vector<double>{}));
+  EXPECT_EQ(seek({1}, {Value("carl")}, 7), (std::vector<double>{2}));
+  EXPECT_EQ(seek({1}, {Value("bob")}, 6), (std::vector<double>{2}));
+  EXPECT_EQ(seek({}, {}, 7), (std::vector<double>{2}));
 
-  ASSERT_TRUE(table.DeleteLatest(4, 7, pk).ok());
+  ASSERT_TRUE(table.Delete(4, 7, pk).ok());
   ASSERT_TRUE(table.Insert(4, 7, MakeRow(1, "carl", 3)).ok());
   Commit(&table, 4, 8);
   ASSERT_TRUE(table.Update(5, 8, pk, MakeRow(1, "bob", 2)).ok());
   Commit(&table, 5, 9);
-  EXPECT_EQ(table.num_index_nodes(0), 2u);
-  EXPECT_EQ(table.num_index_nodes(1), 4u);
-  EXPECT_EQ(seek(0, {Value("carl")}, 8), (std::vector<double>{3}));
-  EXPECT_EQ(seek(0, {}, 9), (std::vector<double>{2}));
-  EXPECT_EQ(seek(1, {Value("bob"), Value(2.0)}, 9), (std::vector<double>{2}));
+  EXPECT_EQ(table.num_index_nodes({1}), 2u);
+  EXPECT_EQ(table.num_index_nodes({1, 2}), 4u);
+  EXPECT_EQ(seek({1}, {Value("carl")}, 8), (std::vector<double>{3}));
+  EXPECT_EQ(seek({}, {}, 9), (std::vector<double>{2}));
+  EXPECT_EQ(seek({1, 2}, {Value("bob"), Value(2.0)}, 9), (std::vector<double>{2}));
 
   ASSERT_TRUE(table.Update(6, 9, pk, MakeRow(1, "bob", 0.0)).ok());
   Commit(&table, 6, 10);
   ASSERT_TRUE(table.Update(7, 10, pk, MakeRow(1, "bob", -0.0)).ok());
   Commit(&table, 7, 11);
-  EXPECT_EQ(table.num_index_nodes(1), 6u);
-  EXPECT_EQ(seek(1, {Value("bob"), Value(-0.0)}, 11).size(), 1u);
-  EXPECT_EQ(seek(1, {Value("bob"), Value(0.0)}, 11).size(), 0u);
+  EXPECT_EQ(table.num_index_nodes({1, 2}), 6u);
+  EXPECT_EQ(seek({1, 2}, {Value("bob"), Value(-0.0)}, 11).size(), 1u);
+  EXPECT_EQ(seek({1, 2}, {Value("bob"), Value(0.0)}, 11).size(), 0u);
 }
 
 // CommitTxn stamps the versions the transaction wrote, all of them and no
@@ -510,11 +555,11 @@ TEST_F(RowStoreTest, PurgeRebuildKeepsEntriesForOlderSnapshots) {
   auto seek = [&](const char* name, Timestamp ts) {
     std::vector<int64_t> ids;
     EXPECT_TRUE(table
-                    .IndexSeek(0, 9, ts, {Value(name)},
-                               [&](const Row& row) {
-                                 ids.push_back(row[0].as_int());
-                                 return true;
-                               })
+                    .Lookup(9, ts, {1}, {Value(name)},
+                            [&](const Row& row) {
+                              ids.push_back(row[0].as_int());
+                              return true;
+                            })
                     .ok());
     return ids;
   };
@@ -551,13 +596,13 @@ TEST_F(RowStoreTest, SeeksOverPurgedRowsTouchNoFreedNode) {
     size_t rows = 0;
     for (int k = 0; k < 10; ++k) {
       ASSERT_TRUE(table
-                      .IndexSeek(0, 9, ts, {Value("k" + std::to_string(k))},
-                                 [&](const Row& row) {
-                                   EXPECT_EQ(row[1].as_string(),
-                                             "k" + std::to_string(k));
-                                   ++rows;
-                                   return true;
-                                 })
+                      .Lookup(9, ts, {1}, {Value("k" + std::to_string(k))},
+                              [&](const Row& row) {
+                                EXPECT_EQ(row[1].as_string(),
+                                          "k" + std::to_string(k));
+                                ++rows;
+                                return true;
+                              })
                       .ok());
     }
     EXPECT_EQ(rows, ts == 2 ? 100u : 101u) << ts;
@@ -655,11 +700,11 @@ TEST_F(RowStoreTest, ConcurrentSeeksFindEachCommittedRowOnce) {
         const Timestamp ts = published.load();
         std::vector<int64_t> ids;
         ASSERT_TRUE(table
-                        .IndexSeek(0, 1, ts, {Value("p")},
-                                   [&](const Row& row) {
-                                     ids.push_back(row[0].as_int());
-                                     return true;
-                                   })
+                        .Lookup(1, ts, {1}, {Value("p")},
+                                [&](const Row& row) {
+                                  ids.push_back(row[0].as_int());
+                                  return true;
+                                })
                         .ok());
         std::sort(ids.begin(), ids.end());
         std::vector<int64_t> expected;

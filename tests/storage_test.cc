@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -1361,6 +1363,104 @@ TEST_F(StorageTest, DamagedSegmentColumnFailsLookupAndMove) {
   EXPECT_EQ(table->stats().rows_moved.load(), 0u);
   EXPECT_EQ(table->RowstoreRows(), rowstore_rows);
   EXPECT_EQ(table->DebugSegments()[0].deleted_rows, 0u);
+}
+
+// Holds every segment data-file write until Release(), so a flush stalls
+// after it has taken its table's maintenance lock.
+class BlockingSegmentWritesEnv : public PosixEnv {
+ public:
+  Status WriteStringToFile(const std::string& path, const std::string& data,
+                           bool sync) override {
+    if (path.find("/files/seg_") != std::string::npos) {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++blocked_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    }
+    return PosixEnv::WriteStringToFile(path, data, sync);
+  }
+
+  void WaitUntilBlocked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return blocked_ > 0; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int blocked_ = 0;
+  bool released_ = false;
+};
+
+// Post-commit maintenance runs on one committer of a partition at a time.
+// While committer A's flush is stalled writing its segment, committer B,
+// whose table is still over its flush threshold, returns from Commit
+// instead of waiting for A's flush to finish.
+TEST_F(StorageTest, CommitReturnsWhileAnotherCommitterFlushes) {
+  BlockingSegmentWritesEnv env;
+  PartitionOptions opts;
+  opts.dir = dir_ + "/auto";
+  opts.background_uploads = false;
+  opts.env = &env;
+  ASSERT_TRUE(opts.auto_maintain);
+  Partition partition(opts);
+  ASSERT_TRUE(partition.Init().ok());
+  TableOptions topts = SmallTableOptions();
+  topts.flush_threshold = 4;
+  auto table = partition.CreateTable("t", topts);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  auto insert_and_commit = [&](int64_t lo, int64_t hi) {
+    std::vector<Row> rows;
+    for (int64_t i = lo; i < hi; ++i) rows.push_back(MakeRow(i, "t", 0));
+    auto h = partition.Begin();
+    Status s = (*table)->InsertRows(h.id, h.read_ts, rows).status();
+    if (!s.ok()) {
+      partition.Abort(h.id);
+      return s;
+    }
+    return partition.Commit(h.id);
+  };
+
+  std::thread a([&] { EXPECT_TRUE(insert_and_commit(0, 8).ok()); });
+  env.WaitUntilBlocked();
+  std::atomic<bool> b_returned{false};
+  std::thread b([&] {
+    EXPECT_TRUE(insert_and_commit(8, 9).ok());
+    b_returned.store(true);
+  });
+  // Let A's flush go once B has returned, or after 2 s, so that a B that
+  // waits for A fails the test instead of hanging it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!b_returned.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool returned_while_a_flushed = b_returned.load();
+  env.Release();
+  a.join();
+  b.join();
+  EXPECT_TRUE(returned_while_a_flushed)
+      << "B's commit waited for A's flush";
+  EXPECT_GE((*table)->NumSegments(), 1u);
+  auto h = partition.Begin();
+  for (int64_t id = 0; id < 9; ++id) {
+    int found = 0;
+    ASSERT_TRUE((*table)
+                    ->LookupByIndex(h.id, h.read_ts, {0}, {Value(id)},
+                                    [&](const Row&, const RowLocation&) {
+                                      ++found;
+                                      return true;
+                                    })
+                    .ok());
+    EXPECT_EQ(found, 1) << "id=" << id;
+  }
+  partition.EndRead(h.id);
 }
 
 }  // namespace
